@@ -6,9 +6,10 @@ generation of a three-mode candidate state.
 
 from .mk import (
     MKExpansion,
-    bell_factor,
     classical_bound_exhaustive,
     expand_mk,
+    mk_coefficient,
+    mk_sum,
     quantum_bound,
 )
 from .numerics import (

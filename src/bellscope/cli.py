@@ -142,7 +142,15 @@ def cmd_sign_optimize(options):
     m, d = options.m, options.d
     constraint = None if options.constraint == "none" else "nonnegative"
     angles = signbin.default_optimizer_angles(m)
-    bell, state = signbin.optimize_state(m, d, angles, constraint=constraint)
+    convergence = {}
+    if d > 10:
+        result = signbin.converged_optimum(
+            m, angles, d=d, d_step=10, constraint=constraint
+        )
+        bell, state = result.bell, result.state
+        convergence = {"convergence_delta": result.delta, "converged": result.converged}
+    else:
+        bell, state = signbin.optimize_state(m, d, angles, constraint=constraint)
     headline = {
         "m": m,
         "d": d,
@@ -150,12 +158,8 @@ def cmd_sign_optimize(options):
         "bell_factor": bell,
         "theta": list(angles.theta),
         "theta_prime": list(angles.theta_prime),
+        **convergence,
     }
-    if d > 10:
-        previous, _ = signbin.optimize_state(m, d - 10, angles, constraint=constraint)
-        delta = bell - previous
-        headline["convergence_delta"] = delta
-        headline["converged"] = delta < 5e-4
     rows = [(r, c) for r, c in enumerate(state.coefficients)]
     return ("r", "c_r"), rows, headline
 

@@ -10,16 +10,15 @@ vanishing is verified here by quadrature rather than assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .mk import expand_mk
+from .mk import mk_sum
 from .numerics import hermite_eval, integrate_segments
-from .signbin import AngleSettings, FockCorrelatedState, correlator_E
+from .signbin import AngleSettings, FockCorrelatedState, bell_expectation_sign
 
 __all__ = [
     "noisy_bell_factor",
@@ -112,29 +111,21 @@ def noisy_bell_direct(state: FockCorrelatedState, angles: AngleSettings, p: floa
 
     Every erasure pattern S gets weight p^|S| (1-p)^(m-|S|); the correlator
     of each noisy term is evaluated through ``erased_term_correlator`` (not
-    assumed zero).  Agrees with noisy_bell_factor of the clean value.
+    assumed zero).  That correlator depends only on |S| and not on the
+    angles, so the patterns are summed by size and the noisy part enters the
+    MK sum through sum_t c_t.  Agrees with noisy_bell_factor of the clean
+    value.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
     if angles.m != state.m:
         raise ValueError("state and angles disagree on the party count")
     m = state.m
-    erased_by_count = {}
-    for pattern in itertools.chain.from_iterable(
-        itertools.combinations(range(m), j) for j in range(1, m + 1)
-    ):
-        erased_by_count.setdefault(len(pattern), []).append(pattern)
-
-    noisy_part = 0.0  # phi-independent, computed once
-    for j, patterns in erased_by_count.items():
-        weight = p ** j * (1.0 - p) ** (m - j)
-        for pattern in patterns:
-            noisy_part += weight * erased_term_correlator(state, pattern, 0.0)
-
-    clean_weight = (1.0 - p) ** m
-    expansion = expand_mk(m)
-    total = 0.0
-    for t, c in expansion.terms.items():
-        phi = angles.phi_sum(t)
-        total += float(c) * (clean_weight * correlator_E(state, phi) + noisy_part)
-    return abs(total)
+    noisy_part = sum(
+        math.comb(m, j) * p ** j * (1.0 - p) ** (m - j)
+        * erased_term_correlator(state, range(j), 0.0)
+        for j in range(1, m + 1)
+    )
+    coefficient_sum = float(mk_sum(np.ones(m), np.ones(m)).real)
+    clean = bell_expectation_sign(state, angles)
+    return abs((1.0 - p) ** m * clean + noisy_part * coefficient_sum)

@@ -272,7 +272,9 @@ def integrate_1d(f, a, b, tol=1e-10, max_intervals=4096, initial_splits=8):
     if a == b:
         return 0.0
     if a > b:
-        return -integrate_1d(f, b, a, tol=tol, max_intervals=max_intervals)
+        return -integrate_1d(
+            f, b, a, tol=tol, max_intervals=max_intervals, initial_splits=initial_splits
+        )
 
     neg_inf = math.isinf(a) and a < 0
     pos_inf = math.isinf(b) and b > 0

@@ -32,11 +32,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .mk import expand_mk
+from .mk import mk_sum, mk_sum_tuplewise
 from .numerics import integrate_segments
 
 __all__ = [
@@ -160,13 +161,25 @@ def class_correlator(spec: RootBinningSpec, k: int) -> float:
     )
 
 
-def _x_count(setting_tuple, m: int, labeling: str) -> int:
-    unprimed = m - sum(setting_tuple)
-    if labeling == "x-unprimed":
-        return unprimed
-    if labeling == "p-unprimed":
-        return m - unprimed
-    raise ValueError(f"unknown labeling: {labeling!r}")
+@lru_cache(maxsize=256)
+def _mk_class_sums(v: float, w: float, m: int) -> tuple:
+    """sum_t c_t V^k (iW)^(m-k) over the MK expansion, k the number of
+    parties measuring X, for the labelings in ``LABELINGS`` order.
+
+    E(k, m-k) is the real part of e^{i theta} V^k (iW)^(m-k), a product over
+    parties, so each labeling is one product-form MK sum.  The sums do not
+    depend on theta, so a scan over the state phase computes them once.
+    """
+    x_then_p = np.array([[complex(v), 1j * w]] * m)
+    return tuple(mk_sum(x_then_p, x_then_p[:, ::-1]).tolist())
+
+
+def _labeling_values(values, labeling: str) -> float:
+    if labeling == "best":
+        return max(values)
+    if labeling not in LABELINGS:
+        raise ValueError(f"unknown labeling: {labeling!r}")
+    return values[LABELINGS.index(labeling)]
 
 
 def bell_factor_root(spec: RootBinningSpec, labeling: str = "x-unprimed") -> float:
@@ -175,33 +188,19 @@ def bell_factor_root(spec: RootBinningSpec, labeling: str = "x-unprimed") -> flo
     ``labeling`` decides whether the unprimed setting measures X or P;
     "best" evaluates both and returns the larger.
     """
-    if labeling == "best":
-        return max(bell_factor_root(spec, lab) for lab in LABELINGS)
-    expansion = expand_mk(spec.m)
-    total = sum(
-        float(c) * class_correlator(spec, _x_count(t, spec.m, labeling))
-        for t, c in expansion.terms.items()
-    )
-    return abs(total)
+    cos_t, sin_t = math.cos(spec.theta), math.sin(spec.theta)
+    sums = _mk_class_sums(spec.V, spec.W, spec.m)
+    values = [abs(cos_t * z.real - sin_t * z.imag) for z in sums]
+    return _labeling_values(values, labeling)
 
 
 def max_theta_bell(v: float, w: float, m: int, labeling: str = "x-unprimed") -> float:
     """Bell factor maximized analytically over the state phase.
 
-    As a function of theta the factor is A cos(theta) + B sin(theta), so the
-    maximum is hypot(A, B); no numerical search involved.
+    As a function of theta the factor is |Re(e^{i theta} S)| for the
+    complex MK sum S, so the maximum is |S|; no numerical search involved.
     """
-    if labeling == "best":
-        return max(max_theta_bell(v, w, m, lab) for lab in LABELINGS)
-    expansion = expand_mk(m)
-    a = b = 0.0
-    for t, c in expansion.terms.items():
-        k = _x_count(t, m, labeling)
-        amp = float(c) * v ** k * w ** (m - k)
-        psi = (m - k) * math.pi / 2.0
-        a += amp * math.cos(psi)
-        b -= amp * math.sin(psi)
-    return math.hypot(a, b)
+    return _labeling_values([abs(z) for z in _mk_class_sums(v, w, m)], labeling)
 
 
 def optimal_phase(m: int) -> float:
@@ -430,14 +429,12 @@ def psi3_bell_report(alpha: float, tol: float = 1e-9) -> Psi3Report:
         correlators[n_x] = sum(
             (outcome[0] * outcome[1] * outcome[2]) * p for outcome, p in probs.items()
         )
-    expansion = expand_mk(3)
-    bells = {}
-    for labeling in LABELINGS:
-        total = sum(
-            float(c) * correlators[_x_count(t, 3, labeling)]
-            for t, c in expansion.terms.items()
-        )
-        bells[labeling] = abs(total)
+    # The tuple-by-tuple sum keeps the rounding of the reference curve where
+    # one labeling cancels to noise.
+    bells = {
+        "x-unprimed": abs(mk_sum_tuplewise([correlators[3 - k] for k in range(4)])),
+        "p-unprimed": abs(mk_sum_tuplewise([correlators[k] for k in range(4)])),
+    }
     return Psi3Report(
         alpha=alpha,
         bell_x_unprimed=bells["x-unprimed"],

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mk import expand_mk
+from .mk import mk_sum_scaled
 from .numerics import LogSignedReal, max_eigenpair, rgamma_log
 
 __all__ = [
@@ -44,12 +44,16 @@ __all__ = [
     "ghz_like_angles",
     "chsh_angles",
     "default_optimizer_angles",
+    "bell_expectation_sign",
     "bell_factor_sign",
     "bell_matrix",
     "optimize_state",
     "ConvergedOptimum",
     "converged_optimum",
 ]
+
+_LN2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -232,40 +236,107 @@ def default_optimizer_angles(m: int) -> AngleSettings:
     return chsh_angles() if m == 2 else ghz_like_angles(m)
 
 
-def bell_factor_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
-    """|<B_m>| for the state under sign binning at the given angles."""
+def _mk_cos_sums(angles: AngleSettings, orders):
+    """sum_t c_t cos(n phi_t) over the MK expansion for each order n, as
+    (log |.|, sign) arrays.
+
+    cos(n phi_t) is the real part of prod_j e^{i n theta_j}, with theta_j
+    party j's angle in tuple t: a product over parties, so each order is one
+    product-form MK sum.
+    """
+    n = np.asarray(orders, dtype=float)
+    mantissa, exponent = mk_sum_scaled(
+        np.exp(1j * np.outer(angles.theta, n)),
+        np.exp(1j * np.outer(angles.theta_prime, n)),
+    )
+    with np.errstate(divide="ignore"):
+        log = np.log(np.abs(mantissa.real)) + exponent * _LN2
+    return log, np.sign(mantissa.real)
+
+
+def _pair_terms(m: int, angles: AngleSettings, pairs):
+    """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
+    (r, s), as (log |.|, sign) arrays: nothing is exponentiated yet."""
+    r, s = np.array(pairs).T
+    log_mk, sign_mk = _mk_cos_sums(angles, np.arange(r.max() + 1))
+    g = [_g_magnitude(a, b, m) for a, b in pairs]
+    log_g = np.array([x.log_magnitude for x in g])
+    sign_g = np.array([x.sign for x in g])
+    return log_g + m * _LN2 + log_mk[r - s], sign_g * sign_mk[r - s]
+
+
+def _exp_sum(logs, signs) -> float:
+    """sum of signs * exp(logs), exponentiated once.
+
+    Terms far outside the float range still combine to the right total; a
+    total beyond it raises OverflowError instead of becoming inf.
+    """
+    keep = signs != 0
+    if not np.any(keep):
+        return 0.0
+    logs, signs = logs[keep], signs[keep]
+    top = float(logs.max())
+    scaled = float(np.sum(signs * np.exp(logs - top)))
+    if scaled == 0.0:
+        return 0.0
+    log_total = top + math.log(abs(scaled))
+    if log_total > _LOG_FLOAT_MAX:
+        raise OverflowError(f"Bell value e^{log_total:.6g} exceeds the float range")
+    return math.copysign(math.exp(log_total), scaled)
+
+
+def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
+    """<B_m> with its sign for the state under sign binning.
+
+    The correlator is the Fourier sum 2^m sum_{r>s} 2 c_r c_s g_{r,s}(phi),
+    so the MK sum is taken once per order r - s.  All factors meet in log
+    space, so any m whose value fits a float is evaluated correctly.
+    """
     if angles.m != state.m:
         raise ValueError("state and angles disagree on the party count")
-    expansion = expand_mk(state.m)
-    total = sum(
-        float(c) * correlator_E(state, angles.phi_sum(t))
-        for t, c in expansion.terms.items()
-    )
-    return abs(total)
+    c = state.coefficients
+    pairs = [
+        (r, s)
+        for r in range(1, c.size)
+        if c[r] != 0.0
+        for s in range(1 - (r % 2), r, 2)  # opposite parity only
+        if c[s] != 0.0
+    ]
+    if not pairs:
+        return 0.0
+    logs, signs = _pair_terms(state.m, angles, pairs)
+    weights = np.array([2.0 * c[r] * c[s] for r, s in pairs])
+    with np.errstate(divide="ignore"):  # a weight that underflows to 0 drops out
+        log_weights = np.log(np.abs(weights))
+    return _exp_sum(logs + log_weights, signs * np.sign(weights))
+
+
+def bell_factor_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
+    """|<B_m>| for the state under sign binning at the given angles."""
+    return abs(bell_expectation_sign(state, angles))
 
 
 def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     """Symmetric matrix whose quadratic form in the coefficient vector gives
-    <B_m>; entry (r, s) sums coefficient * 2^m * g_{r,s} over the expansion.
+    <B_m>; entry (r, s) is 2^m g_{r,s} summed over the MK expansion.
 
     The diagonal is exactly zero and so is every same-parity pair, which
-    makes the matrix bipartite between even and odd Fock indices.
+    makes the matrix bipartite between even and odd Fock indices.  An entry
+    beyond the float range raises OverflowError.
     """
     if d < 2:
         raise ValueError("truncation must be >= 2")
     if angles.m != m:
         raise ValueError("angles do not match the party count")
-    expansion = expand_mk(m)
-    tuples = [(float(c), angles.phi_sum(t)) for t, c in expansion.terms.items()]
-    scale = 2.0 ** m
+    pairs = [(r, s) for r in range(1, d) for s in range(1 - (r % 2), r, 2)]
+    logs, signs = _pair_terms(m, angles, pairs)
+    if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
+        raise OverflowError("Bell matrix entries exceed the float range")
+    values = signs * np.exp(np.where(signs != 0, logs, -np.inf))
+    r, s = np.array(pairs).T
     matrix = np.zeros((d, d))
-    for r in range(1, d):
-        for s in range(1 - (r % 2), r, 2):
-            base = _g_magnitude(r, s, m).value()
-            if base == 0.0:
-                continue
-            acc = sum(c * math.cos(phi * (r - s)) for c, phi in tuples)
-            matrix[r, s] = matrix[s, r] = scale * base * acc
+    matrix[r, s] = values
+    matrix[s, r] = values
     return matrix
 
 

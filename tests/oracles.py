@@ -1,15 +1,53 @@
-"""Quadrature-based oracles shared between test modules.
+"""Oracles shared between test modules.
 
 These deliberately avoid the closed forms they are used to check: joint
 probabilities come from direct numerical integration of the Hermite-Gaussian
-density, not from the Gamma-function identities.
+density, not from the Gamma-function identities, and Mermin-Klyshko sums
+walk the exact expansion of ``expand_mk`` tuple by tuple instead of using
+the product form.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from bellscope.mk import MKExpansion
 from bellscope.numerics import hermite_eval, integrate_1d
+
+
+def bell_factor(expansion, correlator):
+    """|sum of coefficient * correlator(setting tuple)| over the expansion.
+
+    ``correlator`` maps a setting tuple to the expectation value of the
+    corresponding product observable; non-finite values are an error.
+    """
+    total = 0.0
+    for t, c in expansion.terms.items():
+        e = correlator(t)
+        if not math.isfinite(e):
+            raise ValueError(f"correlator returned non-finite value {e!r} at {t}")
+        total += float(c) * e
+    return abs(total)
+
+
+def primed_twin(expansion):
+    """Expansion of B'_m: every tuple with primed/unprimed flipped."""
+    flipped = {tuple(not choice for choice in t): c for t, c in expansion.terms.items()}
+    return MKExpansion(expansion.m, dict(sorted(flipped.items())))
+
+
+def coefficients_by_primed_count(expansion):
+    """Coefficients collapsed by primed count.
+
+    Valid as a summary only when the correlators depend on nothing but how
+    many parties used the primed setting.
+    """
+    out = {}
+    for t, c in expansion.terms.items():
+        k = sum(t)
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in sorted(out.items()) if c != 0}
 
 
 def quadrature_halfline(r, s, tol=1e-12):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bellscope import cli
+from bellscope import cli, signbin
 from bellscope.numerics import IntegrationError
 
 
@@ -60,6 +60,14 @@ class TestCommands:
         lines = read_csv(tmp_path, "sign-optimize").splitlines()
         assert lines[0] == "r,c_r"
         assert len(lines) == 21
+        reference = signbin.converged_optimum(3, signbin.ghz_like_angles(3), d=20)
+        assert payload["headline"]["convergence_delta"] == reference.delta
+
+    def test_sign_ghz_large_m(self, tmp_path):
+        assert run(tmp_path, "sign-ghz", "--m", "1000") == 0
+        headline = read_json(tmp_path, "sign-ghz")["headline"]
+        assert headline["bell_factor"] == pytest.approx(4.0324994306789e52, rel=1e-10)
+        assert headline["bell_factor"] == pytest.approx(headline["analytic"], rel=1e-10)
 
     def test_root_max(self, tmp_path):
         assert run(tmp_path, "root-max", "--m-max", "5") == 0
@@ -145,6 +153,11 @@ class TestDeterminismAndErrors:
         monkeypatch.setattr(cli.rootbin, "overlaps_VW", explode)
         assert run(tmp_path, "cat-vw", "--alpha", "1.0") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sign_ghz_beyond_float_range_exits_3(self, tmp_path, capsys):
+        assert run(tmp_path, "sign-ghz", "--m", "6000") == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "sign-ghz.csv").exists()
 
     def test_json_reports_tolerances(self, tmp_path):
         assert run(tmp_path, "cat-vw", "--alpha", "2", "--tol", "1e-8") == 0

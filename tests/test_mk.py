@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bellscope.mk import (
-    bell_factor,
     classical_bound_exhaustive,
     expand_mk,
     quantum_bound,
 )
+from oracles import bell_factor, coefficients_by_primed_count, primed_twin
 
 U, P = False, True
 
@@ -77,7 +77,7 @@ def test_closed_form_oracle(m):
 def test_recursion_consistency(m):
     """One recursion step applied externally reproduces expand_mk(m)."""
     prev = expand_mk(m - 1)
-    twin = prev.primed_twin()
+    twin = primed_twin(prev)
     half = Fraction(1, 2)
     combined = {}
     for t, c in prev.terms.items():
@@ -94,15 +94,15 @@ def test_recursion_consistency(m):
 
 def test_primed_twin_flips_all():
     e = expand_mk(3)
-    twin = e.primed_twin()
+    twin = primed_twin(e)
     assert twin.terms[(P, P, U)] == Fraction(1)
     assert twin.terms[(U, U, U)] == Fraction(-1)
-    assert twin.primed_twin().terms == e.terms
+    assert primed_twin(twin).terms == e.terms
 
 
 def test_alpha_by_primed_count():
-    assert expand_mk(3).alpha() == {1: Fraction(3), 3: Fraction(-1)}
-    assert expand_mk(4).alpha() == {
+    assert coefficients_by_primed_count(expand_mk(3)) == {1: Fraction(3), 3: Fraction(-1)}
+    assert coefficients_by_primed_count(expand_mk(4)) == {
         0: Fraction(-1, 2),
         1: Fraction(2),
         2: Fraction(3),
@@ -117,7 +117,8 @@ def test_alpha_collapse_matches_bell_factor():
         e = expand_mk(m)
         values = rng.uniform(-1, 1, m + 1)
         direct = bell_factor(e, lambda t: values[sum(t)])
-        collapsed = abs(sum(float(c) * values[k] for k, c in e.alpha().items()))
+        by_count = coefficients_by_primed_count(e)
+        collapsed = abs(sum(float(c) * values[k] for k, c in by_count.items()))
         assert direct == pytest.approx(collapsed, abs=1e-12)
 
 

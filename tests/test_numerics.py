@@ -141,6 +141,20 @@ class TestIntegrate1d:
         forward = integrate_1d(lambda x: x * x, 0.0, 1.0)
         assert integrate_1d(lambda x: x * x, 1.0, 0.0) == pytest.approx(-forward)
 
+    def test_reversed_limits_keep_initial_splits(self):
+        # a spike of width 1e-3 that the default 8 panels never sample, but
+        # 64 initial panels do: the split count changes the result
+        def spike(x):
+            return np.exp(-(((x - 0.3) / 1e-3) ** 2))
+
+        fine = integrate_1d(spike, 0.0, 10.0, initial_splits=64)
+        assert fine == pytest.approx(math.sqrt(math.pi) * 1e-3, rel=1e-9)
+        assert integrate_1d(spike, 0.0, 10.0) != fine
+        for n in (1, 8, 64):
+            assert integrate_1d(spike, 10.0, 0.0, initial_splits=n) == -integrate_1d(
+                spike, 0.0, 10.0, initial_splits=n
+            )
+
     def test_complex_integrand(self):
         value = integrate_segments(
             lambda x: np.exp(-x * x) * np.exp(1j * x), [(-10.0, 10.0)], tol=1e-12
