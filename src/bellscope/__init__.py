@@ -41,10 +41,9 @@ from .rootbin import (
     ParityFunctionPair,
     RootBinningSpec,
     bell_factor_root,
-    binned_product_correlator,
     binned_product_probabilities,
+    cat_norms,
     cat_pair,
-    cat_state_terms,
     class_correlator,
     direct_bell_psi3,
     max_theta_bell,
@@ -63,7 +62,6 @@ from .erasure import (
 from .catprep import (
     CoherentSuperposition,
     bs_transform,
-    coherent_overlap,
     fidelity,
     generation_pipeline,
     homodyne_project,

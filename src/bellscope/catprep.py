@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .rootbin import psi3_prime_terms
+import numpy as np
+
+from .rootbin import cat_norms, psi3_prime_terms
 
 __all__ = [
-    "coherent_overlap",
     "CoherentSuperposition",
     "scs_state",
     "psi3_prime_state",
@@ -35,11 +36,6 @@ __all__ = [
     "PipelineResult",
     "generation_pipeline",
 ]
-
-
-def coherent_overlap(a: float, b: float) -> float:
-    """<a|b> for real coherent amplitudes."""
-    return math.exp(-0.5 * (a * a + b * b) + a * b)
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,15 @@ class CoherentSuperposition:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def inner_product(self, other: "CoherentSuperposition") -> complex:
-        """<self|other> via pairwise coherent overlaps."""
+        """<self|other> = w^H exp(E) w' for the Gram matrix of exponents
+        E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2], one exponential per
+        pair of terms."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode counts differ")
-        total = 0.0 + 0.0j
-        for w_i, a_i in self.terms:
-            for w_j, a_j in other.terms:
-                ov = 1.0
-                for t in range(self.n_modes):
-                    ov *= coherent_overlap(a_i[t], a_j[t])
-                total += w_i.conjugate() * w_j * ov
-        return total
+        w_a, a = _as_arrays(self.terms)
+        w_b, b = _as_arrays(other.terms)
+        exponent = a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1))
+        return complex(w_a.conj() @ np.exp(exponent) @ w_b)
 
     def norm_squared(self) -> float:
         return self.inner_product(self).real
@@ -92,11 +86,17 @@ class CoherentSuperposition:
         )
 
 
+def _as_arrays(terms):
+    """(weights, amplitude matrix with one row per term) of a term tuple."""
+    return (
+        np.array([w for w, _ in terms]),
+        np.array([amps for _, amps in terms], dtype=float),
+    )
+
+
 def scs_state(alpha: float) -> CoherentSuperposition:
     """Single-mode even cat state c_+ (|alpha> + |-alpha>)."""
-    if alpha <= 0:
-        raise ValueError("amplitude must be > 0")
-    c_plus = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * alpha * alpha)))
+    c_plus, _ = cat_norms(alpha)
     return CoherentSuperposition(1, ((c_plus, (alpha,)), (c_plus, (-alpha,))))
 
 

@@ -106,6 +106,22 @@ def erased_term_correlator(state: FockCorrelatedState, erased_mode, phi: float) 
     return total
 
 
+def _binomial_weights(m: int, p: float) -> list:
+    """C(m, j) p^j (1-p)^(m-j) for j = 0..m, built in log space so that no
+    m overflows; p = 0 and p = 1 give exact unit weights."""
+    if p == 0.0 or p == 1.0:
+        return [1.0 if j == m * p else 0.0 for j in range(m + 1)]
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_m = math.lgamma(m + 1)
+    return [
+        math.exp(
+            log_m - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+            + j * log_p + (m - j) * log_q
+        )
+        for j in range(m + 1)
+    ]
+
+
 def noisy_bell_direct(state: FockCorrelatedState, angles: AngleSettings, p: float) -> float:
     """Bell factor of the full erasure mixture, by linearity over its terms.
 
@@ -122,9 +138,9 @@ def noisy_bell_direct(state: FockCorrelatedState, angles: AngleSettings, p: floa
         raise ValueError("state and angles disagree on the party count")
     m = state.m
     noisy_part = sum(
-        math.comb(m, j) * p ** j * (1.0 - p) ** (m - j)
-        * erased_term_correlator(state, range(j), 0.0)
-        for j in range(1, m + 1)
+        weight * erased_term_correlator(state, range(j), 0.0)
+        for j, weight in enumerate(_binomial_weights(m, p))
+        if j > 0
     )
     coefficient_sum = float(mk_sum(np.ones(m), np.ones(m)).real)
     clean = bell_expectation_sign(state, angles)

@@ -2,7 +2,7 @@
 Gauss-Kronrod quadrature, and symmetric eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
-mutable state, so all of it is safe to call from parallel workers.
+mutable state.
 """
 
 from __future__ import annotations
@@ -195,43 +195,62 @@ _GK_WG = np.array(
 )
 
 
-def _panel(f, a, b):
-    """One Gauss-Kronrod panel: returns (kronrod value, |K - G| error guess)."""
+# Relative accuracy below which a running sum of panels cannot be resolved.
+_SUM_FLOOR = 64.0 * np.finfo(float).eps
+
+
+def _panels(f, a, b):
+    """Gauss-Kronrod panels over (a[i], b[i]) with one call of ``f`` on all
+    their nodes.  Returns (kronrod values, |K - G| error guesses)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    ys = np.asarray(f(mid + half * _GK_NODES))
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    ys = np.asarray(f(xs.ravel())).reshape(xs.shape)
     if not np.all(np.isfinite(ys)):
         raise IntegrationError("integrand returned a non-finite value")
-    k = half * (_GK_WK @ ys)
-    g = half * (_GK_WG @ ys)
-    return k, abs(k - g)
+    # The weights go first: vecdot then rounds each panel exactly as the
+    # single-panel dot product ``_GK_WK @ ys`` does.  numpy does not promise
+    # that; it holds for the numpy/BLAS builds checked and is tested in
+    # tests/test_quadrature_batching.py.  The error is taken per panel
+    # because numpy's vectorised complex abs can differ from hypot in the
+    # last bit.
+    k = (half * np.vecdot(_GK_WK, ys)).tolist()
+    g = (half * np.vecdot(_GK_WG, ys)).tolist()
+    return k, [abs(kk - gg) for kk, gg in zip(k, g)]
 
 
 def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
     """Adaptive quadrature over a union of finite segments.
 
-    ``f`` must accept a numpy array of abscissas (complex results are fine).
-    The worst segment is bisected until the summed error estimate drops below
-    ``tol`` in absolute terms, or below the machine-precision floor of the
-    running sum, whichever is larger.  Running out of subdivisions raises
+    ``f`` must accept a flat numpy array of abscissas (complex results are
+    fine); it is called once for all initial segments and once per
+    bisection, on the nodes of every panel involved.  The worst segment is
+    bisected until the summed error estimate drops below ``tol`` in
+    absolute terms, or below the machine-precision floor of the running
+    sum, whichever is larger.  Running out of subdivisions raises
     ``IntegrationError`` carrying the achieved error estimate.
     """
-    entries = []  # heap of (-err, tiebreak, a, b, value, err)
-    counter = 0
+    segments = [(a, b) for a, b in segments if b != a]
+    values, errors = [], []
+    if segments:
+        values, errors = _panels(f, *np.array(segments, dtype=float).T)
+    # heap of (-err, tiebreak, a, b, value, err); the tiebreaks are unique,
+    # so the pop order does not depend on how the heap was built.
+    entries = [
+        (-err, counter, a, b, val, err)
+        for counter, ((a, b), val, err) in enumerate(zip(segments, values, errors))
+    ]
+    heapq.heapify(entries)
+    counter = len(entries)
     total = 0.0
     total_err = 0.0
     total_abs = 0.0
-    for a, b in segments:
-        if b == a:
-            continue
-        val, err = _panel(f, a, b)
-        heapq.heappush(entries, (-err, counter, a, b, val, err))
-        counter += 1
+    for val, err in zip(values, errors):
         total = total + val
         total_err += err
         total_abs += abs(val)
 
-    while total_err > max(tol, 64.0 * np.finfo(float).eps * total_abs):
+    while total_err > max(tol, _SUM_FLOOR * total_abs):
         if len(entries) >= max_intervals:
             raise IntegrationError(
                 f"no convergence after {max_intervals} intervals "
@@ -246,17 +265,15 @@ def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
         total_err -= err
         total_abs -= abs(val)
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val2, err2 = _panel(f, lo, hi)
+        values, errors = _panels(f, np.array([a, mid]), np.array([mid, b]))
+        for lo, hi, val2, err2 in zip((a, mid), (mid, b), values, errors):
             heapq.heappush(entries, (-err2, counter, lo, hi, val2, err2))
             counter += 1
             total = total + val2
             total_err += err2
             total_abs += abs(val2)
 
-    if isinstance(total, complex) or np.iscomplexobj(total):
-        return complex(total)
-    return float(total)
+    return total
 
 
 def integrate_1d(f, a, b, tol=1e-10, max_intervals=4096, initial_splits=8):

@@ -28,7 +28,6 @@ pi / (2 sqrt(2) a).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,11 +49,10 @@ __all__ = [
     "max_theta_bell",
     "optimal_phase",
     "maximal_violation_curve",
+    "cat_norms",
     "cat_pair",
-    "cat_state_terms",
     "psi3_prime_terms",
     "binned_product_probabilities",
-    "binned_product_correlator",
     "Psi3Report",
     "psi3_bell_report",
     "direct_bell_psi3",
@@ -120,28 +118,25 @@ class RootBinningSpec:
 
 def _signed_segments(product_fn, roots, window):
     """Partition (-window, window) at the roots and attach the sign of the
-    product on each piece, evaluated at the midpoint."""
+    product on each piece, evaluated at the midpoints in one call."""
     edges = [-window]
     edges.extend(r for r in roots if -window < r < window)
     edges.append(window)
-    segments = []
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        sign = 1 if float(product_fn(np.asarray(mid))) >= 0.0 else -1
-        segments.append((a, b, sign))
-    return tuple(segments)
+    pieces = list(zip(edges, edges[1:]))
+    mids = np.array([0.5 * (a + b) for a, b in pieces])
+    signs = np.where(product_fn(mids) >= 0.0, 1, -1).tolist()
+    return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
 
 
 def overlaps_VW(pair: ParityFunctionPair, tol: float = 1e-9):
-    """V = int |f g| dx and W = int |f~ h~| dp, piecewise over the root
-    partitions so every quadrature panel sees a smooth integrand."""
+    """V = int |f g| dx and W = int |f~ h~| dp, each one quadrature over
+    the pieces of its root partition, so every panel sees a smooth
+    integrand."""
 
     def absolute_overlap(product_fn, segments):
-        per_segment = max(tol / max(len(segments), 1), 1e-14)
-        total = 0.0
-        for a, b, _sign in segments:
-            total += abs(integrate_segments(product_fn, [(a, b)], tol=per_segment))
-        return total
+        return integrate_segments(
+            lambda x: np.abs(product_fn(x)), [(a, b) for a, b, _ in segments], tol=tol
+        )
 
     v = absolute_overlap(lambda x: pair.f(x) * pair.g(x), pair.x_segments())
     w = absolute_overlap(
@@ -221,20 +216,32 @@ def maximal_violation_curve(m_max: int):
     ]
 
 
-def cat_pair(alpha: float) -> ParityFunctionPair:
-    """Even and odd superpositions of |alpha> and |-alpha> as a parity pair:
+def cat_norms(alpha: float):
+    """(c_+, c_-): normalisations of the even and odd cat states
+    c_+/- (|alpha> +/- |-alpha>),
 
-        f(x) = c_+ [ <x|alpha> + <x|-alpha> ],   c_+^2 = 1/[2(1 + e^{-2 a^2})]
-        g(x) = c_- [ <x|alpha> - <x|-alpha> ],   c_-^2 = 1/[2(1 - e^{-2 a^2})]
-
-    f*g has its only sign change at x = 0; f~*h~ ~ -e^{-p^2} sin(2 sqrt(2)
-    alpha p) changes sign at every multiple of pi/(2 sqrt(2) alpha).
+        c_+^2 = 1/[2(1 + e^{-2 a^2})],   c_-^2 = 1/[2(1 - e^{-2 a^2})].
     """
     if alpha <= 0:
         raise ValueError("amplitude must be > 0")
     a2 = alpha * alpha
-    c_plus = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * a2)))
-    c_minus = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a2)))
+    return (
+        1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * a2))),
+        1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a2))),
+    )
+
+
+def cat_pair(alpha: float) -> ParityFunctionPair:
+    """Even and odd superpositions of |alpha> and |-alpha> as a parity pair:
+
+        f(x) = c_+ [ <x|alpha> + <x|-alpha> ]
+        g(x) = c_- [ <x|alpha> - <x|-alpha> ]
+
+    with c_+/- from ``cat_norms``.  f*g has its only sign change at x = 0;
+    f~*h~ ~ -e^{-p^2} sin(2 sqrt(2) alpha p) changes sign at every multiple
+    of pi/(2 sqrt(2) alpha).
+    """
+    c_plus, c_minus = cat_norms(alpha)
     mu = math.sqrt(2.0) * alpha
     quartic = math.pi ** -0.25
 
@@ -268,26 +275,6 @@ def cat_pair(alpha: float) -> ParityFunctionPair:
         x_window=window,
         p_window=window,
     )
-
-
-def cat_state_terms(alpha: float, m: int, theta: float = 0.0):
-    """(|f>^m + e^{i theta} |g>^m)/sqrt(2) for the cat pair, expanded into
-    coherent product terms: one weight per sign pattern of the amplitudes."""
-    if alpha <= 0:
-        raise ValueError("amplitude must be > 0")
-    a2 = alpha * alpha
-    c_plus = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * a2)))
-    c_minus = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a2)))
-    w_even = c_plus ** m / math.sqrt(2.0)
-    w_odd = cmath.exp(1j * theta) * c_minus ** m / math.sqrt(2.0)
-    terms = []
-    for signs in itertools.product((1, -1), repeat=m):
-        parity = 1
-        for s in signs:
-            parity *= s
-        weight = w_even + w_odd * parity
-        terms.append((weight, tuple(s * alpha for s in signs)))
-    return tuple(terms)
 
 
 def psi3_prime_terms(alpha: float):
@@ -327,7 +314,13 @@ def _coherent_cross_p(a: float, b: float):
 
 def _mode_table(pair, setting, amplitudes, tol):
     """Per-mode integrals of every coherent cross term over the two binning
-    domains.  Returns {(a, b): (I_plus, I_minus)}."""
+    domains.  Returns {(a, b): (I_plus, I_minus)}.
+
+    Each distinct integral is computed once.  <x|a><x|b> is symmetric in
+    (a, b); <p|a><p|b>* depends on a - b alone, and swapping a and b
+    conjugates it.  Both hold bit for bit in floating point, so every entry
+    equals its direct quadrature exactly.
+    """
     if setting == "x":
         segments = pair.x_segments()
         make_cross = _coherent_cross_x
@@ -339,13 +332,51 @@ def _mode_table(pair, setting, amplitudes, tol):
     plus = [(a, b) for a, b, s in segments if s > 0]
     minus = [(a, b) for a, b, s in segments if s < 0]
     per_call = max(tol / 2.0, 1e-14)
+    distinct = {}
     table = {}
     for a, b in itertools.product(sorted(set(amplitudes)), repeat=2):
-        cross = make_cross(a, b)
-        i_plus = integrate_segments(cross, plus, tol=per_call) if plus else 0.0
-        i_minus = integrate_segments(cross, minus, tol=per_call) if minus else 0.0
+        if setting == "x":
+            key, swapped = (min(a, b), max(a, b)), False
+        else:
+            key, swapped = abs(a - b), a < b
+        if key not in distinct:
+            cross = make_cross(*((b, a) if swapped else (a, b)))
+            distinct[key] = (
+                integrate_segments(cross, plus, tol=per_call) if plus else 0.0,
+                integrate_segments(cross, minus, tol=per_call) if minus else 0.0,
+            )
+        i_plus, i_minus = distinct[key]
+        if swapped:
+            i_plus, i_minus = i_plus.conjugate(), i_minus.conjugate()
         table[(a, b)] = (i_plus, i_minus)
     return table
+
+
+def _joint_probabilities(terms, tables):
+    """All 2^m binned outcome probabilities from one mode table per mode."""
+    # Per pair of terms: the weight product and each mode's (I_plus, I_minus).
+    pairs = [
+        (
+            w_i * complex(w_j).conjugate(),
+            [table[(a_i[t], a_j[t])] for t, table in enumerate(tables)],
+        )
+        for w_i, a_i in terms
+        for w_j, a_j in terms
+    ]
+    probabilities = {}
+    for outcome in itertools.product((1, -1), repeat=len(tables)):
+        sides = [0 if d == 1 else 1 for d in outcome]
+        total = 0.0 + 0.0j
+        for factor, integrals in pairs:
+            for pair_integrals, side in zip(integrals, sides):
+                factor *= pair_integrals[side]
+            total += factor
+        if abs(total.imag) > 1e-10:
+            raise ArithmeticError(
+                f"probability came out non-real ({total!r}); inconsistent terms"
+            )
+        probabilities[outcome] = total.real
+    return probabilities
 
 
 def binned_product_probabilities(terms, settings, pair, tol=1e-9):
@@ -359,38 +390,11 @@ def binned_product_probabilities(terms, settings, pair, tol=1e-9):
     m = len(settings)
     if any(len(amps) != m for _w, amps in terms):
         raise ValueError("term amplitude vectors must match the settings length")
-    tables = []
-    for t, setting in enumerate(settings):
-        amplitudes = [amps[t] for _w, amps in terms]
-        tables.append(_mode_table(pair, setting, amplitudes, tol))
-    probabilities = {}
-    for outcome in itertools.product((1, -1), repeat=m):
-        total = 0.0 + 0.0j
-        for w_i, amps_i in terms:
-            for w_j, amps_j in terms:
-                factor = w_i * complex(w_j).conjugate()
-                for t in range(m):
-                    pair_integrals = tables[t][(amps_i[t], amps_j[t])]
-                    factor *= pair_integrals[0] if outcome[t] == 1 else pair_integrals[1]
-                total += factor
-        if abs(total.imag) > 1e-10:
-            raise ArithmeticError(
-                f"probability came out non-real ({total!r}); inconsistent terms"
-            )
-        probabilities[outcome] = total.real
-    return probabilities
-
-
-def binned_product_correlator(terms, settings, pair, tol=1e-9):
-    """Full correlator sum_d sign(d) P_d for the binned product state."""
-    probabilities = binned_product_probabilities(terms, settings, pair, tol)
-    total = 0.0
-    for outcome, p in probabilities.items():
-        sign = 1
-        for d in outcome:
-            sign *= d
-        total += sign * p
-    return total
+    tables = [
+        _mode_table(pair, setting, [amps[t] for _w, amps in terms], tol)
+        for t, setting in enumerate(settings)
+    ]
+    return _joint_probabilities(terms, tables)
 
 
 @dataclass(frozen=True)
@@ -415,15 +419,18 @@ def psi3_bell_report(alpha: float, tol: float = 1e-9) -> Psi3Report:
 
     The state is permutation symmetric, so each correlator depends only on
     how many parties measured X; the four values cover both labelings.
+    Every mode carries the amplitudes +/-alpha, so one x table and one p
+    table serve all of them.
     """
     pair = cat_pair(alpha)
     terms = psi3_prime_terms(alpha)
+    tables = {s: _mode_table(pair, s, (-alpha, alpha), tol) for s in "xp"}
     correlators = {}
     probability_sums = {}
     min_probability = math.inf
     for n_x in range(4):
         settings = "x" * n_x + "p" * (3 - n_x)
-        probs = binned_product_probabilities(terms, settings, pair, tol)
+        probs = _joint_probabilities(terms, [tables[s] for s in settings])
         probability_sums[n_x] = sum(probs.values())
         min_probability = min(min_probability, min(probs.values()))
         correlators[n_x] = sum(

@@ -162,9 +162,14 @@ def g_rs(r: int, s: int, phi: float, m: int) -> float:
     return _g_magnitude(r, s, m).value() * math.cos(phi * (r - s))
 
 
-def _g_sum(state: FockCorrelatedState, phi: float) -> float:
-    """2 sum_{r>s} c_r c_s g_{r,s}(phi, m)."""
+def _g_sum(state: FockCorrelatedState, phi: float, log_scale: float = 0.0) -> float:
+    """2 e^log_scale sum_{r>s} c_r c_s g_{r,s}(phi, m).
+
+    The scale joins each g in log space before it is exponentiated, so a
+    product that fits a float is not lost to an underflowing factor.
+    """
     c = state.coefficients
+    scale = LogSignedReal(log_scale, 1)
     total = 0.0
     for r in range(1, c.size):
         if c[r] == 0.0:
@@ -172,15 +177,14 @@ def _g_sum(state: FockCorrelatedState, phi: float) -> float:
         for s in range(1 - (r % 2), r, 2):  # opposite parity only
             if c[s] == 0.0:
                 continue
-            total += c[r] * c[s] * _g_magnitude(r, s, state.m).value() * math.cos(
-                phi * (r - s)
-            )
+            g = _g_magnitude(r, s, state.m) * scale
+            total += c[r] * c[s] * g.value() * math.cos(phi * (r - s))
     return 2.0 * total
 
 
 def correlator_E(state: FockCorrelatedState, phi: float) -> float:
     """Sign-binned full correlator E(phi, m) = 2^m * 2 sum_{r>s} c_r c_s g_{r,s}."""
-    return (2.0 ** state.m) * _g_sum(state, phi)
+    return _g_sum(state, phi, state.m * _LN2)
 
 
 def outcome_sign(outcome) -> int:

@@ -7,7 +7,6 @@ from bellscope.catprep import (
     PREP_NETWORKS,
     CoherentSuperposition,
     bs_transform,
-    coherent_overlap,
     fidelity,
     generation_pipeline,
     homodyne_project,
@@ -15,6 +14,7 @@ from bellscope.catprep import (
     scs_state,
     tensor,
 )
+from oracles import coherent_overlap
 
 
 def single(amps, weight=1.0):

@@ -153,6 +153,22 @@ class TestNoisyBellDirect:
             0.125 * 2.0318, abs=1e-3
         )
 
+    def test_large_m_beyond_integer_to_float_range(self):
+        """C(1100, j) exceeds the float range; the weights C(m, j) p^j
+        (1-p)^(m-j) do not."""
+        m = 1100
+        state, angles = FockCorrelatedState.ghz(m), ghz_like_angles(m)
+        expected = noisy_bell_factor(bell_factor_sign(state, angles), 0.05, m)
+        assert expected == pytest.approx(2.2235e33, rel=1e-4)
+        assert noisy_bell_direct(state, angles, 0.05) == pytest.approx(expected, rel=1e-9)
+
+    def test_end_probabilities_are_exact(self):
+        """p = 0 leaves the clean value untouched; p = 1 keeps only the
+        fully erased term, whose correlator is quadrature noise."""
+        state, angles = FockCorrelatedState.ghz(3), ghz_like_angles(3)
+        assert noisy_bell_direct(state, angles, 0.0) == bell_factor_sign(state, angles)
+        assert noisy_bell_direct(state, angles, 1.0) < 1e-12
+
     def test_validation(self):
         state = FockCorrelatedState.ghz(3)
         with pytest.raises(ValueError):

@@ -9,10 +9,8 @@ from bellscope.rootbin import (
     ParityFunctionPair,
     RootBinningSpec,
     bell_factor_root,
-    binned_product_correlator,
     binned_product_probabilities,
     cat_pair,
-    cat_state_terms,
     class_correlator,
     direct_bell_psi3,
     max_theta_bell,
@@ -22,6 +20,7 @@ from bellscope.rootbin import (
     psi3_bell_report,
     psi3_prime_terms,
 )
+from oracles import binned_product_correlator, cat_state_terms
 
 
 class TestSpecValidation:

@@ -138,6 +138,13 @@ class TestCorrelator:
                     TWO_OVER_PI ** (m / 2.0) * math.cos(phi), rel=1e-12, abs=1e-15
                 )
 
+    @pytest.mark.parametrize("m", (2, 10, 500, 1000))
+    def test_ghz_closed_form_at_large_m(self, m):
+        """2^m g_{1,0} underflows when formed as 2^m times g; the factor 2^m
+        has to join g in log space.  At m = 1000 the value is 8.32e-99."""
+        value = correlator_E(FockCorrelatedState.ghz(m), 0.3)
+        assert value == pytest.approx(TWO_OVER_PI ** (m / 2.0) * math.cos(0.3), rel=1e-10)
+
     def test_single_excitation_vanishes(self):
         state = FockCorrelatedState(3, [0.0, 0.0, 1.0])
         for phi in (0.0, 1.0):
