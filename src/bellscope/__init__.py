@@ -14,13 +14,9 @@ from .mk import (
 )
 from .numerics import (
     IntegrationError,
-    LogSignedReal,
     hermite_eval,
-    integrate_1d,
     integrate_segments,
     max_eigenpair,
-    reciprocal_gamma,
-    rgamma_log,
 )
 from .signbin import (
     AngleSettings,

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: reciprocal gamma, Hermite polynomials, adaptive
-Gauss-Kronrod quadrature, and symmetric eigenproblems.
+"""Shared numerical kernels: Hermite polynomials, adaptive Gauss-Kronrod
+quadrature over finite segments, and symmetric eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "IntegrationError",
-    "LogSignedReal",
-    "rgamma_log",
-    "reciprocal_gamma",
     "hermite_eval",
-    "integrate_1d",
     "integrate_segments",
     "max_eigenpair",
 ]
@@ -31,91 +26,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, achieved_error=None):
         super().__init__(message)
         self.achieved_error = achieved_error
-
-
-@dataclass(frozen=True)
-class LogSignedReal:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    Products whose factors span hundreds of orders of magnitude stay
-    representable this way; the value is exponentiated once, at the end.
-    ``sign == 0`` means exactly zero, whatever ``log_magnitude`` holds.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogSignedReal":
-        if x == 0.0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def __mul__(self, other: "LogSignedReal") -> "LogSignedReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogSignedReal(0.0, 0)
-        return LogSignedReal(
-            self.log_magnitude + other.log_magnitude, self.sign * other.sign
-        )
-
-    def __neg__(self) -> "LogSignedReal":
-        return LogSignedReal(self.log_magnitude, -self.sign)
-
-    def scaled(self, factor: float) -> "LogSignedReal":
-        return self * LogSignedReal.from_float(factor)
-
-    def power(self, exponent: float) -> "LogSignedReal":
-        """Raise to a real power.  Negative bases need an integer exponent."""
-        if self.sign == 0:
-            if exponent <= 0:
-                raise ValueError("zero cannot be raised to a non-positive power")
-            return LogSignedReal(0.0, 0)
-        if self.sign < 0:
-            if exponent != int(exponent):
-                raise ValueError("negative base needs an integer exponent")
-            sign = -1 if int(exponent) % 2 else 1
-            return LogSignedReal(self.log_magnitude * exponent, sign)
-        return LogSignedReal(self.log_magnitude * exponent, 1)
-
-    def value(self) -> float:
-        """Back to an ordinary float; underflows to 0.0, overflows to +/-inf."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_magnitude)
-        except OverflowError:
-            return self.sign * math.inf
-
-
-def _sinpi(z: float) -> float:
-    """sin(pi*z) with the argument reduced before multiplying by pi."""
-    n = round(z)
-    r = z - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def rgamma_log(z: float) -> LogSignedReal:
-    """1/Gamma(z) as a signed log value; exactly zero at the poles of Gamma.
-
-    For z <= 0 the reflection formula 1/Gamma(z) = Gamma(1-z) sin(pi z)/pi
-    keeps lgamma's argument positive.
-    """
-    if not math.isfinite(z):
-        raise ValueError("argument must be finite")
-    if z > 0:
-        return LogSignedReal(-math.lgamma(z), 1)
-    if z == math.floor(z):
-        return LogSignedReal(0.0, 0)
-    s = _sinpi(z)
-    sign = 1 if s > 0 else -1
-    log_mag = math.log(abs(s)) - math.log(math.pi) + math.lgamma(1.0 - z)
-    return LogSignedReal(log_mag, sign)
-
-
-def reciprocal_gamma(z: float) -> float:
-    """1/Gamma(z), total on the reals: returns 0.0 at non-positive integers."""
-    return rgamma_log(z).value()
 
 
 def hermite_eval(n: int, x):
@@ -274,51 +184,6 @@ def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
             total_abs += abs(val2)
 
     return total
-
-
-def integrate_1d(f, a, b, tol=1e-10, max_intervals=4096, initial_splits=8):
-    """Adaptive Gauss-Kronrod quadrature of f over (a, b) to absolute
-    tolerance ``tol``.
-
-    Infinite endpoints are mapped to a finite parameter first:
-    both infinite   x = t/(1-t^2)   on t in (-1, 1),
-    upper infinite  x = a + t/(1-t) on t in (0, 1),
-    lower infinite  x = b - t/(1-t) on t in (0, 1).
-    The integrand must accept numpy arrays.
-    """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate_1d(
-            f, b, a, tol=tol, max_intervals=max_intervals, initial_splits=initial_splits
-        )
-
-    neg_inf = math.isinf(a) and a < 0
-    pos_inf = math.isinf(b) and b > 0
-    if neg_inf and pos_inf:
-        def g(t):
-            denom = 1.0 - t * t
-            return f(t / denom) * (1.0 + t * t) / (denom * denom)
-
-        lo, hi = -1.0, 1.0
-    elif pos_inf:
-        def g(t):
-            denom = 1.0 - t
-            return f(a + t / denom) / (denom * denom)
-
-        lo, hi = 0.0, 1.0
-    elif neg_inf:
-        def g(t):
-            denom = 1.0 - t
-            return f(b - t / denom) / (denom * denom)
-
-        lo, hi = 0.0, 1.0
-    else:
-        g, lo, hi = f, a, b
-
-    edges = np.linspace(lo, hi, initial_splits + 1)
-    segments = list(zip(edges[:-1], edges[1:]))
-    return integrate_segments(g, segments, tol=tol, max_intervals=max_intervals)
 
 
 def _check_symmetric(matrix) -> np.ndarray:

@@ -15,9 +15,11 @@ eigenproblem) is assembled from the g coefficients
     g_{r,s}(phi, m) = (pi 2^{r+s} / (r! s!))^{m/2}
                       ([F(r,s) - F(s,r)] / (r - s))^m cos(phi (r - s)),
 
-whose prefactor and bracket span hundreds of orders of magnitude and are
-therefore multiplied in signed-log form.  phi is always the sum of the
-chosen angles over all parties.
+whose prefactor and bracket span hundreds of orders of magnitude.  Their
+logs and signs form one d x d table per truncation d, built from O(d)
+lgamma values and combined with m in log space; each entry is
+exponentiated once, at the end.  phi is always the sum of the chosen angles
+over all parties.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mk import mk_sum_scaled
-from .numerics import LogSignedReal, max_eigenpair, rgamma_log
+from .numerics import _canonical_sign, max_eigenpair
 
 __all__ = [
     "FockCorrelatedState",
@@ -108,49 +110,90 @@ class AngleSettings:
     def m(self) -> int:
         return len(self.theta)
 
-    def phi_sum(self, setting_tuple) -> float:
-        """Sum of the chosen angle over all parties for one setting tuple."""
-        return sum(
-            self.theta_prime[t] if primed else self.theta[t]
-            for t, primed in enumerate(setting_tuple)
+
+def _g_parts(rows, cols):
+    """The parts of log |g_{r,s}| that do not depend on m, at every (r, s)
+    in rows x cols (sequences of degrees), as len(rows) x len(cols)
+    arrays: log(pi 2^(r+s) / (r! s!)), log |[F(r,s) - F(s,r)] / (r - s)|
+    and the sign of that bracket, which is 0 (and its log -inf) wherever
+    r - s is even.
+
+    The Gamma poles kill one F term of every opposite-parity pair: F(r,s)
+    survives for even r, -F(s,r) for odd r.  So the bracket is
+    (-1)^r 1/Gamma(z_r) 1/Gamma(z_s) / (r - s), with z_k = (1 - k)/2 for
+    even k and -k/2 for odd k.  At a negative half-integer z the reflection
+    formula 1/Gamma(z) = Gamma(1 - z) sin(pi z)/pi has |sin(pi z)| = 1, so
+    log |1/Gamma(z)| = lgamma(1 - z) - log pi, and 1/Gamma(z_k) has the
+    sign (-1)^((k + 1) // 2).  Two lgamma calls per degree and one log call
+    per integer up to max |r - s| feed the broadcasts; every entry is
+    summed in a fixed order, so it does not depend on the others.
+    """
+    log_pi, log_2 = math.log(math.pi), math.log(2.0)
+
+    def per_degree(ks):
+        """log k!, log |1/Gamma(z_k)| and the sign of 1/Gamma(z_k)."""
+        z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in ks]
+        return (
+            np.array([math.lgamma(k + 1) for k in ks]),
+            np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z]),
+            np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in ks]),
         )
 
+    factorial_r, rgamma_r, sign_r = per_degree(rows)
+    factorial_s, rgamma_s, sign_s = per_degree(cols)
+    r, s = np.array(rows)[:, None], np.array(cols)
+    diff = r - s
+    far = max(max(rows) - min(cols), max(cols) - min(rows))
+    log_inverse = [0.0] + [math.log(1.0 / n) for n in range(1, far + 1)]
+    odd = diff % 2 == 1
+    pref = ((log_pi + (r + s) * log_2) - factorial_r[:, None]) - factorial_s
+    log_b = np.where(
+        odd, (rgamma_r[:, None] + rgamma_s) + np.take(log_inverse, np.abs(diff)), -np.inf
+    )
+    row_sign = np.where(r % 2, -sign_r[:, None], sign_r[:, None])
+    sign = np.where(odd, row_sign * sign_s * np.sign(diff), 0.0)
+    return pref, log_b, sign
 
-def _f_difference(r: int, s: int) -> LogSignedReal:
-    """F(r,s) - F(s,r) with 1/F(r,s) = Gamma((1-r)/2) Gamma(-s/2).
 
-    The Gamma poles kill one of the two terms for every integer pair, so the
-    difference never needs a genuine signed-log subtraction.
+@lru_cache(maxsize=8)
+def _g_magnitude(d: int):
+    """``_g_parts`` for every r, s < d, as read-only d x d arrays.
+
+    Cached per d, not per (d, m): the m-free parts serve every m.  The
+    cache misses count the tables built (``perfbench/tracing.py`` reads
+    them as ``signbin.g_table.misses``).
     """
-    fa = rgamma_log((1.0 - r) / 2.0) * rgamma_log(-s / 2.0)
-    if fa.sign != 0:
-        return fa
-    fb = rgamma_log((1.0 - s) / 2.0) * rgamma_log(-r / 2.0)
-    return -fb
+    table = _g_parts(range(d), range(d))
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _g_log(m: int, parts):
+    """log |g_{r,s}| without its cos(phi (r-s)) factor, and its sign, for
+    one mode count m from the ``_g_parts`` arrays."""
+    pref, log_b, sign = parts
+    return pref * (m / 2.0) + log_b * m, sign if m % 2 else np.abs(sign)
 
 
 def hermite_halfline_overlap(r: int, s: int) -> float:
-    """int_0^inf e^{-x^2} H_r(x) H_s(x) dx in closed form."""
+    """int_0^inf e^{-x^2} H_r(x) H_s(x) dx in closed form.
+
+    A value beyond the float range raises OverflowError.
+    """
     if r < 0 or s < 0:
         raise ValueError("degrees must be >= 0")
     if r == s:
-        return math.exp((r - 1) * math.log(2.0) + math.lgamma(r + 1)) * math.sqrt(math.pi)
-    pref = LogSignedReal(math.log(math.pi) + (r + s) * math.log(2.0), 1)
-    return (pref * _f_difference(r, s).scaled(1.0 / (r - s))).value()
-
-
-@lru_cache(maxsize=None)
-def _g_magnitude(r: int, s: int, m: int) -> LogSignedReal:
-    """g_{r,s} without its cos(phi (r-s)) factor, in signed-log form."""
-    pref_log = (
-        math.log(math.pi)
-        + (r + s) * math.log(2.0)
-        - math.lgamma(r + 1)
-        - math.lgamma(s + 1)
-    )
-    pref = LogSignedReal(pref_log, 1).power(m / 2.0)
-    bracket = _f_difference(r, s).scaled(1.0 / (r - s))
-    return pref * bracket.power(m)
+        log, factor = (r - 1) * math.log(2.0) + math.lgamma(r + 1), math.sqrt(math.pi)
+    else:
+        _, log_b, sign = _g_parts([r], [s])
+        log = math.log(math.pi) + (r + s) * math.log(2.0) + float(log_b[0, 0])
+        factor = float(sign[0, 0])
+    if log <= _LOG_FLOAT_MAX:
+        value = factor * math.exp(log)
+        if math.isfinite(value):
+            return value
+    raise OverflowError(f"half-line integral e^{log:.6g} exceeds the float range")
 
 
 def g_rs(r: int, s: int, phi: float, m: int) -> float:
@@ -159,7 +202,17 @@ def g_rs(r: int, s: int, phi: float, m: int) -> float:
         raise ValueError("need r > s >= 0")
     if m < 1:
         raise ValueError("mode count must be >= 1")
-    return _g_magnitude(r, s, m).value() * math.cos(phi * (r - s))
+    log_g, sign_g = _g_log(m, _g_parts([r], [s]))
+    return float(sign_g[0, 0]) * math.exp(log_g[0, 0]) * math.cos(phi * (r - s))
+
+
+def _pairs(c: np.ndarray):
+    """Index arrays (r, s), row by row, of the pairs r > s of opposite
+    parity whose coefficients are both nonzero: the only pairs with g != 0."""
+    nonzero = c != 0.0
+    k = np.arange(c.size)
+    diff = k[:, None] - k
+    return np.nonzero((diff > 0) & (diff % 2 == 1) & nonzero[:, None] & nonzero)
 
 
 def _g_sum(state: FockCorrelatedState, phi: float, log_scale: float = 0.0) -> float:
@@ -169,17 +222,10 @@ def _g_sum(state: FockCorrelatedState, phi: float, log_scale: float = 0.0) -> fl
     product that fits a float is not lost to an underflowing factor.
     """
     c = state.coefficients
-    scale = LogSignedReal(log_scale, 1)
-    total = 0.0
-    for r in range(1, c.size):
-        if c[r] == 0.0:
-            continue
-        for s in range(1 - (r % 2), r, 2):  # opposite parity only
-            if c[s] == 0.0:
-                continue
-            g = _g_magnitude(r, s, state.m) * scale
-            total += c[r] * c[s] * g.value() * math.cos(phi * (r - s))
-    return 2.0 * total
+    r, s = _pairs(c)
+    log_g, sign_g = _g_log(state.m, _g_magnitude(c.size))
+    g = sign_g[r, s] * np.exp(log_g[r, s] + log_scale)
+    return 2.0 * float(np.sum(c[r] * c[s] * g * np.cos(phi * (r - s))))
 
 
 def correlator_E(state: FockCorrelatedState, phi: float) -> float:
@@ -258,15 +304,13 @@ def _mk_cos_sums(angles: AngleSettings, orders):
     return log, np.sign(mantissa.real)
 
 
-def _pair_terms(m: int, angles: AngleSettings, pairs):
+def _pair_terms(m: int, angles: AngleSettings, d: int, r, s):
     """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
-    (r, s), as (log |.|, sign) arrays: nothing is exponentiated yet."""
-    r, s = np.array(pairs).T
+    (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays: nothing is
+    exponentiated yet."""
     log_mk, sign_mk = _mk_cos_sums(angles, np.arange(r.max() + 1))
-    g = [_g_magnitude(a, b, m) for a, b in pairs]
-    log_g = np.array([x.log_magnitude for x in g])
-    sign_g = np.array([x.sign for x in g])
-    return log_g + m * _LN2 + log_mk[r - s], sign_g * sign_mk[r - s]
+    log_g, sign_g = _g_log(m, _g_magnitude(d))
+    return log_g[r, s] + m * _LN2 + log_mk[r - s], sign_g[r, s] * sign_mk[r - s]
 
 
 def _exp_sum(logs, signs) -> float:
@@ -299,17 +343,11 @@ def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> 
     if angles.m != state.m:
         raise ValueError("state and angles disagree on the party count")
     c = state.coefficients
-    pairs = [
-        (r, s)
-        for r in range(1, c.size)
-        if c[r] != 0.0
-        for s in range(1 - (r % 2), r, 2)  # opposite parity only
-        if c[s] != 0.0
-    ]
-    if not pairs:
+    r, s = _pairs(c)
+    if r.size == 0:
         return 0.0
-    logs, signs = _pair_terms(state.m, angles, pairs)
-    weights = np.array([2.0 * c[r] * c[s] for r, s in pairs])
+    logs, signs = _pair_terms(state.m, angles, c.size, r, s)
+    weights = 2.0 * c[r] * c[s]
     with np.errstate(divide="ignore"):  # a weight that underflows to 0 drops out
         log_weights = np.log(np.abs(weights))
     return _exp_sum(logs + log_weights, signs * np.sign(weights))
@@ -332,12 +370,11 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
         raise ValueError("truncation must be >= 2")
     if angles.m != m:
         raise ValueError("angles do not match the party count")
-    pairs = [(r, s) for r in range(1, d) for s in range(1 - (r % 2), r, 2)]
-    logs, signs = _pair_terms(m, angles, pairs)
+    r, s = _pairs(np.ones(d))
+    logs, signs = _pair_terms(m, angles, d, r, s)
     if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
         raise OverflowError("Bell matrix entries exceed the float range")
     values = signs * np.exp(np.where(signs != 0, logs, -np.inf))
-    r, s = np.array(pairs).T
     matrix = np.zeros((d, d))
     matrix[r, s] = values
     matrix[s, r] = values
@@ -356,13 +393,6 @@ def _parity_twin(v: np.ndarray) -> np.ndarray:
     return twin
 
 
-def _canonical(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > 1e-12:
-            return -v if x < 0 else v
-    return v
-
-
 def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
     """State maximizing |<B_m>| at fixed angles over truncation d.
 
@@ -379,8 +409,7 @@ def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
         lam_pos, v_pos = max_eigenpair(matrix)
         lam_neg, v_neg = max_eigenpair(-matrix)
         lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
-        v = _canonical(v)
-        twin = _canonical(_parity_twin(v))
+        twin = _canonical_sign(_parity_twin(v))
         if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
             v = twin
     elif constraint in ("nonnegative", "nonneg"):

@@ -4,13 +4,17 @@ These deliberately avoid the closed forms they are used to check: joint
 probabilities come from direct numerical integration of the Hermite-Gaussian
 density, not from the Gamma-function identities, and Mermin-Klyshko sums
 walk the exact expansion of ``expand_mk`` tuple by tuple instead of using
-the product form.
+the product form.  The g coefficients are the exception: they keep the
+closed form and are built one entry at a time in signed-log arithmetic
+instead of as one array table.
 """
 
 import cmath
+import functools
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +26,7 @@ from bellscope.numerics import (
     _GK_WK,
     IntegrationError,
     hermite_eval,
-    integrate_1d,
+    integrate_segments,
 )
 from bellscope.rootbin import (
     Psi3Report,
@@ -33,6 +37,9 @@ from bellscope.rootbin import (
     cat_pair,
     psi3_prime_terms,
 )
+from bellscope.signbin import _exp_sum, _mk_cos_sums
+
+_LN2 = math.log(2.0)
 
 
 def bell_factor(expansion, correlator):
@@ -345,3 +352,265 @@ def inner_product_loop(left, right):
                 ov *= coherent_overlap(a, b)
             total += w_i.conjugate() * w_j * ov
     return total
+
+
+def integrate_1d(f, a, b, tol=1e-10, max_intervals=4096, initial_splits=8):
+    """Adaptive Gauss-Kronrod quadrature of f over (a, b) to absolute
+    tolerance ``tol``.
+
+    Infinite endpoints are mapped to a finite parameter first:
+    both infinite   x = t/(1-t^2)   on t in (-1, 1),
+    upper infinite  x = a + t/(1-t) on t in (0, 1),
+    lower infinite  x = b - t/(1-t) on t in (0, 1).
+    The integrand must accept numpy arrays.
+    """
+    if a == b:
+        return 0.0
+    if a > b:
+        return -integrate_1d(
+            f, b, a, tol=tol, max_intervals=max_intervals, initial_splits=initial_splits
+        )
+
+    neg_inf = math.isinf(a) and a < 0
+    pos_inf = math.isinf(b) and b > 0
+    if neg_inf and pos_inf:
+        def g(t):
+            denom = 1.0 - t * t
+            return f(t / denom) * (1.0 + t * t) / (denom * denom)
+
+        lo, hi = -1.0, 1.0
+    elif pos_inf:
+        def g(t):
+            denom = 1.0 - t
+            return f(a + t / denom) / (denom * denom)
+
+        lo, hi = 0.0, 1.0
+    elif neg_inf:
+        def g(t):
+            denom = 1.0 - t
+            return f(b - t / denom) / (denom * denom)
+
+        lo, hi = 0.0, 1.0
+    else:
+        g, lo, hi = f, a, b
+
+    edges = np.linspace(lo, hi, initial_splits + 1)
+    segments = list(zip(edges[:-1], edges[1:]))
+    return integrate_segments(g, segments, tol=tol, max_intervals=max_intervals)
+
+
+def phi_sum(angles, setting_tuple):
+    """Sum of the chosen angle over all parties for one setting tuple."""
+    return sum(
+        angles.theta_prime[t] if primed else angles.theta[t]
+        for t, primed in enumerate(setting_tuple)
+    )
+
+
+# The g coefficients one entry at a time, in signed-log arithmetic: the code
+# that the array g table of ``bellscope.signbin`` replaced, kept frozen.  The
+# table must equal it bit for bit wherever the program keeps its order of
+# operations (``bell_matrix``, ``bell_expectation_sign``, ``g_rs``,
+# ``hermite_halfline_overlap``).
+
+
+@dataclass(frozen=True)
+class LogSignedReal:
+    """A real number stored as a sign and the natural log of its magnitude.
+
+    Products whose factors span hundreds of orders of magnitude stay
+    representable this way; the value is exponentiated once, at the end.
+    ``sign == 0`` means exactly zero, whatever ``log_magnitude`` holds.
+    """
+
+    log_magnitude: float
+    sign: int
+
+    @classmethod
+    def from_float(cls, x: float) -> "LogSignedReal":
+        if x == 0.0:
+            return cls(0.0, 0)
+        return cls(math.log(abs(x)), 1 if x > 0 else -1)
+
+    def __mul__(self, other: "LogSignedReal") -> "LogSignedReal":
+        if self.sign == 0 or other.sign == 0:
+            return LogSignedReal(0.0, 0)
+        return LogSignedReal(
+            self.log_magnitude + other.log_magnitude, self.sign * other.sign
+        )
+
+    def __neg__(self) -> "LogSignedReal":
+        return LogSignedReal(self.log_magnitude, -self.sign)
+
+    def scaled(self, factor: float) -> "LogSignedReal":
+        return self * LogSignedReal.from_float(factor)
+
+    def power(self, exponent: float) -> "LogSignedReal":
+        """Raise to a real power.  Negative bases need an integer exponent."""
+        if self.sign == 0:
+            if exponent <= 0:
+                raise ValueError("zero cannot be raised to a non-positive power")
+            return LogSignedReal(0.0, 0)
+        if self.sign < 0:
+            if exponent != int(exponent):
+                raise ValueError("negative base needs an integer exponent")
+            sign = -1 if int(exponent) % 2 else 1
+            return LogSignedReal(self.log_magnitude * exponent, sign)
+        return LogSignedReal(self.log_magnitude * exponent, 1)
+
+    def value(self) -> float:
+        """Back to an ordinary float; underflows to 0.0, overflows to +/-inf."""
+        if self.sign == 0:
+            return 0.0
+        try:
+            return self.sign * math.exp(self.log_magnitude)
+        except OverflowError:
+            return self.sign * math.inf
+
+
+def _sinpi(z: float) -> float:
+    """sin(pi*z) with the argument reduced before multiplying by pi."""
+    n = round(z)
+    r = z - n
+    s = math.sin(math.pi * r)
+    return -s if n % 2 else s
+
+
+def rgamma_log(z: float) -> LogSignedReal:
+    """1/Gamma(z) as a signed log value; exactly zero at the poles of Gamma.
+
+    For z <= 0 the reflection formula 1/Gamma(z) = Gamma(1-z) sin(pi z)/pi
+    keeps lgamma's argument positive.
+    """
+    if not math.isfinite(z):
+        raise ValueError("argument must be finite")
+    if z > 0:
+        return LogSignedReal(-math.lgamma(z), 1)
+    if z == math.floor(z):
+        return LogSignedReal(0.0, 0)
+    s = _sinpi(z)
+    sign = 1 if s > 0 else -1
+    log_mag = math.log(abs(s)) - math.log(math.pi) + math.lgamma(1.0 - z)
+    return LogSignedReal(log_mag, sign)
+
+
+def reciprocal_gamma(z: float) -> float:
+    """1/Gamma(z), total on the reals: returns 0.0 at non-positive integers."""
+    return rgamma_log(z).value()
+
+
+def f_difference(r, s):
+    """F(r,s) - F(s,r) with 1/F(r,s) = Gamma((1-r)/2) Gamma(-s/2).
+
+    The Gamma poles kill one of the two terms for every integer pair, so the
+    difference never needs a genuine signed-log subtraction.
+    """
+    fa = rgamma_log((1.0 - r) / 2.0) * rgamma_log(-s / 2.0)
+    if fa.sign != 0:
+        return fa
+    fb = rgamma_log((1.0 - s) / 2.0) * rgamma_log(-r / 2.0)
+    return -fb
+
+
+def hermite_halfline_overlap_entry(r, s):
+    """int_0^inf e^{-x^2} H_r(x) H_s(x) dx in closed form, in signed-log
+    arithmetic; beyond the float range the result is +/-inf or
+    OverflowError."""
+    if r == s:
+        return math.exp((r - 1) * math.log(2.0) + math.lgamma(r + 1)) * math.sqrt(math.pi)
+    pref = LogSignedReal(math.log(math.pi) + (r + s) * math.log(2.0), 1)
+    return (pref * f_difference(r, s).scaled(1.0 / (r - s))).value()
+
+
+@functools.lru_cache(maxsize=None)
+def g_magnitude_entry(r, s, m):
+    """g_{r,s} without its cos(phi (r-s)) factor, in signed-log form."""
+    pref_log = (
+        math.log(math.pi)
+        + (r + s) * math.log(2.0)
+        - math.lgamma(r + 1)
+        - math.lgamma(s + 1)
+    )
+    pref = LogSignedReal(pref_log, 1).power(m / 2.0)
+    bracket = f_difference(r, s).scaled(1.0 / (r - s))
+    return pref * bracket.power(m)
+
+
+def g_rs_entry(r, s, phi, m):
+    return g_magnitude_entry(r, s, m).value() * math.cos(phi * (r - s))
+
+
+def g_sum_entry(state, phi, log_scale=0.0):
+    """2 e^log_scale sum_{r>s} c_r c_s g_{r,s}(phi, m), one pair at a time."""
+    c = state.coefficients
+    scale = LogSignedReal(log_scale, 1)
+    total = 0.0
+    for r in range(1, c.size):
+        if c[r] == 0.0:
+            continue
+        for s in range(1 - (r % 2), r, 2):  # opposite parity only
+            if c[s] == 0.0:
+                continue
+            g = g_magnitude_entry(r, s, state.m) * scale
+            total += c[r] * c[s] * g.value() * math.cos(phi * (r - s))
+    return 2.0 * total
+
+
+def correlator_E_entry(state, phi):
+    return g_sum_entry(state, phi, state.m * _LN2)
+
+
+def outcome_probability_entry(state, phi, outcome):
+    sign = 1
+    for d in outcome:
+        sign *= d
+    return 2.0 ** (-state.m) + sign * g_sum_entry(state, phi)
+
+
+def pair_terms_entry(m, angles, pairs):
+    """(log |.|, sign) of 2^m g_{r,s}(phi) summed over the MK expansion for
+    each pair, with g built one entry at a time."""
+    r, s = np.array(pairs).T
+    log_mk, sign_mk = _mk_cos_sums(angles, np.arange(r.max() + 1))
+    g = [g_magnitude_entry(a, b, m) for a, b in pairs]
+    log_g = np.array([x.log_magnitude for x in g])
+    sign_g = np.array([x.sign for x in g])
+    return log_g + m * _LN2 + log_mk[r - s], sign_g * sign_mk[r - s]
+
+
+def bell_expectation_sign_entry(state, angles):
+    c = state.coefficients
+    pairs = [
+        (r, s)
+        for r in range(1, c.size)
+        if c[r] != 0.0
+        for s in range(1 - (r % 2), r, 2)
+        if c[s] != 0.0
+    ]
+    if not pairs:
+        return 0.0
+    logs, signs = pair_terms_entry(state.m, angles, pairs)
+    weights = np.array([2.0 * c[r] * c[s] for r, s in pairs])
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(np.abs(weights))
+    return _exp_sum(logs + log_weights, signs * np.sign(weights))
+
+
+def bell_matrix_entries(m, angles, pairs):
+    """The Bell-matrix entries at the given (r, s) pairs, r > s of opposite
+    parity; an entry beyond the float range raises OverflowError."""
+    logs, signs = pair_terms_entry(m, angles, pairs)
+    if np.any(logs[signs != 0] > math.log(np.finfo(float).max)):
+        raise OverflowError("Bell matrix entries exceed the float range")
+    return signs * np.exp(np.where(signs != 0, logs, -np.inf))
+
+
+def bell_matrix_every_entry(m, d, angles):
+    """``bell_matrix`` with g built one entry at a time."""
+    pairs = [(r, s) for r in range(1, d) for s in range(1 - (r % 2), r, 2)]
+    values = bell_matrix_entries(m, angles, pairs)
+    r, s = np.array(pairs).T
+    matrix = np.zeros((d, d))
+    matrix[r, s] = values
+    matrix[s, r] = values
+    return matrix

@@ -40,8 +40,8 @@ from bellscope.signbin import (
     outcome_probability,
 )
 from bellscope.catprep import PREP_NETWORKS, generation_pipeline, scs_state, tensor
-from bellscope.numerics import hermite_eval, integrate_1d
-from oracles import oracle_nonneg_optimum, oracle_probability
+from bellscope.numerics import hermite_eval
+from oracles import integrate_1d, oracle_nonneg_optimum, oracle_probability
 
 
 def conclude(criterion, checks):

@@ -38,6 +38,7 @@ from bellscope.signbin import (
     g_rs,
     ghz_like_angles,
 )
+from oracles import phi_sum
 
 REL = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -92,7 +93,7 @@ def sign_oracle(state, angles):
         for r in range(1, c.size)
         for s in range(1 - r % 2, r, 2)
     )
-    value = tuplewise(m, lambda t: correlator_E(state, angles.phi_sum(t)))
+    value = tuplewise(m, lambda t: correlator_E(state, phi_sum(angles, t)))
     return value, 2.0**m * per_tuple  # the same bound for each of the 2^m tuples
 
 
@@ -223,7 +224,7 @@ def test_noisy_bell_direct_matches_expansion(problem, p):
     )
     expected = tuplewise(
         m,
-        lambda t: (1 - p) ** m * correlator_E(state, angles.phi_sum(t)) + noisy_part,
+        lambda t: (1 - p) ** m * correlator_E(state, phi_sum(angles, t)) + noisy_part,
     )
     _, magnitude = sign_oracle(state, angles)
     magnitude = (1 - p) ** m * magnitude + 2.0**m * abs(noisy_part)

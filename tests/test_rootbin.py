@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from bellscope.numerics import integrate_1d
 from bellscope.rootbin import (
     ParityFunctionPair,
     RootBinningSpec,
@@ -20,7 +19,7 @@ from bellscope.rootbin import (
     psi3_bell_report,
     psi3_prime_terms,
 )
-from oracles import binned_product_correlator, cat_state_terms
+from oracles import binned_product_correlator, cat_state_terms, integrate_1d
 
 
 class TestSpecValidation:

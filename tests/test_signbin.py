@@ -21,6 +21,7 @@ from bellscope.signbin import (
 
 from oracles import (
     oracle_probability,
+    phi_sum,
     quadrature_halfline,
     quadrature_halfline_window,
 )
@@ -83,7 +84,7 @@ class TestHalflineOverlap:
 
     @pytest.mark.parametrize("r,s", [(20, 19), (40, 39), (45, 38), (59, 58)])
     def test_large_indices_against_quadrature(self, r, s):
-        """The signed-log route stays accurate across the index range the
+        """The log-space route stays accurate across the index range the
         d = 60 optimizer uses, where the raw factors span ~1e95."""
         closed = hermite_halfline_overlap(r, s)
         width = math.sqrt(2 * r + 1) + 10.0
@@ -93,6 +94,13 @@ class TestHalflineOverlap:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             hermite_halfline_overlap(-1, 0)
+
+    @pytest.mark.parametrize("r,s", [(200, 200), (201, 200)])
+    def test_beyond_float_range_raises(self, r, s):
+        """Neither a bare math range error nor inf: an OverflowError that
+        says so, as from the Bell sums."""
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            hermite_halfline_overlap(r, s)
 
 
 class TestG:
@@ -240,7 +248,7 @@ class TestAngles:
 
     def test_phi_sum(self):
         a = AngleSettings((0.1, 0.2), (1.1, 1.2))
-        assert a.phi_sum((False, True)) == pytest.approx(0.1 + 1.2)
+        assert phi_sum(a, (False, True)) == pytest.approx(0.1 + 1.2)
 
     def test_chsh_family_combination(self):
         """The chsh_angles tuples realize 3 E(phi) - E(3 phi) for any state."""
