@@ -215,87 +215,67 @@ def _stationarity_residual(m, v, lam):
     return float(np.linalg.norm(res))
 
 
-def _projected_ascent(m, v0, max_steps=500):
-    v = v0 / np.linalg.norm(v0)
-    lam = float(v @ m @ v)
-    eta = 1.0
-    for _ in range(max_steps):
-        grad = m @ v - lam * v
-        if _stationarity_residual(m, v, lam) < 1e-12:
-            break
-        improved = False
-        while eta > 1e-16:
-            w = np.maximum(v + eta * grad, 0.0)
-            norm_w = np.linalg.norm(w)
-            if norm_w > 0.0:
-                w = w / norm_w
-                lam_w = float(w @ m @ w)
-                if lam_w > lam + 1e-15:
-                    v, lam = w, lam_w
-                    eta *= 1.3
-                    improved = True
-                    break
-            eta *= 0.5
-        if not improved:
-            break
-    return v, lam
+# The alternating power steps stop once no component of any start's y moves
+# by more than _POWER_TOL in a step, or after _POWER_STEPS steps.
+_POWER_TOL = 1e-14
+_POWER_STEPS = 1000
 
 
-def _support_polish(m, v, lam):
-    """On the converged support, the maximizer is an eigenvector of the
-    restricted matrix; take it when it stays in the non-negative orthant."""
-    support = np.flatnonzero(v > 1e-10)
-    if support.size == 0:
-        return v, lam
-    sub = m[np.ix_(support, support)]
-    w, vecs = np.linalg.eigh(sub)
-    top = _canonical_sign(vecs[:, -1])
-    if top.min() < -1e-12:
-        return v, lam
-    candidate = np.zeros_like(v)
-    candidate[support] = np.maximum(top, 0.0)
-    candidate /= np.linalg.norm(candidate)
-    lam_c = float(candidate @ m @ candidate)
-    if lam_c >= lam - 1e-12:
-        return candidate, lam_c
-    return v, lam
-
-
-def _max_quadform_nonneg(m, seed, restarts=32):
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / math.sqrt(n))]
-    _, vecs = np.linalg.eigh(m)
-    for cand in (vecs[:, -1], -vecs[:, -1]):
-        clipped = np.maximum(cand, 0.0)
-        norm = np.linalg.norm(clipped)
-        if norm > 1e-12:
-            starts.append(clipped / norm)
-    for _ in range(restarts):
-        x = np.abs(rng.standard_normal(n))
-        starts.append(x / np.linalg.norm(x))
-
-    best_v, best_lam, best_res = None, -math.inf, math.inf
-    for v0 in starts:
-        v, lam = _projected_ascent(m, v0)
-        v, lam = _support_polish(m, v, lam)
-        res = _stationarity_residual(m, v, lam)
-        if lam > best_lam + 1e-14 or (abs(lam - best_lam) <= 1e-14 and res < best_res):
-            best_v, best_lam, best_res = v, lam, res
-    if best_res > 1e-8:
-        raise ArithmeticError(
-            f"constrained maximizer not stationary (residual {best_res:.3e})"
+def _max_quadform_nonneg(m):
+    if np.any(m[0::2, 0::2]) or np.any(m[1::2, 1::2]):
+        raise ValueError(
+            "non-negative solve needs a matrix that couples only even with odd indices"
         )
-    return best_lam, best_v
+    b = m[0::2, 1::2]
+    v = np.zeros(m.shape[0])
+    if not np.any(b > 0.0):
+        # every feasible x.T B y is <= 0, and a unit vector on one parity gives 0
+        v[0], lam = 1.0, 0.0
+    else:
+        # y starts, one per column: the uniform vector, the clipped +/- top
+        # right singular vector, and (B.T e_i)_+ for every even index i; a
+        # start with (B y)_+ = 0 cannot reach a positive value
+        top = np.linalg.svd(b)[2][0]
+        y = np.maximum(np.column_stack([np.ones(b.shape[1]), top, -top, b.T]), 0.0)
+        y = y[:, np.any(b @ y > 0.0, axis=0)]
+        y /= np.linalg.norm(y, axis=0)
+        for _ in range(_POWER_STEPS):
+            # (B y)_+ is positively homogeneous in y, so x needs no norm here
+            y_next = np.maximum(b.T @ np.maximum(b @ y, 0.0), 0.0)
+            y_next /= np.linalg.norm(y_next, axis=0)
+            step = np.abs(y_next - y).max()
+            y = y_next
+            if step <= _POWER_TOL:
+                break
+        x = np.maximum(b @ y, 0.0)
+        x /= np.linalg.norm(x, axis=0)
+        values = np.einsum("ik,ik->k", x, b @ y)
+        best = int(np.argmax(values))
+        v[0::2], v[1::2] = x[:, best], y[:, best]
+        v /= math.sqrt(2.0)
+        lam = float(values[best])
+    res = _stationarity_residual(m, v, lam)
+    if res > 1e-8:
+        raise ArithmeticError(
+            f"constrained maximizer not stationary (residual {res:.3e})"
+        )
+    return lam, v
 
 
-def max_eigenpair(matrix, constraint=None, seed=0):
+def max_eigenpair(matrix, constraint=None):
     """Largest eigenvalue and unit eigenvector of a real symmetric matrix.
 
     With ``constraint="nonnegative"`` the quadratic form v.T M v is maximized
-    over unit vectors with all components >= 0 instead, by projected gradient
-    ascent from 32 deterministic random restarts; the returned value is a
-    feasible (hence certified) lower bound with stationarity residual <= 1e-8.
+    over unit vectors with all components >= 0 instead.  That solve takes
+    only a matrix that couples only even with odd indices, M = [[0, B],
+    [B.T, 0]] with B = M[0::2, 1::2] (every Bell matrix is one; any other
+    raises ValueError), where it is max x.T B y over non-negative unit x and
+    y, reached at v = (x, y) / sqrt(2).  Alternating non-negative power
+    steps x <- (B y)_+ / |.|, y <- (B.T x)_+ / |.| (non-negative PCA;
+    Montanari & Richard, IEEE Trans. IT 62, 2016) never decrease x.T B y;
+    they run from fixed starts and the best one wins.  The returned value
+    is a feasible (hence certified) lower bound; a stationarity (KKT)
+    residual on M above 1e-8 raises ArithmeticError.
     """
     m = _check_symmetric(matrix)
     if constraint is None:
@@ -306,6 +286,6 @@ def max_eigenpair(matrix, constraint=None, seed=0):
         if residual > 1e-10 * max(1.0, float(np.abs(w).max())):
             raise ArithmeticError(f"eigenpair residual too large: {residual:.3e}")
         return lam, v
-    if constraint in ("nonnegative", "nonneg"):
-        return _max_quadform_nonneg(m, seed)
+    if constraint == "nonnegative":
+        return _max_quadform_nonneg(m)
     raise ValueError(f"unknown constraint: {constraint!r}")

@@ -400,24 +400,19 @@ def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
     of the two parity-twin optima the one with the larger component sum is
     reported (ties keep the raw eigenvector).  With
     ``constraint="nonnegative"`` the quadratic form is maximized over the
-    non-negative orthant instead.
+    non-negative orthant instead, by the alternating power steps of
+    ``max_eigenpair`` on each sign of the matrix.
 
     Returns (bell value, FockCorrelatedState).
     """
     matrix = bell_matrix(m, d, angles)
+    lam_pos, v_pos = max_eigenpair(matrix, constraint=constraint)
+    lam_neg, v_neg = max_eigenpair(-matrix, constraint=constraint)
+    lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
     if constraint is None:
-        lam_pos, v_pos = max_eigenpair(matrix)
-        lam_neg, v_neg = max_eigenpair(-matrix)
-        lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
         twin = _canonical_sign(_parity_twin(v))
         if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
             v = twin
-    elif constraint in ("nonnegative", "nonneg"):
-        lam_pos, v_pos = max_eigenpair(matrix, constraint="nonnegative")
-        lam_neg, v_neg = max_eigenpair(-matrix, constraint="nonnegative")
-        lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
-    else:
-        raise ValueError(f"unknown constraint: {constraint!r}")
     v = v / np.linalg.norm(v)
     return lam, FockCorrelatedState(m, v)
 

@@ -41,7 +41,12 @@ from bellscope.signbin import (
 )
 from bellscope.catprep import PREP_NETWORKS, generation_pipeline, scs_state, tensor
 from bellscope.numerics import hermite_eval
-from oracles import integrate_1d, oracle_nonneg_optimum, oracle_probability
+from oracles import (
+    integrate_1d,
+    oracle_nonneg_optimum,
+    oracle_probability,
+    projected_ascent_optimum,
+)
 
 
 def conclude(criterion, checks):
@@ -119,7 +124,10 @@ def test_criterion_04_two_party_optimizer():
     angles = chsh_angles()
     bell_free, _ = optimize_state(2, 30, angles)
     bell_nonneg, state = optimize_state(2, 30, angles, constraint="nonnegative")
-    bell_oracle = oracle_nonneg_optimum(bell_matrix(2, 30, angles))
+    matrix = bell_matrix(2, 30, angles)
+    bell_oracle = oracle_nonneg_optimum(matrix)
+    # the package's solver before the alternating power steps, on both signs
+    bell_ascent = max(projected_ascent_optimum(s * matrix)[0] for s in (1.0, -1.0))
     # Lower bound: the top eigenvector at d = 5 is strictly positive, so it is
     # the d = 5 optimum; padded with zeros it stays feasible at every d >= 5.
     _, vecs = np.linalg.eigh(bell_matrix(2, 5, angles))
@@ -150,6 +158,11 @@ def test_criterion_04_two_party_optimizer():
                 abs(bell_nonneg - bell_oracle) <= 1e-9,
                 f"independent solver {bell_oracle:.12f}, "
                 f"gap {abs(bell_nonneg - bell_oracle):.1e} <= 1e-9",
+            ),
+            (
+                abs(bell_nonneg - bell_ascent) <= 1e-9,
+                f"projected ascent from 35 starts {bell_ascent:.12f}, "
+                f"gap {abs(bell_nonneg - bell_ascent):.1e} <= 1e-9",
             ),
             (
                 witness.min() > 0.0

@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from bellscope import numerics
 from bellscope.numerics import (
     IntegrationError,
     hermite_eval,
     integrate_segments,
     max_eigenpair,
 )
-from oracles import LogSignedReal, integrate_1d, reciprocal_gamma, rgamma_log
+from oracles import (
+    LogSignedReal,
+    bipartite,
+    integrate_1d,
+    reciprocal_gamma,
+    rgamma_log,
+)
 
 
 class TestLogSignedReal:
@@ -229,6 +236,8 @@ class TestMaxEigenpair:
             max_eigenpair([[math.nan]])
         with pytest.raises(ValueError):
             max_eigenpair([[0.0, 1.0], [1.0, 0.0]], constraint="bogus")
+        with pytest.raises(ValueError, match="unknown constraint"):
+            max_eigenpair([[0.0, 1.0], [1.0, 0.0]], constraint="nonneg")
 
     def test_constrained_negative_coupling(self):
         """v M v = -2 v1 v2 <= 0 on the orthant, so the optimum sits on an
@@ -242,14 +251,19 @@ class TestMaxEigenpair:
         assert lam_free == pytest.approx(1.0, abs=1e-12)
 
     def test_constrained_matches_quarter_circle_grid(self):
+        """For M = [[0, B], [B.T, 0]] the optimum is max x.T B y over unit
+        x = (cos a, sin a), y = (cos b, sin b) with a, b in [0, pi/2], or 0
+        (v on one parity alone) when that is negative."""
         rng = np.random.default_rng(12)
-        angles = np.linspace(0.0, math.pi / 2, 20001)
+        angles = np.linspace(0.0, math.pi / 2, 4001)
         grid = np.stack([np.cos(angles), np.sin(angles)])
         for _ in range(10):
-            a = rng.standard_normal((2, 2))
-            m = (a + a.T) / 2
-            lam, _ = max_eigenpair(m, constraint="nonnegative")
-            brute = float(np.max(np.einsum("in,ij,jn->n", grid, m, grid)))
+            b = rng.standard_normal((2, 2))
+            lam, _ = max_eigenpair(bipartite(b), constraint="nonnegative")
+            by = b @ grid
+            brute = max(
+                [0.0] + [float(np.max(grid[:, i:i + 500].T @ by)) for i in range(0, 4001, 500)]
+            )
             assert lam == pytest.approx(brute, abs=1e-6)
             assert lam >= brute - 1e-9  # certified lower bound
 
@@ -257,9 +271,24 @@ class TestMaxEigenpair:
         rng = np.random.default_rng(2)
         for n in (3, 5):
             for _ in range(5):
-                a = rng.standard_normal((n, n))
-                m = (a + a.T) / 2
+                m = bipartite(rng.standard_normal(((n + 1) // 2, n // 2)))
                 lam_c, v = max_eigenpair(m, constraint="nonnegative")
                 lam_u, _ = max_eigenpair(m)
                 assert lam_c <= lam_u + 1e-10
                 assert v.min() >= 0.0
+
+    def test_constrained_certificate_is_loud(self, monkeypatch):
+        """A solve cut short of a stationary point raises instead of
+        returning it."""
+        monkeypatch.setattr(numerics, "_POWER_STEPS", 1)
+        m = bipartite(np.random.default_rng(3).standard_normal((8, 8)))
+        with pytest.raises(ArithmeticError, match="not stationary"):
+            max_eigenpair(m, constraint="nonnegative")
+
+    def test_constrained_rejects_same_parity_coupling(self):
+        with pytest.raises(ValueError, match="even with odd"):
+            max_eigenpair([[1.0, 0.0], [0.0, 0.0]], constraint="nonnegative")
+        m = bipartite(np.ones((2, 1)))
+        m[1, 1] = 0.5
+        with pytest.raises(ValueError, match="even with odd"):
+            max_eigenpair(m, constraint="nonnegative")

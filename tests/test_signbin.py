@@ -367,6 +367,9 @@ class TestOptimizeState:
     def test_unknown_constraint(self):
         with pytest.raises(ValueError):
             optimize_state(2, 4, chsh_angles(), constraint="positive")
+        # the library has one spelling; the CLI maps --constraint nonneg to it
+        with pytest.raises(ValueError, match="unknown constraint"):
+            optimize_state(2, 4, chsh_angles(), constraint="nonneg")
 
     def test_converged_optimum(self):
         result = converged_optimum(3, ghz_like_angles(3), d=30, d_step=10)
