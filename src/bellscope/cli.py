@@ -30,19 +30,20 @@ class ConfigError(ValueError):
 
 
 def parse_range(text: str, name: str = "range"):
-    """start:stop:step (inclusive start, step > 0) or a single value."""
-    parts = text.split(":")
+    """start:stop:step (inclusive start, step > 0) or a single value, all finite."""
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-        else:
+        numbers = [float(p) for p in text.split(":")]
+        if len(numbers) not in (1, 3):
             raise ValueError
     except ValueError:
         raise ConfigError(
             f"malformed {name} {text!r}: expected VALUE or START:STOP:STEP"
         ) from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{name} values must be finite, got {text!r}")
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0:
         raise ConfigError(f"{name} step must be > 0")
     if stop < start:
@@ -309,6 +310,8 @@ def _validate(options) -> None:
         raise ConfigError("--d must be >= 2")
     if cmd == "root-max" and options.m_max < 2:
         raise ConfigError("--m-max must be >= 2")
+    if cmd == "root-max" and not math.isfinite(options.theta or 0.0):
+        raise ConfigError("--theta must be finite")
     if cmd in ("cat-vw", "psi3-curve", "prep-fidelity"):
         options.alpha = parse_range(options.alpha, "--alpha")
         if any(a <= 0 for a in options.alpha):

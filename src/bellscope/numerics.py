@@ -1,5 +1,5 @@
 """Shared numerical kernels: Hermite polynomials, adaptive Gauss-Kronrod
-quadrature over finite segments, and symmetric eigenproblems.
+quadrature over finite segments, and even/odd bipartite eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -186,17 +186,17 @@ def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
     return total
 
 
-def _check_symmetric(matrix) -> np.ndarray:
+def _check_bipartite(matrix) -> np.ndarray:
+    """The checks every solve of ``max_eigenpair`` shares."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if m.shape[0] == 0:
-        raise ValueError("dimension 0 rejected")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError("expected a non-empty square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    scale = 1.0 + np.abs(m).max()
-    if np.abs(m - m.T).max() > 1e-12 * scale:
+    if np.abs(m - m.T).max() > 1e-12 * (1.0 + np.abs(m).max()):
         raise ValueError("matrix is not symmetric")
+    if np.any(m[0::2, 0::2]) or np.any(m[1::2, 1::2]):
+        raise ValueError("expected a matrix that couples only even with odd indices")
     return m
 
 
@@ -222,10 +222,6 @@ _POWER_STEPS = 1000
 
 
 def _max_quadform_nonneg(m):
-    if np.any(m[0::2, 0::2]) or np.any(m[1::2, 1::2]):
-        raise ValueError(
-            "non-negative solve needs a matrix that couples only even with odd indices"
-        )
     b = m[0::2, 1::2]
     v = np.zeros(m.shape[0])
     if not np.any(b > 0.0):
@@ -263,29 +259,37 @@ def _max_quadform_nonneg(m):
 
 
 def max_eigenpair(matrix, constraint=None):
-    """Largest eigenvalue and unit eigenvector of a real symmetric matrix.
+    """Largest eigenvalue and unit eigenvector of a real symmetric matrix
+    that couples only even with odd indices, M = [[0, B], [B.T, 0]] with
+    B = M[0::2, 1::2], as every Bell matrix does; any other raises ValueError.
 
-    With ``constraint="nonnegative"`` the quadratic form v.T M v is maximized
-    over unit vectors with all components >= 0 instead.  That solve takes
-    only a matrix that couples only even with odd indices, M = [[0, B],
-    [B.T, 0]] with B = M[0::2, 1::2] (every Bell matrix is one; any other
-    raises ValueError), where it is max x.T B y over non-negative unit x and
-    y, reached at v = (x, y) / sqrt(2).  Alternating non-negative power
-    steps x <- (B y)_+ / |.|, y <- (B.T x)_+ / |.| (non-negative PCA;
-    Montanari & Richard, IEEE Trans. IT 62, 2016) never decrease x.T B y;
-    they run from fixed starts and the best one wins.  The returned value
-    is a feasible (hence certified) lower bound; a stationarity (KKT)
-    residual on M above 1e-8 raises ArithmeticError.
+    Its spectrum is +/- the singular values of B plus zeros, so one thin SVD
+    of B gives the top pair: the largest singular value s and v = (x, y) /
+    sqrt(2) from its singular vectors, interleaved (Golub & Van Loan, sec.
+    8.6; M needs dimension >= 2).  v has its first non-negligible component
+    positive; an eigen residual above 1e-10 max(1, s) raises ArithmeticError.
+
+    With ``constraint="nonnegative"`` v.T M v is maximized over unit vectors
+    with all components >= 0 instead: max x.T B y over non-negative unit x
+    and y.  Alternating non-negative power steps x <- (B y)_+ / |.|,
+    y <- (B.T x)_+ / |.| (non-negative PCA; Montanari & Richard, IEEE Trans.
+    IT 62, 2016) never decrease x.T B y; they run from fixed starts and the
+    best one wins.  The value is a feasible (hence certified) lower bound; a
+    stationarity (KKT) residual above 1e-8 raises ArithmeticError.
     """
-    m = _check_symmetric(matrix)
-    if constraint is None:
-        w, vecs = np.linalg.eigh(m)
-        lam = float(w[-1])
-        v = _canonical_sign(np.array(vecs[:, -1]))
-        residual = float(np.linalg.norm(m @ v - lam * v))
-        if residual > 1e-10 * max(1.0, float(np.abs(w).max())):
-            raise ArithmeticError(f"eigenpair residual too large: {residual:.3e}")
-        return lam, v
+    m = _check_bipartite(matrix)
     if constraint == "nonnegative":
         return _max_quadform_nonneg(m)
-    raise ValueError(f"unknown constraint: {constraint!r}")
+    if constraint is not None:
+        raise ValueError(f"unknown constraint: {constraint!r}")
+    if m.shape[0] < 2:
+        raise ValueError("the unconstrained solve needs dimension >= 2")
+    x, s, yt = np.linalg.svd(m[0::2, 1::2], full_matrices=False)
+    lam = float(s[0])
+    v = np.empty(m.shape[0])
+    v[0::2], v[1::2] = x[:, 0], yt[0]
+    v = _canonical_sign(v / math.sqrt(2.0))
+    residual = float(np.linalg.norm(m @ v - lam * v))
+    if residual > 1e-10 * max(1.0, lam):
+        raise ArithmeticError(f"eigenpair residual too large: {residual:.3e}")
+    return lam, v

@@ -381,24 +381,15 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     return matrix
 
 
-def _parity_twin(v: np.ndarray) -> np.ndarray:
-    """Flip the sign of the odd-index components.
-
-    Because the Bell matrix couples only opposite parities, a vector and its
-    parity twin reach the same |<B_m>|; they are the two physically
-    equivalent optima.
-    """
-    twin = v.copy()
-    twin[1::2] = -twin[1::2]
-    return twin
-
-
 def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
     """State maximizing |<B_m>| at fixed angles over truncation d.
 
-    Unconstrained this is the top-magnitude eigenpair of the Bell matrix;
-    of the two parity-twin optima the one with the larger component sum is
-    reported (ties keep the raw eigenvector).  With
+    Unconstrained this is the top eigenpair of the Bell matrix, from one
+    block solve of ``max_eigenpair``.  The matrix couples only opposite
+    parities, so its spectrum is symmetric: the top eigenvector of -M is
+    that of M with its odd components negated, the parity twin, and both
+    reach the same |<B_m>|.  Of the two the one with the larger component
+    sum is reported (ties keep the eigenvector).  With
     ``constraint="nonnegative"`` the quadratic form is maximized over the
     non-negative orthant instead, by the alternating power steps of
     ``max_eigenpair`` on each sign of the matrix.
@@ -406,13 +397,15 @@ def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
     Returns (bell value, FockCorrelatedState).
     """
     matrix = bell_matrix(m, d, angles)
-    lam_pos, v_pos = max_eigenpair(matrix, constraint=constraint)
-    lam_neg, v_neg = max_eigenpair(-matrix, constraint=constraint)
-    lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
     if constraint is None:
-        twin = _canonical_sign(_parity_twin(v))
+        lam, v = max_eigenpair(matrix)
+        twin = _canonical_sign(np.where(np.arange(d) % 2, -v, v))
         if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
             v = twin
+    else:
+        lam_pos, v_pos = max_eigenpair(matrix, constraint=constraint)
+        lam_neg, v_neg = max_eigenpair(-matrix, constraint=constraint)
+        lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
     v = v / np.linalg.norm(v)
     return lam, FockCorrelatedState(m, v)
 

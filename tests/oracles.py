@@ -38,7 +38,7 @@ from bellscope.rootbin import (
     cat_pair,
     psi3_prime_terms,
 )
-from bellscope.signbin import _exp_sum, _mk_cos_sums
+from bellscope.signbin import _exp_sum, _mk_cos_sums, bell_matrix
 
 _LN2 = math.log(2.0)
 
@@ -282,6 +282,31 @@ def projected_ascent_optimum(matrix, seed=0, restarts=32):
             f"constrained maximizer not stationary (residual {best_res:.3e})"
         )
     return best_lam, best_v
+
+
+# The package's unconstrained optimizer before one thin SVD of the even/odd
+# block replaced it: a full eigh of the Bell matrix and of its negative, the
+# larger value winning, then the parity twin with the larger component sum.
+
+
+def eigh_max_eigenpair(matrix):
+    """Largest eigenvalue and canonical unit eigenvector by a full eigh."""
+    w, vecs = np.linalg.eigh(matrix)
+    return float(w[-1]), _canonical_sign(np.array(vecs[:, -1]))
+
+
+def two_eigh_optimum(m, d, angles):
+    """(bell value, coefficients) of the unconstrained optimal state."""
+    matrix = bell_matrix(m, d, angles)
+    lam_pos, v_pos = eigh_max_eigenpair(matrix)
+    lam_neg, v_neg = eigh_max_eigenpair(-matrix)
+    lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
+    twin = v.copy()
+    twin[1::2] = -twin[1::2]
+    twin = _canonical_sign(twin)
+    if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
+        v = twin
+    return lam, v / np.linalg.norm(v)
 
 
 def panel_one_at_a_time(f, a, b):

@@ -33,8 +33,11 @@ class TestRangeParsing:
     def test_integer_range(self):
         assert cli.parse_int_range("2:5:1") == [2, 3, 4, 5]
 
+    # a non-finite number anywhere would make the range loop forever
     @pytest.mark.parametrize(
-        "bad", ("a", "1:2", "1:2:3:4", "1:0:1", "1:2:0", "1:2:-1")
+        "bad",
+        ("a", "1:2", "1:2:3:4", "1:0:1", "1:2:0", "1:2:-1")
+        + ("nan", "inf", "1e400", "1:nan:0.1", "0.5:inf:0.1", "nan:1:0.1", "0:1:inf"),
     )
     def test_malformed(self, bad):
         with pytest.raises(cli.ConfigError):
@@ -132,6 +135,24 @@ class TestDeterminismAndErrors:
         assert run(tmp_path, "noise-sweep", "--m", "3", "--p", "0:2:0.5") == 2
         assert run(tmp_path, "cat-vw", "--alpha", "-1") == 2
         assert run(tmp_path, "sign-optimize", "--m", "3", "--d", "1") == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ("prep-fidelity", "--alpha", "1", "--x0", "nan"),
+            ("cat-vw", "--alpha", "nan"),
+            ("cat-vw", "--alpha", "1:nan:0.1"),
+            ("psi3-curve", "--alpha", "0.5:inf:0.1"),
+            ("noise-sweep", "--m", "3:inf:1", "--p", "0"),
+            ("noise-sweep", "--m", "3", "--p", "0:nan:0.1"),
+            ("root-max", "--m-max", "3", "--theta", "nan"),
+            ("root-max", "--m-max", "3", "--theta", "inf"),
+        ),
+    )
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, args):
+        assert run(tmp_path, *args) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / f"{args[0]}.csv").exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -206,23 +206,23 @@ class TestMaxEigenpair:
         np.testing.assert_allclose(v, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_diagonal(self):
-        lam, v = max_eigenpair([[2.0, 0.0], [0.0, 3.0]])
+        lam, v = max_eigenpair(bipartite(np.diag([2.0, 3.0])))
         assert lam == pytest.approx(3.0)
-        np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(v, [0.0, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8))
-        m = (a + a.T) / 2
+        m = bipartite(rng.standard_normal((4, 4)))
         lam, v = max_eigenpair(m)
         assert np.linalg.norm(m @ v - lam * v) <= 1e-10
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_against_characteristic_polynomial(self, n):
+        """The oracle takes the roots of the characteristic polynomial of
+        the full n x n matrix, not of its off-diagonal block."""
         rng = np.random.default_rng(n)
         for _ in range(20):
-            a = rng.standard_normal((n, n))
-            m = (a + a.T) / 2
+            m = bipartite(rng.standard_normal(((n + 1) // 2, n // 2)))
             lam, _ = max_eigenpair(m)
             oracle = char_poly_roots_2x2(m) if n == 2 else char_poly_roots_3x3(m)
             assert lam == pytest.approx(oracle, abs=1e-9)
@@ -234,6 +234,10 @@ class TestMaxEigenpair:
             max_eigenpair([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             max_eigenpair([[math.nan]])
+        with pytest.raises(ValueError, match="even with odd"):
+            max_eigenpair([[2.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(ValueError):
+            max_eigenpair([[0.0]])
         with pytest.raises(ValueError):
             max_eigenpair([[0.0, 1.0], [1.0, 0.0]], constraint="bogus")
         with pytest.raises(ValueError, match="unknown constraint"):
