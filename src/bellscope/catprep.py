@@ -4,7 +4,8 @@ single-mode cat states, balanced beam splitters, and one homodyne detection.
 States are finite superpositions of products of coherent states with real
 amplitudes, tracked exactly through their weights: every operation here
 (beam splitter, homodyne projection, overlap) has a closed form on that
-class, so no Fock truncation is involved.
+class, so no Fock truncation is involved.  A state is a complex weight per
+term and a terms x modes amplitude matrix; every operation acts on whole arrays.
 
 Conventions (real amplitudes throughout):
     <a|b>  = exp(-(a^2 + b^2)/2 + a b)
@@ -15,7 +16,6 @@ A balanced beam splitter maps amplitudes (a, b) -> ((a+b)/sqrt(2),
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,30 +38,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentSuperposition:
-    """Weighted superposition of products of coherent states.
-
-    ``terms`` holds (weight, per-mode amplitude vector) pairs; weights may
-    be complex (homodyne conditioning can introduce phases for complex
-    amplitudes, though everything stays real in this module's use).
+    """Weighted superposition of products of coherent states: term i has the
+    complex weight ``weights[i]`` and the mode amplitudes ``amplitudes[i]``.
+    Both are stored as read-only arrays.
     """
 
-    n_modes: int
-    terms: tuple
+    weights: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("need at least one mode")
-        cleaned = []
-        for weight, amps in self.terms:
-            amps = tuple(float(a) for a in amps)
-            if len(amps) != self.n_modes:
-                raise ValueError("amplitude vector length must equal the mode count")
-            cleaned.append((complex(weight), amps))
-        if not cleaned:
-            raise ValueError("empty superposition")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        for name, dtype in (("weights", complex), ("amplitudes", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.amplitudes.ndim != 2 or 0 in self.amplitudes.shape:
+            raise ValueError("amplitudes must be a terms x modes matrix, both >= 1")
+        if self.weights.shape != self.amplitudes.shape[:1]:
+            raise ValueError("need one weight per term")
+
+    @property
+    def n_modes(self) -> int:
+        return self.amplitudes.shape[1]
 
     def inner_product(self, other: "CoherentSuperposition") -> complex:
         """<self|other> = w^H exp(E) w' for the Gram matrix of exponents
@@ -69,54 +68,34 @@ class CoherentSuperposition:
         pair of terms."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode counts differ")
-        w_a, a = _as_arrays(self.terms)
-        w_b, b = _as_arrays(other.terms)
+        a, b = self.amplitudes, other.amplitudes
         exponent = a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1))
-        return complex(w_a.conj() @ np.exp(exponent) @ w_b)
+        return complex(self.weights.conj() @ np.exp(exponent) @ other.weights)
 
     def norm_squared(self) -> float:
         return self.inner_product(self).real
-
-    def normalized(self) -> "CoherentSuperposition":
-        norm = math.sqrt(self.norm_squared())
-        if norm < 1e-150:
-            raise ArithmeticError("cannot normalize a (numerically) null state")
-        return CoherentSuperposition(
-            self.n_modes, tuple((w / norm, a) for w, a in self.terms)
-        )
-
-
-def _as_arrays(terms):
-    """(weights, amplitude matrix with one row per term) of a term tuple."""
-    return (
-        np.array([w for w, _ in terms]),
-        np.array([amps for _, amps in terms], dtype=float),
-    )
 
 
 def scs_state(alpha: float) -> CoherentSuperposition:
     """Single-mode even cat state c_+ (|alpha> + |-alpha>)."""
     c_plus, _ = cat_norms(alpha)
-    return CoherentSuperposition(1, ((c_plus, (alpha,)), (c_plus, (-alpha,))))
+    return CoherentSuperposition([c_plus, c_plus], [[alpha], [-alpha]])
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
-    """Tensor product of coherent superpositions."""
-    n_modes = sum(s.n_modes for s in states)
-    terms = []
-    for combo in itertools.product(*(s.terms for s in states)):
-        weight = 1.0 + 0.0j
-        amps = ()
-        for w, a in combo:
-            weight *= w
-            amps += a
-        terms.append((weight, amps))
-    return CoherentSuperposition(n_modes, tuple(terms))
+    """Tensor product of coherent superpositions: one term per combination
+    of the factors' terms, the first factor's index varying slowest."""
+    index = np.indices([s.weights.size for s in states]).reshape(len(states), -1)
+    weights = states[0].weights[index[0]]
+    for state, i in zip(states[1:], index[1:]):
+        weights = weights * state.weights[i]
+    amplitudes = np.hstack([s.amplitudes[i] for s, i in zip(states, index)])
+    return CoherentSuperposition(weights, amplitudes)
 
 
 def psi3_prime_state(alpha: float) -> CoherentSuperposition:
     """The three-mode candidate state as a coherent superposition."""
-    return CoherentSuperposition(3, psi3_prime_terms(alpha))
+    return CoherentSuperposition(*zip(*psi3_prime_terms(alpha)))
 
 
 def bs_transform(state: CoherentSuperposition, a: int, b: int) -> CoherentSuperposition:
@@ -128,17 +107,11 @@ def bs_transform(state: CoherentSuperposition, a: int, b: int) -> CoherentSuperp
         if not 0 <= idx < state.n_modes:
             raise ValueError(f"mode index {idx} out of range")
     inv = 1.0 / math.sqrt(2.0)
-    new_terms = []
-    for w, amps in state.terms:
-        amps = list(amps)
-        amps[a], amps[b] = (amps[a] + amps[b]) * inv, (amps[a] - amps[b]) * inv
-        new_terms.append((w, tuple(amps)))
-    return CoherentSuperposition(state.n_modes, tuple(new_terms))
-
-
-def _position_amplitude(x0: float, a: float) -> float:
-    """<x0|a> for a real coherent amplitude."""
-    return math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
+    x, y = state.amplitudes[:, a], state.amplitudes[:, b]
+    amplitudes = state.amplitudes.copy()
+    amplitudes[:, a] = (x + y) * inv
+    amplitudes[:, b] = (x - y) * inv
+    return CoherentSuperposition(state.weights, amplitudes)
 
 
 def homodyne_project(state: CoherentSuperposition, mode: int, x0: float):
@@ -152,17 +125,21 @@ def homodyne_project(state: CoherentSuperposition, mode: int, x0: float):
         raise ValueError(f"mode index {mode} out of range")
     if state.n_modes == 1:
         raise ValueError("cannot drop the only mode")
-    new_terms = []
-    for w, amps in state.terms:
-        w_new = w * _position_amplitude(x0, amps[mode])
-        new_terms.append((w_new, amps[:mode] + amps[mode + 1 :]))
-    unnormalized = CoherentSuperposition(state.n_modes - 1, tuple(new_terms))
-    density = unnormalized.norm_squared()
+    # <x0|a> as one Python float expression per term, and the weights divided
+    # by sqrt(density) part by part as Python's complex / float does: np.exp,
+    # an array ** 2 and numpy's complex division can round differently.
+    weights = state.weights * np.array([
+        math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
+        for a in state.amplitudes[:, mode].tolist()
+    ])
+    amplitudes = np.delete(state.amplitudes, mode, axis=1)
+    density = CoherentSuperposition(weights, amplitudes).norm_squared()
     if density < 1e-300:
         raise ArithmeticError(
             f"conditional state at x0 = {x0!r} has vanishing density"
         )
-    return unnormalized.normalized(), density
+    normalized = (weights.view(float) / math.sqrt(density)).view(complex)
+    return CoherentSuperposition(normalized, amplitudes), density
 
 
 def fidelity(state: CoherentSuperposition, target: CoherentSuperposition) -> float:

@@ -23,6 +23,8 @@ from . import catprep, erasure, rootbin, signbin
 from .numerics import IntegrationError
 
 DEFAULT_TOL = 1e-9
+# Ranges become lists of floats before any command runs, so their size is capped.
+MAX_RANGE_VALUES = 10**6
 
 
 class ConfigError(ValueError):
@@ -30,7 +32,8 @@ class ConfigError(ValueError):
 
 
 def parse_range(text: str, name: str = "range"):
-    """start:stop:step (inclusive start, step > 0) or a single value, all finite."""
+    """start:stop:step (inclusive start, step > 0, at most MAX_RANGE_VALUES
+    values) or a single value, all finite."""
     try:
         numbers = [float(p) for p in text.split(":")]
         if len(numbers) not in (1, 3):
@@ -48,6 +51,8 @@ def parse_range(text: str, name: str = "range"):
         raise ConfigError(f"{name} step must be > 0")
     if stop < start:
         raise ConfigError(f"{name} stop must be >= start")
+    if (stop - start) / step + 1e-9 >= MAX_RANGE_VALUES:
+        raise ConfigError(f"{name} {text!r} has more than {MAX_RANGE_VALUES} values")
     values = []
     k = 0
     while True:
@@ -107,7 +112,7 @@ def cmd_sign_optimize(options):
     constraint = None if options.constraint == "none" else "nonnegative"
     angles = signbin.default_optimizer_angles(m)
     convergence = {}
-    if d > 10:
+    if d - 10 >= 2:
         result = signbin.converged_optimum(
             m, angles, d=d, d_step=10, constraint=constraint
         )

@@ -381,7 +381,9 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     return matrix
 
 
-def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
+def optimize_state(
+    m: int, d: int, angles: AngleSettings, constraint=None, matrix=None
+):
     """State maximizing |<B_m>| at fixed angles over truncation d.
 
     Unconstrained this is the top eigenpair of the Bell matrix, from one
@@ -394,9 +396,11 @@ def optimize_state(m: int, d: int, angles: AngleSettings, constraint=None):
     non-negative orthant instead, by the alternating power steps of
     ``max_eigenpair`` on each sign of the matrix.
 
+    ``matrix`` is ``bell_matrix(m, d, angles)`` when the caller has it.
     Returns (bell value, FockCorrelatedState).
     """
-    matrix = bell_matrix(m, d, angles)
+    if matrix is None:
+        matrix = bell_matrix(m, d, angles)
     if constraint is None:
         lam, v = max_eigenpair(matrix)
         twin = _canonical_sign(np.where(np.arange(d) % 2, -v, v))
@@ -426,8 +430,13 @@ def converged_optimum(
     constraint=None,
 ) -> ConvergedOptimum:
     """Optimum at truncation d plus a convergence flag: the gain from the
-    previous truncation (d - d_step) must stay below ``threshold``."""
-    bell_lo, _ = optimize_state(m, d - d_step, angles, constraint=constraint)
-    bell_hi, state = optimize_state(m, d, angles, constraint=constraint)
+    previous truncation (d - d_step) must stay below ``threshold``.  Its
+    Bell matrix is the leading block of the one at d."""
+    lo = d - d_step
+    if lo < 2:
+        raise ValueError(f"previous truncation d - d_step = {lo} must be >= 2")
+    matrix = bell_matrix(m, d, angles)
+    bell_lo, _ = optimize_state(m, lo, angles, constraint, matrix[:lo, :lo].copy())
+    bell_hi, state = optimize_state(m, d, angles, constraint, matrix)
     delta = bell_hi - bell_lo
     return ConvergedOptimum(bell_hi, state, delta < threshold, delta)

@@ -475,13 +475,157 @@ def inner_product_loop(left, right):
     """<left|right> for coherent superpositions, one coherent overlap per
     mode and pair of terms."""
     total = 0.0 + 0.0j
-    for w_i, a_i in left.terms:
-        for w_j, a_j in right.terms:
+    for w_i, a_i in zip(left.weights.tolist(), left.amplitudes.tolist()):
+        for w_j, a_j in zip(right.weights.tolist(), right.amplitudes.tolist()):
             ov = 1.0
             for a, b in zip(a_i, a_j):
                 ov *= coherent_overlap(a, b)
             total += w_i.conjugate() * w_j * ov
     return total
+
+
+# The package's cat-state preparation before its states became a weight
+# vector and an amplitude matrix: every state a tuple of (complex weight,
+# amplitude tuple) pairs, rebuilt and validated one float at a time.
+
+
+@dataclass(frozen=True)
+class TupleSuperposition:
+    """Weighted superposition of products of coherent states.
+
+    ``terms`` holds (weight, per-mode amplitude vector) pairs; weights may
+    be complex (homodyne conditioning can introduce phases for complex
+    amplitudes, though everything stays real in this module's use).
+    """
+
+    n_modes: int
+    terms: tuple
+
+    def __post_init__(self):
+        if self.n_modes < 1:
+            raise ValueError("need at least one mode")
+        cleaned = []
+        for weight, amps in self.terms:
+            amps = tuple(float(a) for a in amps)
+            if len(amps) != self.n_modes:
+                raise ValueError("amplitude vector length must equal the mode count")
+            cleaned.append((complex(weight), amps))
+        if not cleaned:
+            raise ValueError("empty superposition")
+        object.__setattr__(self, "terms", tuple(cleaned))
+
+    def inner_product(self, other: "TupleSuperposition") -> complex:
+        """<self|other> = w^H exp(E) w' for the Gram matrix of exponents
+        E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2], one exponential per
+        pair of terms."""
+        if other.n_modes != self.n_modes:
+            raise ValueError("mode counts differ")
+        w_a, a = _tuple_as_arrays(self.terms)
+        w_b, b = _tuple_as_arrays(other.terms)
+        exponent = a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1))
+        return complex(w_a.conj() @ np.exp(exponent) @ w_b)
+
+    def norm_squared(self) -> float:
+        return self.inner_product(self).real
+
+    def normalized(self) -> "TupleSuperposition":
+        norm = math.sqrt(self.norm_squared())
+        if norm < 1e-150:
+            raise ArithmeticError("cannot normalize a (numerically) null state")
+        return TupleSuperposition(
+            self.n_modes, tuple((w / norm, a) for w, a in self.terms)
+        )
+
+
+def _tuple_as_arrays(terms):
+    """(weights, amplitude matrix with one row per term) of a term tuple."""
+    return (
+        np.array([w for w, _ in terms]),
+        np.array([amps for _, amps in terms], dtype=float),
+    )
+
+
+def tuple_scs_state(alpha):
+    """Single-mode even cat state c_+ (|alpha> + |-alpha>)."""
+    c_plus, _ = cat_norms(alpha)
+    return TupleSuperposition(1, ((c_plus, (alpha,)), (c_plus, (-alpha,))))
+
+
+def tuple_tensor(*states):
+    """Tensor product of coherent superpositions."""
+    n_modes = sum(s.n_modes for s in states)
+    terms = []
+    for combo in itertools.product(*(s.terms for s in states)):
+        weight = 1.0 + 0.0j
+        amps = ()
+        for w, a in combo:
+            weight *= w
+            amps += a
+        terms.append((weight, amps))
+    return TupleSuperposition(n_modes, tuple(terms))
+
+
+def tuple_bs_transform(state, a, b):
+    """Balanced beam splitter on modes a and b: amplitudes (x, y) become
+    ((x+y)/sqrt(2), (x-y)/sqrt(2)); weights and norm are untouched."""
+    if a == b:
+        raise ValueError("beam splitter needs two distinct modes")
+    for idx in (a, b):
+        if not 0 <= idx < state.n_modes:
+            raise ValueError(f"mode index {idx} out of range")
+    inv = 1.0 / math.sqrt(2.0)
+    new_terms = []
+    for w, amps in state.terms:
+        amps = list(amps)
+        amps[a], amps[b] = (amps[a] + amps[b]) * inv, (amps[a] - amps[b]) * inv
+        new_terms.append((w, tuple(amps)))
+    return TupleSuperposition(state.n_modes, tuple(new_terms))
+
+
+def _tuple_position_amplitude(x0, a):
+    """<x0|a> for a real coherent amplitude."""
+    return math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
+
+
+def tuple_homodyne_project(state, mode, x0):
+    """Project ``mode`` onto the quadrature eigenvalue x0 and drop it:
+    (normalized conditional state, outcome probability density at x0)."""
+    if not 0 <= mode < state.n_modes:
+        raise ValueError(f"mode index {mode} out of range")
+    if state.n_modes == 1:
+        raise ValueError("cannot drop the only mode")
+    new_terms = []
+    for w, amps in state.terms:
+        w_new = w * _tuple_position_amplitude(x0, amps[mode])
+        new_terms.append((w_new, amps[:mode] + amps[mode + 1 :]))
+    unnormalized = TupleSuperposition(state.n_modes - 1, tuple(new_terms))
+    density = unnormalized.norm_squared()
+    if density < 1e-300:
+        raise ArithmeticError(
+            f"conditional state at x0 = {x0!r} has vanishing density"
+        )
+    return unnormalized.normalized(), density
+
+
+def tuple_fidelity(state, target):
+    """|<target|state>|^2 for normalized coherent superpositions."""
+    if state.n_modes != target.n_modes:
+        raise ValueError("mode counts differ")
+    for s in (state, target):
+        if abs(s.norm_squared() - 1.0) > 1e-8:
+            raise ValueError("fidelity expects normalized states")
+    return abs(target.inner_product(state)) ** 2
+
+
+def tuple_generation_pipeline(alpha, x0, pairs):
+    """(fidelity, density) of the conditional state after four cat states
+    pass the beam splitters ``pairs`` and mode 0 is measured at x0."""
+    state = tuple_tensor(*(tuple_scs_state(alpha) for _ in range(4)))
+    for a, b in pairs:
+        state = tuple_bs_transform(state, a, b)
+    conditional, density = tuple_homodyne_project(state, 0, x0)
+    target = TupleSuperposition(3, psi3_prime_terms(alpha))
+    return tuple_fidelity(conditional, target), density
 
 
 def integrate_1d(f, a, b, tol=1e-10, max_intervals=4096, initial_splits=8):

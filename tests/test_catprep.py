@@ -14,11 +14,11 @@ from bellscope.catprep import (
     scs_state,
     tensor,
 )
-from oracles import coherent_overlap
+from oracles import coherent_overlap, tuple_generation_pipeline
 
 
 def single(amps, weight=1.0):
-    return CoherentSuperposition(len(amps), ((weight, tuple(amps)),))
+    return CoherentSuperposition([weight], [amps])
 
 
 class TestOverlapAndNorm:
@@ -41,21 +41,31 @@ class TestOverlapAndNorm:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CoherentSuperposition(0, ())
+            CoherentSuperposition([1.0], np.zeros((1, 0)))
         with pytest.raises(ValueError):
-            CoherentSuperposition(2, ((1.0, (0.0,)),))
+            CoherentSuperposition([1.0, 1.0], [[0.0]])
         with pytest.raises(ValueError):
-            CoherentSuperposition(1, ())
+            CoherentSuperposition([], np.zeros((0, 1)))
+
+    def test_arrays_are_read_only_copies(self):
+        weights, amplitudes = np.array([1.0, 2.0]), np.array([[0.5], [-0.5]])
+        state = CoherentSuperposition(weights, amplitudes)
+        weights[0] = amplitudes[0, 0] = 9.0
+        assert state.weights.tolist() == [1.0, 2.0]
+        assert state.amplitudes.tolist() == [[0.5], [-0.5]]
+        assert state.n_modes == 1
+        with pytest.raises(ValueError):
+            state.amplitudes[0, 0] = 1.0
 
 
 class TestBeamSplitter:
     def test_equal_amplitudes_interfere(self):
         out = bs_transform(single((2.0, 2.0)), 0, 1)
-        assert out.terms[0][1] == pytest.approx((2.0 * math.sqrt(2.0), 0.0))
+        assert tuple(out.amplitudes[0]) == pytest.approx((2.0 * math.sqrt(2.0), 0.0))
 
     def test_opposite_amplitudes_interfere(self):
         out = bs_transform(single((2.0, -2.0)), 0, 1)
-        assert out.terms[0][1] == pytest.approx((0.0, 2.0 * math.sqrt(2.0)))
+        assert tuple(out.amplitudes[0]) == pytest.approx((0.0, 2.0 * math.sqrt(2.0)))
 
     def test_unitarity_on_random_superpositions(self):
         rng = np.random.default_rng(9)
@@ -65,7 +75,7 @@ class TestBeamSplitter:
                  tuple(rng.standard_normal(3)))
                 for _ in range(4)
             )
-            state = CoherentSuperposition(3, terms)
+            state = CoherentSuperposition(*zip(*terms))
             mixed = bs_transform(state, 0, 2)
             assert mixed.norm_squared() == pytest.approx(
                 state.norm_squared(), abs=1e-10
@@ -90,7 +100,7 @@ class TestHomodyne:
     def test_product_state_factorizes(self):
         state = single((1.5, -0.7))
         conditional, density = homodyne_project(state, 0, 0.3)
-        assert conditional.terms[0][1] == (-0.7,)
+        assert tuple(conditional.amplitudes[0]) == (-0.7,)
         expected = (
             math.pi ** -0.5 * math.exp(-((0.3 - math.sqrt(2.0) * 1.5) ** 2))
         )
@@ -99,9 +109,7 @@ class TestHomodyne:
     def test_odd_cat_node_at_origin(self):
         alpha = 2.0
         c_minus = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * alpha ** 2)))
-        odd_cat = CoherentSuperposition(
-            2, ((c_minus, (alpha, 0.0)), (-c_minus, (-alpha, 0.0)))
-        )
+        odd_cat = CoherentSuperposition([c_minus, -c_minus], [[alpha, 0.0], [-alpha, 0.0]])
         # just off the node the density is tiny but the projection works
         _, density = homodyne_project(odd_cat, 0, 1e-3)
         assert density < 1e-6
@@ -167,9 +175,7 @@ class TestGenerationPipeline:
             PREP_NETWORKS["sum-first"].apply(source), 0, x0
         )
         target = psi3_prime_state(alpha)
-        flipped = CoherentSuperposition(
-            3, tuple((w, tuple(-a for a in amps)) for w, amps in target.terms)
-        )
+        flipped = CoherentSuperposition(target.weights, -target.amplitudes)
         assert fidelity(conditional, flipped) >= 0.99
 
     def test_monotone_in_amplitude_at_best_outcome(self):
@@ -191,3 +197,16 @@ class TestGenerationPipeline:
     def test_unknown_wiring(self):
         with pytest.raises(ValueError):
             generation_pipeline(1.0, 0.0, wiring="diagonal")
+
+
+class TestAgainstTupleOracle:
+    """Bit for bit against the tuple-of-terms pipeline in ``tests/oracles.py``,
+    on the x0 grid that ``prep-fidelity`` uses."""
+
+    @pytest.mark.parametrize("alpha", [k / 10 for k in range(3, 51)])
+    def test_raw_fidelity_and_density_equal(self, alpha):
+        center = -math.sqrt(2.0) * alpha
+        for x0 in [center + dx for dx in np.linspace(-2.0, 2.0, 41)]:
+            for wiring, network in PREP_NETWORKS.items():
+                expected = tuple_generation_pipeline(alpha, x0, network.pairs)
+                assert tuple(generation_pipeline(alpha, x0, wiring)) == expected

@@ -47,6 +47,12 @@ class TestRangeParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_int_range("2:3:0.5")
 
+    def test_value_count_limit(self):
+        assert len(cli.parse_range("1:1000000:1")) == cli.MAX_RANGE_VALUES
+        for bad in ("0:1000000:1", "0.5:1e12:1e-3", "-1e308:1e308:1e-300"):
+            with pytest.raises(cli.ConfigError, match="more than 1000000 values"):
+                cli.parse_range(bad)
+
 
 class TestCommands:
     def test_sign_ghz(self, tmp_path):
@@ -67,6 +73,16 @@ class TestCommands:
         assert len(lines) == 21
         reference = signbin.converged_optimum(3, signbin.ghz_like_angles(3), d=20)
         assert payload["headline"]["convergence_delta"] == reference.delta
+
+    @pytest.mark.parametrize("constraint", ("none", "nonneg"))
+    def test_sign_optimize_d11_has_no_convergence_check(self, tmp_path, constraint):
+        """d - 10 = 1 is too small a truncation to compare against."""
+        assert run(
+            tmp_path, "sign-optimize", "--m", "3", "--d", "11", "--constraint", constraint
+        ) == 0
+        headline = read_json(tmp_path, "sign-optimize")["headline"]
+        assert "converged" not in headline and "convergence_delta" not in headline
+        assert len(read_csv(tmp_path, "sign-optimize").splitlines()) == 12
 
     def test_sign_ghz_large_m(self, tmp_path):
         assert run(tmp_path, "sign-ghz", "--m", "1000") == 0
@@ -153,6 +169,11 @@ class TestDeterminismAndErrors:
         assert run(tmp_path, *args) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / f"{args[0]}.csv").exists()
+
+    def test_huge_range_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "cat-vw", "--alpha", "0.5:1e12:1e-3") == 2
+        assert "more than 1000000 values" in capsys.readouterr().err
+        assert not (tmp_path / "cat-vw.csv").exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -163,16 +163,15 @@ weight = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=F
 def superposition_pairs(draw):
     n_modes = draw(st.integers(min_value=1, max_value=4))
 
-    def terms():
-        return tuple(
-            draw(st.lists(
-                st.tuples(weight, st.lists(amplitude, min_size=n_modes, max_size=n_modes)),
-                min_size=1,
-                max_size=6,
-            ))
-        )
+    def state():
+        terms = draw(st.lists(
+            st.tuples(weight, st.lists(amplitude, min_size=n_modes, max_size=n_modes)),
+            min_size=1,
+            max_size=6,
+        ))
+        return CoherentSuperposition(*zip(*terms))
 
-    return CoherentSuperposition(n_modes, terms()), CoherentSuperposition(n_modes, terms())
+    return state(), state()
 
 
 @PROPERTY
@@ -183,8 +182,8 @@ def test_inner_product_matches_loop(states):
     left, right = states
     scale = sum(
         abs(w_i * w_j) * math.exp(-0.5 * sum((a - b) ** 2 for a, b in zip(a_i, a_j)))
-        for w_i, a_i in left.terms
-        for w_j, a_j in right.terms
+        for w_i, a_i in zip(left.weights, left.amplitudes)
+        for w_j, a_j in zip(right.weights, right.amplitudes)
     )
     assert abs(left.inner_product(right) - inner_product_loop(left, right)) <= 1e-13 * scale
 

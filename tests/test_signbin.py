@@ -377,6 +377,27 @@ class TestOptimizeState:
         assert result.delta >= 0.0
         assert result.bell == pytest.approx(2.2046, abs=1e-3)
 
+    @pytest.mark.parametrize("m, d", ((2, 12), (3, 50), (10, 60), (5, 33)))
+    @pytest.mark.parametrize("constraint", (None, "nonnegative"))
+    def test_converged_optimum_block_equals_own_matrix(self, m, d, constraint):
+        """The leading block of the d-matrix gives the d - 10 optimum bit for
+        bit, as a Bell matrix built at d - 10 does."""
+        angles = default_optimizer_angles(m)
+        np.testing.assert_array_equal(
+            bell_matrix(m, d, angles)[: d - 10, : d - 10], bell_matrix(m, d - 10, angles)
+        )
+        result = converged_optimum(m, angles, d=d, d_step=10, constraint=constraint)
+        bell_lo, _ = optimize_state(m, d - 10, angles, constraint=constraint)
+        bell_hi, state = optimize_state(m, d, angles, constraint=constraint)
+        assert result.delta == bell_hi - bell_lo
+        assert result.bell == bell_hi
+        np.testing.assert_array_equal(result.state.coefficients, state.coefficients)
+
+    @pytest.mark.parametrize("d, d_step", ((11, 10), (2, 1), (30, 29)))
+    def test_converged_optimum_rejects_small_previous_truncation(self, d, d_step):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            converged_optimum(3, ghz_like_angles(3), d=d, d_step=d_step)
+
     def test_default_angles_switch(self):
         assert default_optimizer_angles(2) == chsh_angles()
         assert default_optimizer_angles(3) == ghz_like_angles(3)
