@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +179,15 @@ class PipelineResult(NamedTuple):
     density: float
 
 
+@lru_cache(maxsize=32)
+def _prepared(alpha: float, wiring: str):
+    """(four cat states after the wiring's network, candidate state): the
+    part of the pipeline that does not depend on x0.  Both states are
+    immutable, so every x0 of a scan shares them."""
+    source = tensor(*(scs_state(alpha) for _ in range(4)))
+    return PREP_NETWORKS[wiring].apply(source), psi3_prime_state(alpha)
+
+
 def generation_pipeline(
     alpha: float, x0: float, wiring: str = "sum-first"
 ) -> PipelineResult:
@@ -190,7 +200,6 @@ def generation_pipeline(
     """
     if wiring not in PREP_NETWORKS:
         raise ValueError(f"unknown wiring {wiring!r}")
-    source = tensor(*(scs_state(alpha) for _ in range(4)))
-    mixed = PREP_NETWORKS[wiring].apply(source)
+    mixed, target = _prepared(alpha, wiring)
     conditional, density = homodyne_project(mixed, 0, x0)
-    return PipelineResult(fidelity(conditional, psi3_prime_state(alpha)), density)
+    return PipelineResult(fidelity(conditional, target), density)

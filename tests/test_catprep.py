@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellscope import catprep
 from bellscope.catprep import (
     PREP_NETWORKS,
     CoherentSuperposition,
@@ -197,6 +198,27 @@ class TestGenerationPipeline:
     def test_unknown_wiring(self):
         with pytest.raises(ValueError):
             generation_pipeline(1.0, 0.0, wiring="diagonal")
+
+    def test_source_state_built_once_per_amplitude(self, monkeypatch):
+        """A second x0 at the same alpha reuses the prepared source state,
+        and gives what a freshly prepared pipeline gives."""
+        builds = []
+
+        def counting_tensor(*states):
+            builds.append(len(states))
+            return tensor(*states)
+
+        monkeypatch.setattr(catprep, "tensor", counting_tensor)
+        catprep._prepared.cache_clear()
+        alpha = 1.7
+        generation_pipeline(alpha, -2.0)
+        reused = generation_pipeline(alpha, -2.5)
+        assert builds == [4]
+        generation_pipeline(alpha, -2.5, wiring="swapped")
+        assert builds == [4, 4]
+        catprep._prepared.cache_clear()
+        assert generation_pipeline(alpha, -2.5) == reused
+        assert builds == [4, 4, 4]
 
 
 class TestAgainstTupleOracle:
