@@ -5,16 +5,12 @@ generation of a three-mode candidate state.
 """
 
 from .mk import (
-    MKExpansion,
-    classical_bound_exhaustive,
-    expand_mk,
     mk_coefficient,
     mk_sum,
     quantum_bound,
 )
 from .numerics import (
     IntegrationError,
-    hermite_eval,
     integrate_segments,
     max_eigenpair,
 )
@@ -25,33 +21,21 @@ from .signbin import (
     bell_matrix,
     chsh_angles,
     converged_optimum,
-    correlator_E,
     default_optimizer_angles,
-    g_rs,
     ghz_like_angles,
-    hermite_halfline_overlap,
     optimize_state,
-    outcome_probability,
 )
 from .rootbin import (
-    ParityFunctionPair,
     RootBinningSpec,
     bell_factor_root,
-    binned_product_probabilities,
     cat_norms,
     cat_pair,
-    class_correlator,
-    direct_bell_psi3,
-    max_theta_bell,
-    maximal_violation_curve,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,
     psi3_prime_terms,
 )
 from .erasure import (
-    erased_term_correlator,
-    noisy_bell_direct,
     noisy_bell_factor,
     p_max_ghz,
 )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catprep, erasure, rootbin, signbin
+from . import catprep, erasure, mk, rootbin, signbin
 from .numerics import IntegrationError
 
 DEFAULT_TOL = 1e-9
@@ -139,7 +139,7 @@ def cmd_root_max(options):
         theta = options.theta if options.theta is not None else rootbin.optimal_phase(m)
         spec = rootbin.RootBinningSpec(1.0, 1.0, theta, m)
         bell = rootbin.bell_factor_root(spec, options.labeling)
-        bound = 2.0 ** ((m + 1) / 2.0)
+        bound = mk.quantum_bound(m)
         rows.append((m, theta, bell, bound))
     headline = {
         "m_max": options.m_max,
@@ -153,7 +153,7 @@ def cmd_root_max(options):
 
 def cmd_cat_vw(options):
     rows = [
-        (alpha, *rootbin.overlaps_VW(rootbin.cat_pair(alpha), options.tol))
+        (alpha, *rootbin.overlaps_VW(rootbin.cat_pair(alpha)))
         for alpha in options.alpha
     ]
     last = rows[-1]
@@ -255,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
-        )
 
     p = sub.add_parser("sign-ghz", help="GHZ state, sign binning, GHZ-like angles")
     p.add_argument("--m", type=int, required=True)
@@ -290,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("x-unprimed", "p-unprimed", "best"),
         default="best",
     )
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
+    )
     common(p)
 
     p = sub.add_parser("noise-sweep", help="erasure-noise scaling for GHZ states")
@@ -306,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(options) -> None:
-    if not 0 < options.tol <= 1e-2:
-        raise ConfigError("--tol must lie in (0, 1e-2]")
     cmd = options.command
+    if cmd == "psi3-curve" and not 0 < options.tol <= 1e-2:
+        raise ConfigError("--tol must lie in (0, 1e-2]")
     if cmd in ("sign-ghz", "sign-optimize") and options.m < 2:
         raise ConfigError("--m must be >= 2")
     if cmd == "sign-optimize" and options.d < 2:
@@ -371,17 +371,16 @@ def _run(argv) -> int:
     parameters = {
         k: v for k, v in vars(options).items() if k not in ("command", "out")
     }
-    write_json(
-        json_path,
-        {
-            "command": options.command,
-            "parameters": parameters,
-            "tolerances": {"quadrature_tol": options.tol},
-            "headline": headline,
-            "rows": len(rows),
-            "wall_time_s": wall_time,
-        },
-    )
+    summary = {
+        "command": options.command,
+        "parameters": parameters,
+        "headline": headline,
+        "rows": len(rows),
+        "wall_time_s": wall_time,
+    }
+    if "tol" in parameters:  # only psi3-curve integrates
+        summary["tolerances"] = {"quadrature_tol": options.tol}
+    write_json(json_path, summary)
     return 0
 
 

@@ -25,12 +25,11 @@ form of Mermin (PRL 65, 1838, 1990) and Belinskii & Klyshko (Phys. Usp. 36,
 
 with beta = (m-1) pi/4.  ``mk_sum`` evaluates it in O(m) work.
 ``expand_mk`` keeps the full expansion as exact dyadic rationals; it is the
-oracle the fast evaluator is tested against.
+oracle the fast evaluator is tested against, and no CLI command calls it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,9 +38,6 @@ import numpy as np
 
 __all__ = [
     "SettingTuple",
-    "MKExpansion",
-    "expand_mk",
-    "classical_bound_exhaustive",
     "quantum_bound",
     "mk_coefficient",
     "mk_sum",
@@ -60,6 +56,9 @@ _SIDES = np.array([1j, -1j])
 _BLOCK = 256
 
 
+# The exact expansion below (``_sorted_terms``, ``MKExpansion``, ``expand_mk``)
+# serves only the tests; it stays here because perfbench/tracing.py wraps
+# ``mk.expand_mk`` by name.
 def _sorted_terms(terms):
     return dict(sorted(terms.items()))
 
@@ -109,32 +108,6 @@ def expand_mk(m: int) -> MKExpansion:
         terms = {t: c for t, c in new_terms.items() if c != 0}
         twin = {t: c for t, c in new_twin.items() if c != 0}
     return MKExpansion(m, _sorted_terms(terms))
-
-
-def classical_bound_exhaustive(expansion: MKExpansion, limit: int = 4) -> float:
-    """Max of |<B_m>| over all deterministic +/-1 strategies, by exhaustion.
-
-    The search space is 4^m strategies (each party assigns +/-1 to both of
-    its observables), so the party count is capped; beyond ``limit`` the
-    call refuses rather than subsampling.
-    """
-    m = expansion.m
-    if m > limit:
-        raise ValueError(
-            f"exhaustive bound limited to m <= {limit} (got m = {m}); "
-            "refusing to subsample"
-        )
-    items = list(expansion.terms.items())
-    best = Fraction(0)
-    for strategy in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=m):
-        value = Fraction(0)
-        for t, c in items:
-            product = 1
-            for party, primed in enumerate(t):
-                product *= strategy[party][1 if primed else 0]
-            value += c * product
-        best = max(best, abs(value))
-    return float(best)
 
 
 def quantum_bound(m: int) -> float:

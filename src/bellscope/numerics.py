@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Hermite polynomials, adaptive Gauss-Kronrod
-quadrature over finite segments, and even/odd bipartite eigenproblems.
+"""Shared numerical kernels: adaptive Gauss-Kronrod quadrature over finite
+segments, and even/odd bipartite eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "IntegrationError",
-    "hermite_eval",
     "integrate_segments",
     "max_eigenpair",
 ]
@@ -26,22 +25,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, achieved_error=None):
         super().__init__(message)
         self.achieved_error = achieved_error
-
-
-def hermite_eval(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence
-    H_{k+1} = 2x H_k - 2k H_{k-1}.  Works elementwise on numpy arrays.
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    xa = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xa)
-    if n == 0:
-        return h_prev if xa.ndim else 1.0
-    h = 2.0 * xa
-    for k in range(1, n):
-        h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
-    return h if xa.ndim else float(h)
 
 
 # 7-point Gauss / 15-point Kronrod pair.  Gauss weights are zero at the

@@ -15,8 +15,10 @@ The correlator then depends only on how many parties measured X:
 and the Bell factor follows from the Mermin-Klyshko expansion.  V = W = 1
 with theta = (1-m) pi/4 saturates the quantum bound 2^((m+1)/2).
 
-For the cat pair both overlaps have closed forms, with mu = sqrt(2) alpha and
-2 c_+ c_- from ``cat_norms``:
+The pair this module builds is the cat pair, the even and odd
+superpositions of |alpha> and |-alpha>.  It is data, not functions: with
+mu = sqrt(2) alpha, f*g has the sign of x and f~*h~ that of -sin(2 mu p),
+and both overlaps have closed forms, with 2 c_+ c_- from ``cat_norms``:
 
     V = 2 c_+ c_- erf(mu)                                  (A&S 7.1),
     W = 2 c_+ c_- pi^{-1/2} int e^{-p^2} |sin 2 mu p| dp
@@ -26,13 +28,10 @@ the second from the Fourier series of |sin| (G&R 3.896).  The series needs
 about 3.3/mu terms; below mu = 0.25 W is the first lobe alone,
 2 c_+ c_- (2/sqrt(pi)) D(mu) with D the Dawson integral, and the lobes past
 the first sign change at pi/(2 mu) add less than e^{-(pi/(2 mu))^2}.
-``cat_pair`` stores (V, W) on the pair, so ``overlaps_VW`` integrates only
-pairs without one.
 
 The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
-three-mode coherent-superposition candidate state and serves as the
-independent cross-check of the closed-form correlator.
+three-mode coherent-superposition candidate state.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -46,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -54,63 +52,19 @@ from .mk import mk_sum, mk_sum_tuplewise
 from .numerics import integrate_segments
 
 __all__ = [
-    "ParityFunctionPair",
     "RootBinningSpec",
     "LABELINGS",
     "overlaps_VW",
-    "class_correlator",
     "bell_factor_root",
-    "max_theta_bell",
     "optimal_phase",
-    "maximal_violation_curve",
     "cat_norms",
     "cat_pair",
     "psi3_prime_terms",
-    "binned_product_probabilities",
     "Psi3Report",
     "psi3_bell_report",
-    "direct_bell_psi3",
 ]
 
 LABELINGS = ("x-unprimed", "p-unprimed")
-
-
-@dataclass(frozen=True)
-class ParityFunctionPair:
-    """Even f / odd g with their Fourier-side partners and sign-root lists.
-
-    ``x_roots`` are the points where f*g changes sign, ``p_roots`` where
-    f~*h~ does; both sorted strictly increasing.  The windows bound the
-    quadrature range; tails beyond them must be negligible.  ``closed_vw``,
-    when set, is the pair's (V, W) in closed form.
-    """
-
-    f: Callable
-    g: Callable
-    f_tilde: Callable
-    h_tilde: Callable
-    x_roots: tuple
-    p_roots: tuple
-    x_window: float
-    p_window: float
-    closed_vw: tuple | None = None
-
-    def __post_init__(self):
-        for name in ("x_roots", "p_roots"):
-            roots = tuple(float(r) for r in getattr(self, name))
-            if any(b <= a for a, b in zip(roots, roots[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-            object.__setattr__(self, name, roots)
-
-    def x_segments(self):
-        return _signed_segments(
-            lambda x: self.f(x) * self.g(x), self.x_roots, self.x_window
-        )
-
-    def p_segments(self):
-        return _signed_segments(
-            lambda p: self.f_tilde(p) * self.h_tilde(p), self.p_roots, self.p_window
-        )
 
 
 @dataclass(frozen=True)
@@ -130,48 +84,6 @@ class RootBinningSpec:
             raise ValueError("party count must be >= 1")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-
-
-def _signed_segments(product_fn, roots, window):
-    """Partition (-window, window) at the roots and attach the sign of the
-    product on each piece, evaluated at the midpoints in one call."""
-    edges = [-window]
-    edges.extend(r for r in roots if -window < r < window)
-    edges.append(window)
-    pieces = list(zip(edges, edges[1:]))
-    mids = np.array([0.5 * (a + b) for a, b in pieces])
-    signs = np.where(product_fn(mids) >= 0.0, 1, -1).tolist()
-    return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
-
-
-def overlaps_VW(pair: ParityFunctionPair, tol: float = 1e-9):
-    """V = int |f g| dx and W = int |f~ h~| dp: the pair's closed form when
-    it has one, else one quadrature each over the pieces of its root
-    partition, so every panel sees a smooth integrand."""
-    if pair.closed_vw is not None:
-        return pair.closed_vw
-
-    def absolute_overlap(product_fn, segments):
-        return integrate_segments(
-            lambda x: np.abs(product_fn(x)), [(a, b) for a, b, _ in segments], tol=tol
-        )
-
-    v = absolute_overlap(lambda x: pair.f(x) * pair.g(x), pair.x_segments())
-    w = absolute_overlap(
-        lambda p: pair.f_tilde(p) * pair.h_tilde(p), pair.p_segments()
-    )
-    return v, w
-
-
-def class_correlator(spec: RootBinningSpec, k: int) -> float:
-    """Correlator when k parties measure X and m-k measure P."""
-    if not 0 <= k <= spec.m:
-        raise ValueError("k must lie between 0 and m")
-    return (
-        spec.V ** k
-        * spec.W ** (spec.m - k)
-        * math.cos(spec.theta + (spec.m - k) * math.pi / 2.0)
-    )
 
 
 @lru_cache(maxsize=256)
@@ -207,31 +119,11 @@ def bell_factor_root(spec: RootBinningSpec, labeling: str = "x-unprimed") -> flo
     return _labeling_values(values, labeling)
 
 
-def max_theta_bell(v: float, w: float, m: int, labeling: str = "x-unprimed") -> float:
-    """Bell factor maximized analytically over the state phase.
-
-    As a function of theta the factor is |Re(e^{i theta} S)| for the
-    complex MK sum S, so the maximum is |S|; no numerical search involved.
-    """
-    return _labeling_values([abs(z) for z in _mk_class_sums(v, w, m)], labeling)
-
-
 def optimal_phase(m: int) -> float:
     """State phase maximizing the Bell factor at V = W = 1: (1-m) pi/4."""
     if m < 1:
         raise ValueError("party count must be >= 1")
     return (1 - m) * math.pi / 4.0
-
-
-def maximal_violation_curve(m_max: int):
-    """(m, Bell factor) at V = W = 1 and the optimal phase, for m = 2..m_max.
-    Each value equals the quantum bound 2^((m+1)/2)."""
-    if m_max < 2:
-        raise ValueError("need m_max >= 2")
-    return [
-        (m, bell_factor_root(RootBinningSpec(1.0, 1.0, optimal_phase(m), m)))
-        for m in range(2, m_max + 1)
-    ]
 
 
 def cat_norms(alpha: float):
@@ -270,51 +162,64 @@ def _cat_overlaps(mu: float, scale: float):
     return v, scale * (2.0 / math.sqrt(math.pi)) * dawson
 
 
-def cat_pair(alpha: float) -> ParityFunctionPair:
-    """Even and odd superpositions of |alpha> and |-alpha> as a parity pair:
+@dataclass(frozen=True)
+class CatPair:
+    """The cat pair at amplitude alpha as root-binning data:
 
         f(x) = c_+ [ <x|alpha> + <x|-alpha> ]
         g(x) = c_- [ <x|alpha> - <x|-alpha> ]
 
-    with c_+/- from ``cat_norms`` and (V, W) in closed form.  f*g has its
-    only sign change at x = 0; f~*h~ ~ -e^{-p^2} sin(2 sqrt(2) alpha p)
-    changes sign at every multiple of pi/(2 sqrt(2) alpha).
+    with c_+/- from ``cat_norms``.  f*g changes sign only at x = 0;
+    f~*h~ ~ -e^{-p^2} sin(2 mu p) at every multiple of pi/(2 mu).  Both
+    partitions span (-window, window), window = 8 + 2 mu, beyond which the
+    Gaussian tails are negligible.  Build it with ``cat_pair``.
     """
-    c_plus, c_minus = cat_norms(alpha)
-    mu = math.sqrt(2.0) * alpha
-    quartic = math.pi ** -0.25
 
-    def f(x):
-        return c_plus * quartic * (
-            np.exp(-0.5 * (x - mu) ** 2) + np.exp(-0.5 * (x + mu) ** 2)
+    alpha: float
+
+    @property
+    def mu(self) -> float:
+        return math.sqrt(2.0) * self.alpha
+
+    @property
+    def window(self) -> float:
+        return 8.0 + 2.0 * self.mu
+
+    def x_segments(self):
+        """(a, b, sign of f*g) for the two pieces of the x window."""
+        window = self.window
+        return ((-window, 0.0, -1), (0.0, window, 1))
+
+    def p_segments(self):
+        """(a, b, sign of f~*h~) for the pieces of the p window between the
+        roots k pi/(2 mu), each signed like -sin(2 mu p) at its midpoint."""
+        mu, window = self.mu, self.window
+        spacing = math.pi / (2.0 * mu)
+        k_max = int(window / spacing)
+        edges = [-window]
+        edges.extend(
+            r for r in (k * spacing for k in range(-k_max, k_max + 1))
+            if -window < r < window
         )
+        edges.append(window)
+        pieces = list(zip(edges, edges[1:]))
+        mids = np.array([0.5 * (a + b) for a, b in pieces])
+        signs = np.where(-np.sin(2.0 * mu * mids) >= 0.0, 1, -1).tolist()
+        return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
 
-    def g(x):
-        return c_minus * quartic * (
-            np.exp(-0.5 * (x - mu) ** 2) - np.exp(-0.5 * (x + mu) ** 2)
-        )
 
-    def f_tilde(p):
-        return 2.0 * c_plus * quartic * np.exp(-0.5 * p ** 2) * np.cos(mu * p)
+def cat_pair(alpha: float) -> CatPair:
+    """The even/odd cat pair at a finite amplitude alpha > 0."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("amplitude must be finite and > 0")
+    return CatPair(alpha)
 
-    def h_tilde(p):
-        return -2.0 * c_minus * quartic * np.exp(-0.5 * p ** 2) * np.sin(mu * p)
 
-    window = 8.0 + 2.0 * mu
-    spacing = math.pi / (2.0 * mu)
-    k_max = int(window / spacing)
-    p_roots = tuple(k * spacing for k in range(-k_max, k_max + 1))
-    return ParityFunctionPair(
-        f=f,
-        g=g,
-        f_tilde=f_tilde,
-        h_tilde=h_tilde,
-        x_roots=(0.0,),
-        p_roots=p_roots,
-        x_window=window,
-        p_window=window,
-        closed_vw=_cat_overlaps(mu, 2.0 * c_plus * c_minus),
-    )
+def overlaps_VW(pair: CatPair):
+    """V = int |f g| dx and W = int |f~ h~| dp of the cat pair, from the
+    closed forms in the module docstring."""
+    c_plus, c_minus = cat_norms(pair.alpha)
+    return _cat_overlaps(pair.mu, 2.0 * c_plus * c_minus)
 
 
 def psi3_prime_terms(alpha: float):
@@ -419,6 +324,8 @@ def _joint_probabilities(terms, tables):
     return probabilities
 
 
+# Only the tests call this; it stays here because perfbench/tracing.py wraps
+# ``rootbin.binned_product_probabilities`` by name.
 def binned_product_probabilities(terms, settings, pair, tol=1e-9):
     """Joint probabilities of all 2^m binned outcomes for a superposition of
     products of coherent states, measured along ``settings`` ('x'/'p' per
@@ -490,9 +397,3 @@ def psi3_bell_report(alpha: float, tol: float = 1e-9) -> Psi3Report:
         probability_sums=probability_sums,
         min_probability=min_probability,
     )
-
-
-def direct_bell_psi3(alpha: float, tol: float = 1e-9) -> float:
-    """Bell factor of the three-mode candidate state, maximized over the two
-    X/P labelings of the measurement settings."""
-    return psi3_bell_report(alpha, tol).bell_best

@@ -25,7 +25,6 @@ over all parties.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,11 +37,6 @@ from .numerics import _canonical_sign, max_eigenpair
 __all__ = [
     "FockCorrelatedState",
     "AngleSettings",
-    "hermite_halfline_overlap",
-    "g_rs",
-    "correlator_E",
-    "outcome_probability",
-    "outcome_sign",
     "ghz_like_angles",
     "chsh_angles",
     "default_optimizer_angles",
@@ -176,36 +170,6 @@ def _g_log(m: int, parts):
     return pref * (m / 2.0) + log_b * m, sign if m % 2 else np.abs(sign)
 
 
-def hermite_halfline_overlap(r: int, s: int) -> float:
-    """int_0^inf e^{-x^2} H_r(x) H_s(x) dx in closed form.
-
-    A value beyond the float range raises OverflowError.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("degrees must be >= 0")
-    if r == s:
-        log, factor = (r - 1) * math.log(2.0) + math.lgamma(r + 1), math.sqrt(math.pi)
-    else:
-        _, log_b, sign = _g_parts([r], [s])
-        log = math.log(math.pi) + (r + s) * math.log(2.0) + float(log_b[0, 0])
-        factor = float(sign[0, 0])
-    if log <= _LOG_FLOAT_MAX:
-        value = factor * math.exp(log)
-        if math.isfinite(value):
-            return value
-    raise OverflowError(f"half-line integral e^{log:.6g} exceeds the float range")
-
-
-def g_rs(r: int, s: int, phi: float, m: int) -> float:
-    """The g coefficient for a (r, s) Fock pair; zero whenever r - s is even."""
-    if not (r > s >= 0):
-        raise ValueError("need r > s >= 0")
-    if m < 1:
-        raise ValueError("mode count must be >= 1")
-    log_g, sign_g = _g_log(m, _g_parts([r], [s]))
-    return float(sign_g[0, 0]) * math.exp(log_g[0, 0]) * math.cos(phi * (r - s))
-
-
 def _pairs(c: np.ndarray):
     """Index arrays (r, s), row by row, of the pairs r > s of opposite
     parity whose coefficients are both nonzero: the only pairs with g != 0."""
@@ -215,6 +179,8 @@ def _pairs(c: np.ndarray):
     return np.nonzero((diff > 0) & (diff % 2 == 1) & nonzero[:, None] & nonzero)
 
 
+# ``_g_sum`` and ``correlator_E`` serve only the tests; they stay here because
+# perfbench/tracing.py counts ``signbin.correlator_E`` by name.
 def _g_sum(state: FockCorrelatedState, phi: float, log_scale: float = 0.0) -> float:
     """2 e^log_scale sum_{r>s} c_r c_s g_{r,s}(phi, m).
 
@@ -231,36 +197,6 @@ def _g_sum(state: FockCorrelatedState, phi: float, log_scale: float = 0.0) -> fl
 def correlator_E(state: FockCorrelatedState, phi: float) -> float:
     """Sign-binned full correlator E(phi, m) = 2^m * 2 sum_{r>s} c_r c_s g_{r,s}."""
     return _g_sum(state, phi, state.m * _LN2)
-
-
-def outcome_sign(outcome) -> int:
-    """Product of the +/-1 entries of a binned outcome."""
-    sign = 1
-    for d in outcome:
-        if d not in (1, -1):
-            raise ValueError("binned outcomes are +/-1")
-        sign *= d
-    return sign
-
-
-def outcome_probability(state: FockCorrelatedState, phi: float, outcome) -> float:
-    """Probability of one binned outcome: 1/2^m + sign(outcome) * G(phi, m).
-
-    All 2^m outcome probabilities sum to 1 by construction.  A value below
-    -1e-12 cannot come from a state in this family and is reported as a
-    diagnostic warning.
-    """
-    if len(outcome) != state.m:
-        raise ValueError("outcome length must match the mode count")
-    p = 2.0 ** (-state.m) + outcome_sign(outcome) * _g_sum(state, phi)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        warnings.warn(
-            f"outcome probability {p!r} outside [0, 1]; the coefficient vector "
-            "violates this formula's assumptions",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return p
 
 
 def ghz_like_angles(m: int) -> AngleSettings:

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from bellscope.numerics import (
     _GK_WK,
     IntegrationError,
     _canonical_sign,
-    hermite_eval,
     integrate_segments,
 )
 from bellscope.rootbin import (
@@ -39,6 +39,7 @@ from bellscope.rootbin import (
     psi3_prime_terms,
 )
 from bellscope.signbin import _exp_sum, _mk_cos_sums, bell_matrix
+from physics import hermite_eval
 
 _LN2 = math.log(2.0)
 
@@ -435,6 +436,119 @@ def psi3_report_every_entry(alpha, tol=1e-9):
         correlators=correlators,
         probability_sums=probability_sums,
         min_probability=min_probability,
+    )
+
+
+@dataclass(frozen=True)
+class ParityFunctionPair:
+    """Even f / odd g with their Fourier-side partners and sign-root lists:
+    the oracle for the package's closed-form ``CatPair``.
+
+    ``x_roots`` are the points where f*g changes sign, ``p_roots`` where
+    f~*h~ does; both sorted strictly increasing.  The windows bound the
+    quadrature range; tails beyond them must be negligible.
+    """
+
+    f: Callable
+    g: Callable
+    f_tilde: Callable
+    h_tilde: Callable
+    x_roots: tuple
+    p_roots: tuple
+    x_window: float
+    p_window: float
+
+    def __post_init__(self):
+        for name in ("x_roots", "p_roots"):
+            roots = tuple(float(r) for r in getattr(self, name))
+            if any(b <= a for a, b in zip(roots, roots[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, roots)
+
+    def x_segments(self):
+        return _signed_segments(
+            lambda x: self.f(x) * self.g(x), self.x_roots, self.x_window
+        )
+
+    def p_segments(self):
+        return _signed_segments(
+            lambda p: self.f_tilde(p) * self.h_tilde(p), self.p_roots, self.p_window
+        )
+
+
+def _signed_segments(product_fn, roots, window):
+    """Partition (-window, window) at the roots and attach the sign of the
+    product on each piece, evaluated at the midpoints in one call."""
+    edges = [-window]
+    edges.extend(r for r in roots if -window < r < window)
+    edges.append(window)
+    pieces = list(zip(edges, edges[1:]))
+    mids = np.array([0.5 * (a + b) for a, b in pieces])
+    signs = np.where(product_fn(mids) >= 0.0, 1, -1).tolist()
+    return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
+
+
+def quadrature_overlaps_VW(pair, tol=1e-9):
+    """V = int |f g| dx and W = int |f~ h~| dp by one quadrature each over
+    the pieces of the pair's root partition, so every panel sees a smooth
+    integrand."""
+
+    def absolute_overlap(product_fn, segments):
+        return integrate_segments(
+            lambda x: np.abs(product_fn(x)), [(a, b) for a, b, _ in segments], tol=tol
+        )
+
+    v = absolute_overlap(lambda x: pair.f(x) * pair.g(x), pair.x_segments())
+    w = absolute_overlap(
+        lambda p: pair.f_tilde(p) * pair.h_tilde(p), pair.p_segments()
+    )
+    return v, w
+
+
+def callable_cat_pair(alpha):
+    """The cat pair as wavefunctions with their root lists:
+
+        f(x) = c_+ [ <x|alpha> + <x|-alpha> ]
+        g(x) = c_- [ <x|alpha> - <x|-alpha> ]
+
+    f*g has its only sign change at x = 0; f~*h~ ~ -e^{-p^2} sin(2 sqrt(2)
+    alpha p) changes sign at every multiple of pi/(2 sqrt(2) alpha).  Its
+    p signs come from the product itself, which underflows to 0 (binned +1)
+    beyond |p| of about 27.
+    """
+    c_plus, c_minus = cat_norms(alpha)
+    mu = math.sqrt(2.0) * alpha
+    quartic = math.pi ** -0.25
+
+    def f(x):
+        return c_plus * quartic * (
+            np.exp(-0.5 * (x - mu) ** 2) + np.exp(-0.5 * (x + mu) ** 2)
+        )
+
+    def g(x):
+        return c_minus * quartic * (
+            np.exp(-0.5 * (x - mu) ** 2) - np.exp(-0.5 * (x + mu) ** 2)
+        )
+
+    def f_tilde(p):
+        return 2.0 * c_plus * quartic * np.exp(-0.5 * p ** 2) * np.cos(mu * p)
+
+    def h_tilde(p):
+        return -2.0 * c_minus * quartic * np.exp(-0.5 * p ** 2) * np.sin(mu * p)
+
+    window = 8.0 + 2.0 * mu
+    spacing = math.pi / (2.0 * mu)
+    k_max = int(window / spacing)
+    p_roots = tuple(k * spacing for k in range(-k_max, k_max + 1))
+    return ParityFunctionPair(
+        f=f,
+        g=g,
+        f_tilde=f_tilde,
+        h_tilde=h_tilde,
+        x_roots=(0.0,),
+        p_roots=p_roots,
+        x_window=window,
+        p_window=window,
     )
 
 

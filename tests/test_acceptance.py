@@ -11,19 +11,12 @@ import time
 
 import numpy as np
 
-from bellscope.erasure import (
-    erased_term_correlator,
-    noisy_bell_direct,
-    noisy_bell_factor,
-    p_max_ghz,
-)
-from bellscope.mk import classical_bound_exhaustive, expand_mk
+from bellscope.erasure import noisy_bell_factor, p_max_ghz
+from bellscope.mk import expand_mk
 from bellscope.rootbin import (
     RootBinningSpec,
     bell_factor_root,
     cat_pair,
-    direct_bell_psi3,
-    max_theta_bell,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,
@@ -34,18 +27,25 @@ from bellscope.signbin import (
     bell_matrix,
     chsh_angles,
     converged_optimum,
-    g_rs,
     ghz_like_angles,
     optimize_state,
-    outcome_probability,
 )
 from bellscope.catprep import PREP_NETWORKS, generation_pipeline, scs_state, tensor
-from bellscope.numerics import hermite_eval
 from oracles import (
     integrate_1d,
     oracle_nonneg_optimum,
     oracle_probability,
     projected_ascent_optimum,
+)
+from physics import (
+    classical_bound_exhaustive,
+    direct_bell_psi3,
+    erased_term_correlator,
+    g_rs,
+    hermite_eval,
+    max_theta_bell,
+    noisy_bell_direct,
+    outcome_probability,
 )
 
 

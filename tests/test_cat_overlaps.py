@@ -1,15 +1,15 @@
-"""Closed-form V and W of the cat pair against the quadrature branch of
-``overlaps_VW`` and against mpmath at 40 digits.
+"""Closed-form V and W of the cat pair against quadrature over the callable
+pair in ``tests/oracles.py`` and against mpmath at 40 digits.
 
 V = 2 c_+ c_- erf(mu) and W = 2 c_+ c_- pi^{-1/2} int e^{-p^2} |sin 2 mu p| dp,
 mu = sqrt(2) alpha; W comes from a Fourier series of |sin| for mu >= 0.25 and
 from the first lobe, a Dawson integral, below.
 """
 
-import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import mpmath
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from bellscope import cli
 from bellscope.rootbin import _cat_overlaps, cat_norms, cat_pair, overlaps_VW
+from oracles import callable_cat_pair, quadrature_overlaps_VW
 
 EPS = 2.0 ** -52
 TOL = 1e-9
@@ -94,9 +95,8 @@ def test_w_against_mpmath_quadrature(alpha):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(min_value=0.05, max_value=12.0))
 def test_closed_form_against_quadrature(alpha):
-    pair = cat_pair(alpha)
-    v, w = overlaps_VW(pair)
-    v_quad, w_quad = overlaps_VW(dataclasses.replace(pair, closed_vw=None), TOL)
+    v, w = overlaps_VW(cat_pair(alpha))
+    v_quad, w_quad = quadrature_overlaps_VW(callable_cat_pair(alpha), TOL)
     assert v == pytest.approx(v_quad, rel=0, abs=TOL)
     assert w == pytest.approx(w_quad, rel=0, abs=TOL)
 
@@ -107,6 +107,18 @@ def test_w_forms_agree_at_the_switch():
     _, w_series = _cat_overlaps(0.25, 1.0)
     _, w_lobe = _cat_overlaps(below, 1.0)
     assert abs(w_series - w_lobe) <= 1e-15
+
+
+def test_large_amplitude_allocates_no_root_list():
+    """The closed form needs no partition of the p window, whose root count
+    grows as alpha^2 (462,687 roots at alpha = 300)."""
+    tracemalloc.start()
+    try:
+        overlaps_VW(cat_pair(300.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_overlaps_bounded_by_one():

@@ -222,6 +222,16 @@ class TestDeterminismAndErrors:
         assert alive() is None
 
     def test_json_reports_tolerances(self, tmp_path):
-        assert run(tmp_path, "cat-vw", "--alpha", "2", "--tol", "1e-8") == 0
-        payload = read_json(tmp_path, "cat-vw")
+        assert run(tmp_path, "psi3-curve", "--alpha", "1", "--tol", "1e-8") == 0
+        payload = read_json(tmp_path, "psi3-curve")
         assert payload["tolerances"]["quadrature_tol"] == 1e-8
+
+    def test_tol_only_where_something_integrates(self, tmp_path, capsys):
+        """cat-vw evaluates closed forms, so it has no --tol to set."""
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "cat-vw", "--alpha", "2", "--tol", "1e-8")
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "cat-vw.csv").exists()
+        assert run(tmp_path, "cat-vw", "--alpha", "2") == 0
+        assert "tolerances" not in read_json(tmp_path, "cat-vw")

@@ -4,15 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from bellscope.erasure import (
-    erased_term_correlator,
-    noisy_bell_direct,
-    noisy_bell_factor,
-    p_max_ghz,
-)
+from bellscope.erasure import noisy_bell_factor, p_max_ghz
 from bellscope.numerics import integrate_segments
-from bellscope.rootbin import cat_pair
 from bellscope.signbin import FockCorrelatedState, bell_factor_sign, ghz_like_angles
+from oracles import callable_cat_pair
+from physics import erased_term_correlator, noisy_bell_direct
 
 
 def ghz_clean_bell(m):
@@ -183,7 +179,7 @@ class TestRootBinningErasure:
         densities that are even, so the root-binned correlators of every
         noisy term vanish as well."""
         alpha = 1.5
-        pair = cat_pair(alpha)
+        pair = callable_cat_pair(alpha)
 
         def signed_moment(density, segments, tol=1e-10):
             total = 0.0

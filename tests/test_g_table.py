@@ -28,10 +28,7 @@ from bellscope.signbin import (
     bell_expectation_sign,
     bell_matrix,
     correlator_E,
-    g_rs,
     ghz_like_angles,
-    hermite_halfline_overlap,
-    outcome_probability,
 )
 from oracles import (
     bell_expectation_sign_entry,
@@ -43,6 +40,7 @@ from oracles import (
     hermite_halfline_overlap_entry,
     outcome_probability_entry,
 )
+from physics import g_rs, hermite_halfline_overlap, outcome_probability
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)

@@ -5,12 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellscope.mk import (
-    classical_bound_exhaustive,
-    expand_mk,
-    quantum_bound,
-)
+from bellscope.mk import expand_mk, quantum_bound
 from oracles import bell_factor, coefficients_by_primed_count, primed_twin
+from physics import classical_bound_exhaustive
 
 U, P = False, True
 

@@ -19,14 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellscope.erasure import erased_term_correlator, noisy_bell_direct
 from bellscope.mk import expand_mk, mk_coefficient, mk_sum, mk_sum_scaled
 from bellscope.rootbin import (
     LABELINGS,
     RootBinningSpec,
     bell_factor_root,
-    class_correlator,
-    max_theta_bell,
 )
 from bellscope.signbin import (
     AngleSettings,
@@ -35,10 +32,16 @@ from bellscope.signbin import (
     bell_factor_sign,
     bell_matrix,
     correlator_E,
-    g_rs,
     ghz_like_angles,
 )
 from oracles import phi_sum
+from physics import (
+    class_correlator,
+    erased_term_correlator,
+    g_rs,
+    max_theta_bell,
+    noisy_bell_direct,
+)
 
 REL = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)

@@ -6,7 +6,6 @@ import pytest
 from bellscope import numerics
 from bellscope.numerics import (
     IntegrationError,
-    hermite_eval,
     integrate_segments,
     max_eigenpair,
 )
@@ -17,6 +16,7 @@ from oracles import (
     reciprocal_gamma,
     rgamma_log,
 )
+from physics import hermite_eval
 
 
 class TestLogSignedReal:

@@ -5,21 +5,30 @@ import numpy as np
 import pytest
 
 from bellscope.rootbin import (
-    ParityFunctionPair,
     RootBinningSpec,
+    _mode_table,
     bell_factor_root,
     binned_product_probabilities,
     cat_pair,
-    class_correlator,
-    direct_bell_psi3,
-    max_theta_bell,
-    maximal_violation_curve,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,
     psi3_prime_terms,
 )
-from oracles import binned_product_correlator, cat_state_terms, integrate_1d
+from oracles import (
+    ParityFunctionPair,
+    binned_product_correlator,
+    callable_cat_pair,
+    cat_state_terms,
+    integrate_1d,
+    quadrature_overlaps_VW,
+)
+from physics import (
+    class_correlator,
+    direct_bell_psi3,
+    max_theta_bell,
+    maximal_violation_curve,
+)
 
 
 class TestSpecValidation:
@@ -170,14 +179,14 @@ class TestOptimalPhase:
 class TestCatPair:
     def test_normalization(self):
         for alpha in (0.7, 2.0):
-            pair = cat_pair(alpha)
+            pair = callable_cat_pair(alpha)
             w = pair.x_window
             for fn in (pair.f, pair.g, pair.f_tilde, pair.h_tilde):
                 norm = integrate_1d(lambda x: fn(x) ** 2, -w, w, tol=1e-10)
                 assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_parity_on_grid(self):
-        pair = cat_pair(1.3)
+        pair = callable_cat_pair(1.3)
         x = np.linspace(-4.0, 4.0, 101)
         np.testing.assert_allclose(pair.f(-x), pair.f(x), atol=1e-14)
         np.testing.assert_allclose(pair.g(-x), -pair.g(x), atol=1e-14)
@@ -186,12 +195,29 @@ class TestCatPair:
 
     def test_root_structure(self):
         alpha = 2.0
-        pair = cat_pair(alpha)
+        pair = callable_cat_pair(alpha)
         assert pair.x_roots == (0.0,)
         spacing = math.pi / (2 * math.sqrt(2) * alpha)
         diffs = np.diff(pair.p_roots)
         np.testing.assert_allclose(diffs, spacing, rtol=1e-12)
         assert 0.0 in pair.p_roots
+
+    def test_p_signs_follow_minus_sin_and_tables_match_the_callable_pair(self):
+        """Every p piece is signed like f~*h~ ~ -e^{-p^2} sin(2 mu p).  The
+        callable pair takes the sign from the product itself, whose e^{-p^2}
+        underflows to 0 (binned +1) beyond |p| of about 27, first at alpha
+        6.85; those pieces carry no weight, so every mode-table entry of the
+        two pairs is equal."""
+        for alpha in (7.0, 9.0, 12.0):
+            mu = math.sqrt(2.0) * alpha
+            for a, b, sign in cat_pair(alpha).p_segments():
+                assert sign == (1 if -math.sin(mu * (a + b)) >= 0.0 else -1)
+        for alpha in (0.5, 3.0, 6.85, 12.0):
+            pair, oracle = cat_pair(alpha), callable_cat_pair(alpha)
+            for setting in "xp":
+                assert _mode_table(pair, setting, (-alpha, alpha), 1e-9) == (
+                    _mode_table(oracle, setting, (-alpha, alpha), 1e-9)
+                )
 
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
@@ -228,14 +254,14 @@ class TestCatPair:
             x_window=10.0,
             p_window=10.0,
         )
-        v, w = overlaps_VW(pair)
+        v, w = quadrature_overlaps_VW(pair)
         assert v == pytest.approx(1.0, abs=1e-9)
         assert w == pytest.approx(1.0, abs=1e-9)
 
     def test_brute_force_quadrature_oracle(self):
         """V and W from a single absolute-value integral with no use of the
         root partition, at tight tolerance."""
-        pair = cat_pair(1.0)
+        pair = callable_cat_pair(1.0)
         w_lim = pair.x_window
         v_brute = integrate_1d(
             lambda x: np.abs(pair.f(x) * pair.g(x)), -w_lim, w_lim, tol=1e-12,
@@ -248,7 +274,7 @@ class TestCatPair:
             tol=1e-12,
             max_intervals=20000,
         )
-        v, w = overlaps_VW(pair)
+        v, w = overlaps_VW(cat_pair(1.0))
         assert v == pytest.approx(v_brute, abs=1e-9)
         assert w == pytest.approx(w_brute, abs=1e-9)
 

@@ -12,11 +12,8 @@ from bellscope.signbin import (
     converged_optimum,
     correlator_E,
     default_optimizer_angles,
-    g_rs,
     ghz_like_angles,
-    hermite_halfline_overlap,
     optimize_state,
-    outcome_probability,
 )
 
 from oracles import (
@@ -25,6 +22,7 @@ from oracles import (
     quadrature_halfline,
     quadrature_halfline_window,
 )
+from physics import g_rs, hermite_halfline_overlap, outcome_probability
 
 TWO_OVER_PI = 2.0 / math.pi
 
