@@ -199,9 +199,38 @@ def _stationarity_residual(m, v, lam):
 
 
 # The alternating power steps stop once no component of any start's y moves
-# by more than _POWER_TOL in a step, or after _POWER_STEPS steps.
+# by more than _POWER_TOL in a step, or after _POWER_STEPS steps.  Every
+# _FINISH_EVERY steps the best start's support is tried for an exact finish.
 _POWER_TOL = 1e-14
 _POWER_STEPS = 1000
+_FINISH_EVERY = 10
+
+
+def _start_values(b, y):
+    """x = (B y)_+ / |.| for every start (column of y), and x.T B y."""
+    by = b @ y
+    x = np.maximum(by, 0.0)
+    x /= np.linalg.norm(x, axis=0)
+    return x, np.einsum("ik,ik->k", x, by)
+
+
+def _support_finish(b, x, y, values):
+    """The top singular pair of B on the best start's support (x > 0, y > 0),
+    zero-padded, with its singular value; None unless it is strictly positive
+    on the support, no gradient off the support is positive (KKT) and the
+    value reaches every start's."""
+    best = int(np.argmax(values))
+    rows, cols = x[:, best] > 0.0, y[:, best] > 0.0
+    u, s, vt = np.linalg.svd(b[np.ix_(rows, cols)], full_matrices=False)
+    sign = 1.0 if u[0, 0] > 0.0 else -1.0
+    x_top, y_top = sign * u[:, 0], sign * vt[0]
+    if x_top.min() <= 0.0 or y_top.min() <= 0.0 or s[0] < values.max():
+        return None
+    x_full, y_full = np.zeros(b.shape[0]), np.zeros(b.shape[1])
+    x_full[rows], y_full[cols] = x_top, y_top
+    if np.any((b @ y_full)[~rows] > 0.0) or np.any((b.T @ x_full)[~cols] > 0.0):
+        return None
+    return x_full, y_full, float(s[0])
 
 
 def _max_quadform_nonneg(m):
@@ -218,7 +247,8 @@ def _max_quadform_nonneg(m):
         y = np.maximum(np.column_stack([np.ones(b.shape[1]), top, -top, b.T]), 0.0)
         y = y[:, np.any(b @ y > 0.0, axis=0)]
         y /= np.linalg.norm(y, axis=0)
-        for _ in range(_POWER_STEPS):
+        finish = None
+        for k in range(1, _POWER_STEPS + 1):
             # (B y)_+ is positively homogeneous in y, so x needs no norm here
             y_next = np.maximum(b.T @ np.maximum(b @ y, 0.0), 0.0)
             y_next /= np.linalg.norm(y_next, axis=0)
@@ -226,13 +256,17 @@ def _max_quadform_nonneg(m):
             y = y_next
             if step <= _POWER_TOL:
                 break
-        x = np.maximum(b @ y, 0.0)
-        x /= np.linalg.norm(x, axis=0)
-        values = np.einsum("ik,ik->k", x, b @ y)
-        best = int(np.argmax(values))
-        v[0::2], v[1::2] = x[:, best], y[:, best]
+            if k % _FINISH_EVERY == 0:
+                x, values = _start_values(b, y)
+                finish = _support_finish(b, x, y, values)
+                if finish is not None:
+                    break
+        if finish is None:
+            x, values = _start_values(b, y)
+            best = int(np.argmax(values))
+            finish = x[:, best], y[:, best], float(values[best])
+        v[0::2], v[1::2], lam = finish
         v /= math.sqrt(2.0)
-        lam = float(values[best])
     res = _stationarity_residual(m, v, lam)
     if res > 1e-8:
         raise ArithmeticError(
@@ -257,8 +291,19 @@ def max_eigenpair(matrix, constraint=None):
     and y.  Alternating non-negative power steps x <- (B y)_+ / |.|,
     y <- (B.T x)_+ / |.| (non-negative PCA; Montanari & Richard, IEEE Trans.
     IT 62, 2016) never decrease x.T B y; they run from fixed starts and the
-    best one wins.  The value is a feasible (hence certified) lower bound; a
-    stationarity (KKT) residual above 1e-8 raises ArithmeticError.
+    best one wins.  Every 10 steps the support of the best start (x > 0,
+    y > 0) is tried for a finish: on it the maximizer is the top singular
+    pair of B[Sx, Sy], from one SVD.  That pair, zero-padded, is taken and
+    the steps stop when it is strictly positive on the support, no gradient
+    off the support is positive ((B y)_i <= 0 and (B.T x)_j <= 0 there: the
+    KKT conditions), and its singular value reaches every start's current
+    value.  The last rule is a heuristic, not a certificate: the best
+    start's support always admits that value, but a start still climbing
+    could later end higher, and no finish rules that out.  Otherwise the
+    steps go on until no component of any start's y moves by more than
+    1e-14, or for at most 1,000 steps.  Either way the value is a feasible
+    (hence certified) lower bound; a stationarity (KKT) residual above 1e-8
+    raises ArithmeticError.
     """
     m = _check_bipartite(matrix)
     if constraint == "nonnegative":

@@ -327,10 +327,16 @@ def optimize_state(
     parities, so its spectrum is symmetric: the top eigenvector of -M is
     that of M with its odd components negated, the parity twin, and both
     reach the same |<B_m>|.  Of the two the one with the larger component
-    sum is reported (ties keep the eigenvector).  With
-    ``constraint="nonnegative"`` the quadratic form is maximized over the
-    non-negative orthant instead, by the alternating power steps of
-    ``max_eigenpair`` on each sign of the matrix.
+    sum is reported (ties keep the eigenvector).
+
+    With ``constraint="nonnegative"`` the quadratic form is maximized over
+    the non-negative orthant instead, by the power steps and support finish
+    of ``max_eigenpair``, on each sign of the matrix that can win.  For
+    non-negative unit x and y, x.T B y <= sigma_max(max(B, 0)), the largest
+    singular value of the clipped even/odd block, so that bound caps each
+    sign's optimum.  The sign with the larger bound is solved first (+ on a
+    tie), and the other only when its bound reaches the first one's value.
+    Of two solves the + sign wins unless the - sign is strictly larger.
 
     ``matrix`` is ``bell_matrix(m, d, angles)`` when the caller has it.
     Returns (bell value, FockCorrelatedState).
@@ -343,9 +349,14 @@ def optimize_state(
         if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
             v = twin
     else:
-        lam_pos, v_pos = max_eigenpair(matrix, constraint=constraint)
-        lam_neg, v_neg = max_eigenpair(-matrix, constraint=constraint)
-        lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
+        block = matrix[0::2, 1::2]
+        bound = {s: np.linalg.norm(np.maximum(s * block, 0.0), 2) for s in (1, -1)}
+        first = 1 if bound[1] >= bound[-1] else -1
+        solved = {first: max_eigenpair(first * matrix, constraint=constraint)}
+        if bound[-first] >= solved[first][0]:
+            solved[-first] = max_eigenpair(-first * matrix, constraint=constraint)
+        # a tie goes to the + sign
+        lam, v = max(solved.items(), key=lambda item: (item[1][0], item[0]))[1]
     v = v / np.linalg.norm(v)
     return lam, FockCorrelatedState(m, v)
 

@@ -285,6 +285,59 @@ def projected_ascent_optimum(matrix, seed=0, restarts=32):
     return best_lam, best_v
 
 
+# The package's non-negative solver before the support finish and the sign
+# skip: alternating power steps run every start to 1e-14 (at most 1,000
+# steps), and both signs of the Bell matrix are solved.
+
+
+def power_steps_nonneg_optimum(matrix):
+    """(max v.T M v, v) over non-negative unit vectors v, for M that couples
+    only even with odd indices: max x.T B y over non-negative unit x, y with
+    B = M[0::2, 1::2], by alternating steps y <- (B.T (B y)_+)_+ / |.| from
+    the uniform vector, the clipped +/- top right singular vector of B and
+    (B.T e_i)_+ for every row i.  Every start runs until no component of any
+    y moves by more than 1e-14 in a step, or for 1,000 steps; the best start
+    wins, and a stationarity residual above 1e-8 raises ArithmeticError."""
+    m = np.asarray(matrix, dtype=float)
+    b = m[0::2, 1::2]
+    v = np.zeros(m.shape[0])
+    if not np.any(b > 0.0):
+        v[0], lam = 1.0, 0.0
+    else:
+        top = np.linalg.svd(b)[2][0]
+        y = np.maximum(np.column_stack([np.ones(b.shape[1]), top, -top, b.T]), 0.0)
+        y = y[:, np.any(b @ y > 0.0, axis=0)]
+        y /= np.linalg.norm(y, axis=0)
+        for _ in range(1000):
+            y_next = np.maximum(b.T @ np.maximum(b @ y, 0.0), 0.0)
+            y_next /= np.linalg.norm(y_next, axis=0)
+            step = np.abs(y_next - y).max()
+            y = y_next
+            if step <= 1e-14:
+                break
+        x = np.maximum(b @ y, 0.0)
+        x /= np.linalg.norm(x, axis=0)
+        values = np.einsum("ik,ik->k", x, b @ y)
+        best = int(np.argmax(values))
+        v[0::2], v[1::2] = x[:, best], y[:, best]
+        v /= math.sqrt(2.0)
+        lam = float(values[best])
+    res = stationarity_residual(m, v, lam)
+    if res > 1e-8:
+        raise ArithmeticError(f"constrained maximizer not stationary (residual {res:.3e})")
+    return lam, v
+
+
+def both_signs_nonneg_optimum(matrix):
+    """(bell value, unit coefficients) of the non-negative optimal state:
+    ``power_steps_nonneg_optimum`` on M and on -M, the + sign winning
+    unless the - sign is strictly larger."""
+    lam_pos, v_pos = power_steps_nonneg_optimum(matrix)
+    lam_neg, v_neg = power_steps_nonneg_optimum(-np.asarray(matrix, dtype=float))
+    lam, v = (lam_neg, v_neg) if lam_neg > lam_pos else (lam_pos, v_pos)
+    return lam, v / np.linalg.norm(v)
+
+
 # The package's unconstrained optimizer before one thin SVD of the even/odd
 # block replaced it: a full eigh of the Bell matrix and of its negative, the
 # larger value winning, then the parity twin with the larger component sum.

@@ -1,15 +1,25 @@
-"""The alternating power steps of ``max_eigenpair(..., constraint="nonnegative")``
-against the solver they replaced: projected ascent with a support polish
-from 35 starts, 32 of them random (``oracles.projected_ascent_optimum``).
+"""The non-negative optimum: the power steps and support finish of
+``max_eigenpair(..., constraint="nonnegative")``, and the sign skip of
+``optimize_state``, against two oracles in ``oracles.py``.
 
-Both are local searches on a non-convex problem, so neither bounds the other
-on every matrix.  Every solve must return a non-negative unit vector whose
-stationarity (KKT) residual is <= 1e-8.  On random bipartite matrices the new
-value must reach the old one.  On Bell matrices the larger of the two signs,
-the value ``optimize_state`` reports, must reach the old one.  One sign alone
-is not enough: on the losing sign of the GHZ-like angles at m = 3 (0.1404,
-against 2.2046 on the other sign) a random start of the old solver finds a
-better local optimum at 7 of the truncations d = 2..60, by at most 6.7e-5.
+``projected_ascent_optimum`` is the package's first solver: projected ascent
+with a support polish from 35 starts, 32 of them random.
+``power_steps_nonneg_optimum`` is the solver the support finish replaced:
+the same power steps and starts, every start run to 1e-14 or 1,000 steps,
+with no finish; ``both_signs_nonneg_optimum`` solves both signs of a Bell
+matrix with it, as ``optimize_state`` did before the sign skip.
+
+All are local searches on a non-convex problem, so none bounds another on
+every matrix.  Every solve must return a non-negative unit vector whose
+stationarity (KKT) residual is <= 1e-8.  On random bipartite matrices the
+new value must reach both oracles'.  On Bell matrices the value
+``optimize_state`` reports must reach projected ascent's best over both
+signs, and equal the power-step oracle's, coefficients included.
+
+The sign skip rests on x.T B y <= sigma_max(max(B, 0)) for non-negative
+unit x and y.  At the default angles that bound rules the losing sign out:
+at m = 3, d = 60 it is 0.143 there, against 2.2046 on the winning sign, so
+the losing sign, whose local optima the solvers disagree on, is not solved.
 """
 
 import math
@@ -18,15 +28,34 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellscope.numerics import max_eigenpair
-from bellscope.signbin import AngleSettings, bell_matrix, default_optimizer_angles
-from oracles import bipartite, projected_ascent_optimum, stationarity_residual
+from bellscope import signbin
+from bellscope.numerics import _support_finish, max_eigenpair
+from bellscope.signbin import (
+    AngleSettings,
+    bell_matrix,
+    default_optimizer_angles,
+    optimize_state,
+)
+from oracles import (
+    bipartite,
+    both_signs_nonneg_optimum,
+    power_steps_nonneg_optimum,
+    projected_ascent_optimum,
+    stationarity_residual,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-# the old solver takes up to 0.5 s on each sign of a d = 60 Bell matrix
+# projected ascent takes up to 0.5 s on each sign of a d = 60 Bell matrix
 SLOW_PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
 
 angle = st.floats(min_value=-math.pi, max_value=math.pi)
+random_matrix = st.builds(
+    lambda n, seed: bipartite(
+        np.random.default_rng(seed).standard_normal(((n + 1) // 2, n // 2))
+    ),
+    st.integers(min_value=1, max_value=40),
+    st.integers(0, 2**32 - 1),
+)
 
 
 def solve(matrix):
@@ -39,11 +68,24 @@ def solve(matrix):
     return lam
 
 
+def reported(m, d, matrix):
+    """The value ``optimize_state`` reports for a Bell matrix, after checking
+    that its state is feasible and KKT-stationary on one sign of the matrix."""
+    lam, state = optimize_state(m, d, None, "nonnegative", matrix)
+    v = state.coefficients
+    assert v.min() >= 0.0
+    assert min(stationarity_residual(s * matrix, v, lam) for s in (1, -1)) <= 1e-8
+    return lam
+
+
+def clipped_norm(matrix, sign):
+    """sigma_max(max(sign B, 0)) for the even/odd block B of the matrix."""
+    return np.linalg.norm(np.maximum(sign * matrix[0::2, 1::2], 0.0), 2)
+
+
 @PROPERTY
-@given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
-def test_random_bipartite_reaches_old_solver(n, seed):
-    rng = np.random.default_rng(seed)
-    matrix = bipartite(rng.standard_normal(((n + 1) // 2, n // 2)))
+@given(matrix=random_matrix)
+def test_random_bipartite_reaches_old_solver(matrix):
     assert solve(matrix) >= projected_ascent_optimum(matrix)[0] - 1e-12
 
 
@@ -59,6 +101,87 @@ def test_bell_matrix_both_signs_reach_old_solver(m, d, drawn):
     else:
         angles = AngleSettings(drawn[:m], drawn[4:4 + m])
     matrix = bell_matrix(m, d, angles)
-    new = max(solve(matrix), solve(-matrix))
     old = max(projected_ascent_optimum(matrix)[0], projected_ascent_optimum(-matrix)[0])
-    assert new >= old - 1e-12
+    assert reported(m, d, matrix) >= old - 1e-12
+
+
+@PROPERTY
+@given(matrix=random_matrix)
+def test_random_bipartite_reaches_power_steps_oracle(matrix):
+    assert solve(matrix) >= power_steps_nonneg_optimum(matrix)[0] - 1e-12
+
+
+@PROPERTY
+@given(m=st.sampled_from((2, 3, 4)), d=st.integers(min_value=2, max_value=60))
+def test_bell_optimum_equals_power_steps_oracle(m, d):
+    matrix = bell_matrix(m, d, default_optimizer_angles(m))
+    lam, state = optimize_state(m, d, None, "nonnegative", matrix)
+    oracle_lam, oracle_v = both_signs_nonneg_optimum(matrix)
+    assert abs(lam - oracle_lam) <= 1e-12 * abs(oracle_lam)
+    # the benchmark's band for coefficient columns
+    assert np.all(np.abs(state.coefficients - oracle_v) <= 1e-9 * np.abs(oracle_v) + 1e-12)
+
+
+@PROPERTY
+@given(matrix=random_matrix)
+def test_clipped_norm_bounds_each_sign_and_the_skip_loses_nothing(matrix):
+    values = {s: solve(s * matrix) for s in (1, -1)}
+    for s, value in values.items():
+        bound = clipped_norm(matrix, s)
+        assert value <= bound + 1e-12 * (1.0 + bound)
+    lam, _ = optimize_state(1, matrix.shape[0], None, "nonnegative", matrix)
+    assert lam == max(values.values())
+
+
+def counting_solver(monkeypatch):
+    """Replace the solver ``optimize_state`` calls with one that records the
+    matrix of every call."""
+    calls = []
+
+    def counted(matrix, constraint=None):
+        calls.append(matrix)
+        return max_eigenpair(matrix, constraint=constraint)
+
+    monkeypatch.setattr(signbin, "max_eigenpair", counted)
+    return calls
+
+
+def test_losing_sign_is_not_solved(monkeypatch):
+    calls = counting_solver(monkeypatch)
+    for m, d in ((2, 30), (3, 60)):
+        angles = default_optimizer_angles(m)
+        matrix = bell_matrix(m, d, angles)
+        calls.clear()
+        lam, _ = optimize_state(m, d, angles, "nonnegative", matrix)
+        assert len(calls) == 1
+        sign = 1 if np.array_equal(calls[0], matrix) else -1
+        assert clipped_norm(matrix, -sign) < lam
+        assert abs(lam - both_signs_nonneg_optimum(matrix)[0]) <= 1e-12 * lam
+
+
+def test_tie_solves_both_signs_and_keeps_plus(monkeypatch):
+    """-B is B with its columns swapped, so both signs reach the same value."""
+    matrix = bipartite([[1.0, -1.0], [-1.0, 1.0]])
+    lam_pos, v_pos = max_eigenpair(matrix, constraint="nonnegative")
+    lam_neg, v_neg = max_eigenpair(-matrix, constraint="nonnegative")
+    assert lam_pos == lam_neg == 1.0
+    assert not np.array_equal(v_pos, v_neg)
+    calls = counting_solver(monkeypatch)
+    lam, state = optimize_state(2, 4, None, "nonnegative", matrix)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], matrix) and np.array_equal(calls[1], -matrix)
+    assert lam == 1.0
+    assert np.array_equal(state.coefficients, v_pos / np.linalg.norm(v_pos))
+
+
+def test_support_finish_needs_kkt_off_the_support():
+    """On B = ones((2, 2)) a start on the first row and column alone has a
+    positive top pair on its support, but B y > 0 off it: no finish.  On the
+    full support the finish is the top singular pair, of value 2."""
+    b = np.ones((2, 2))
+    on_first = np.array([[1.0], [0.0]])
+    assert _support_finish(b, on_first, on_first, np.array([1.0])) is None
+    uniform = np.full((2, 1), math.sqrt(0.5))
+    x, y, value = _support_finish(b, uniform, uniform, np.array([2.0]))
+    assert np.allclose(x, uniform[:, 0]) and np.allclose(y, uniform[:, 0])
+    assert abs(value - 2.0) <= 1e-15
