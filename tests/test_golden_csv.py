@@ -1,33 +1,51 @@
 """Byte identity of the non-negative optimizer's CSV output.
 
-Each invocation runs in this process through ``cli.main`` and its CSV must
-equal, byte for byte, either the committed benchmark reference under
-``perfbench/reference/`` (read only; the benchmark itself compares within
-tolerances) or a golden file under ``tests/golden/``.
+Each invocation runs in this process through ``cli.main`` and its CSV is
+checked against either the committed benchmark reference under
+``perfbench/reference/`` (read only) or a golden file under
+``tests/golden/``.  The golden files hold the bytes the code wrote before
+the support finish and the sign skip.
 
-The golden files hold the bytes the code wrote before the support finish
-and the sign skip, with numpy 2.4 on OpenBLAS 0.3.31 (x86-64).  The last
-printed digit of a coefficient can move with another BLAS build; the
-tolerance check in ``test_reference_outputs.py`` is the portable one.  The
-m = 3, d = 60 reference is one such case: four of its coefficients differ
-from what that build writes, in the twelfth significant digit, so its bytes
-are pinned here by a golden file instead.
+The last printed digit of a coefficient can move with the numpy and BLAS
+build, so ``tests/golden/build.json`` records the build that wrote the
+golden files (numpy version, BLAS library and version, machine type).  On
+that build every CSV must equal its file byte for byte; the same bytes came
+out there with OpenBLAS forced to its Haswell and Katmai kernels as with
+its SkylakeX default.  On any other build the CSV must match within the
+benchmark's tolerances (``perfbench/reference.compare``: relative 1e-9 plus
+absolute 1e-12 on coefficients), as in ``test_reference_outputs.py``.
+
+The m = 3, d = 60 reference differs from what the recorded build writes in
+the twelfth significant digit of four coefficients, so its bytes are pinned
+by a golden file instead.
 
 A change that moves these bytes on purpose rewrites only the files it moves,
 with ``PYTHONPATH=src python tests/test_golden_csv.py [stem ...]``, and
-CHANGES.md names each file, the largest change and why.
+CHANGES.md names each file, the largest change and why.  On a build other
+than the recorded one the script rewrites every golden file and the build
+record together.
 """
 
+import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellscope import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+BUILD = GOLDEN / "build.json"
 REFERENCE = ROOT / "perfbench" / "reference"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    import reference
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 # (file, argv) for every pinned invocation
 PINNED = (
@@ -40,6 +58,16 @@ PINNED = (
 )
 
 
+def running_build():
+    """The numpy version, BLAS library and machine type of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+    }
+
+
 def csv_bytes(argv, out):
     assert cli.main(["sign-optimize", *argv, "--out", str(out)]) == 0
     return (Path(out) / "sign-optimize.csv").read_bytes()
@@ -47,14 +75,24 @@ def csv_bytes(argv, out):
 
 @pytest.mark.parametrize("path, argv", PINNED, ids=[path.stem for path, _ in PINNED])
 def test_csv_bytes_unchanged(tmp_path, path, argv):
-    assert csv_bytes(argv, tmp_path) == path.read_bytes()
+    actual, expected = csv_bytes(argv, tmp_path), path.read_bytes()
+    if running_build() == json.loads(BUILD.read_text(encoding="utf-8")):
+        assert actual == expected
+    else:
+        assert reference.compare(expected.decode(), actual.decode()) is None
 
 
 if __name__ == "__main__":
     import tempfile
 
+    build = running_build()
+    stems = sys.argv[1:]
+    if build != json.loads(BUILD.read_text(encoding="utf-8")):
+        stems = []
+        BUILD.write_text(json.dumps(build, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {BUILD.relative_to(ROOT)}")
     for path, argv in PINNED:
-        if path.parent == GOLDEN and (len(sys.argv) == 1 or path.stem in sys.argv[1:]):
+        if path.parent == GOLDEN and (not stems or path.stem in stems):
             with tempfile.TemporaryDirectory() as out:
                 path.write_bytes(csv_bytes(argv, out))
             print(f"wrote {path.relative_to(ROOT)}")

@@ -23,6 +23,7 @@ the losing sign, whose local optima the solvers disagree on, is not solved.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -58,23 +59,39 @@ random_matrix = st.builds(
 )
 
 
-def solve(matrix):
-    """The constrained value, after checking feasibility and the KKT residual."""
-    lam, v = max_eigenpair(matrix, constraint="nonnegative")
+def check(matrix, lam, v):
+    """Feasibility, lam = v.T M v and the KKT residual of a solution on M."""
     assert v.min() >= 0.0
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert stationarity_residual(matrix, v, lam) <= 1e-8
     assert abs(lam - v @ matrix @ v) <= 1e-12 * (1.0 + abs(lam))
+
+
+def solve(matrix):
+    """The constrained value, after checking the solution."""
+    lam, v = max_eigenpair(matrix, constraint="nonnegative")
+    check(matrix, lam, v)
     return lam
 
 
 def reported(m, d, matrix):
     """The value ``optimize_state`` reports for a Bell matrix, after checking
-    that its state is feasible and KKT-stationary on one sign of the matrix."""
-    lam, state = optimize_state(m, d, None, "nonnegative", matrix)
-    v = state.coefficients
-    assert v.min() >= 0.0
-    assert min(stationarity_residual(s * matrix, v, lam) for s in (1, -1)) <= 1e-8
+    its state as a solution on the sign of the matrix that produced it."""
+    solved = []
+
+    def recorded(signed, constraint=None):
+        lam, v = max_eigenpair(signed, constraint=constraint)
+        solved.append((signed, lam, v))
+        return lam, v
+
+    with mock.patch.object(signbin, "max_eigenpair", recorded):
+        lam, state = optimize_state(m, d, None, "nonnegative", matrix)
+    signed = next(
+        signed
+        for signed, value, v in solved
+        if value == lam and np.array_equal(v / np.linalg.norm(v), state.coefficients)
+    )
+    check(signed, lam, state.coefficients)
     return lam
 
 
