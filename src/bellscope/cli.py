@@ -163,12 +163,11 @@ def cmd_cat_vw(options):
 
 def cmd_psi3_curve(options):
     rows = []
-    for alpha in options.alpha:
-        report = rootbin.psi3_bell_report(alpha, options.tol)
+    for report in rootbin.psi3_bell_report(options.alpha, options.tol):
         prob_err = max(abs(s - 1.0) for s in report.probability_sums.values())
         rows.append(
             (
-                alpha,
+                report.alpha,
                 report.bell_x_unprimed,
                 report.bell_p_unprimed,
                 report.bell_best,

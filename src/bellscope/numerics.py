@@ -1,5 +1,5 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature over finite
-segments, and even/odd bipartite eigenproblems.
+segments, many integrals in lockstep, and even/odd bipartite eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "IntegrationError",
+    "integrate_batch",
     "integrate_segments",
     "max_eigenpair",
 ]
@@ -27,146 +28,140 @@ class IntegrationError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-# 7-point Gauss / 15-point Kronrod pair.  Gauss weights are zero at the
-# Kronrod-only nodes so both rules come from one set of evaluations.
-_GK_NODES = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
-_GK_WK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
-_GK_WG = np.array(
-    [
-        0.0,
-        0.129484966168870,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.417959183673469,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.129484966168870,
-        0.0,
-    ]
-)
+# 7-point Gauss / 15-point Kronrod pair, symmetric about 0: (node, Kronrod
+# weight, Gauss weight) from the largest node down to 0.  Gauss weights are
+# zero at the Kronrod-only nodes so both rules come from one set of
+# evaluations.
+_GK_HALF = np.array([
+    (0.991455371120813, 0.022935322010529, 0.0),
+    (0.949107912342759, 0.063092092629979, 0.129484966168870),
+    (0.864864423359769, 0.104790010322250, 0.0),
+    (0.741531185599394, 0.140653259715525, 0.279705391489277),
+    (0.586087235467691, 0.169004726639267, 0.0),
+    (0.405845151377397, 0.190350578064785, 0.381830050505119),
+    (0.207784955007898, 0.204432940075298, 0.0),
+    (0.0, 0.209482141084728, 0.417959183673469),
+])
+_GK_NODES, _GK_WK, _GK_WG = np.concatenate(
+    [_GK_HALF[:-1] * [-1.0, 1.0, 1.0], _GK_HALF[::-1]]
+).T.copy()
 
 
 # Relative accuracy below which a running sum of panels cannot be resolved.
 _SUM_FLOOR = 64.0 * np.finfo(float).eps
 
 
-def _panels(f, a, b):
-    """Gauss-Kronrod panels over (a[i], b[i]) with one call of ``f`` on all
-    their nodes.  Returns (kronrod values, |K - G| error guesses)."""
+def _abs(z):
+    """Elementwise abs rounded as Python's: np.hypot is the C hypot behind
+    complex.__abs__; numpy's complex abs can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
+def _panels(f, a, b, owner):
+    """Gauss-Kronrod panels over (a[i], b[i]) with one call ``f(x, owner)``
+    on all their nodes, panel i's nodes owned by owner[i].  Returns arrays
+    of kronrod values and |K - G| error guesses."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     xs = mid[:, None] + half[:, None] * _GK_NODES
-    ys = np.asarray(f(xs.ravel())).reshape(xs.shape)
+    ys = np.asarray(f(xs.ravel(), np.repeat(owner, _GK_NODES.size))).reshape(xs.shape)
     if not np.all(np.isfinite(ys)):
         raise IntegrationError("integrand returned a non-finite value")
     # The weights go first: vecdot then rounds each panel exactly as the
     # single-panel dot product ``_GK_WK @ ys`` does.  numpy does not promise
     # that; it holds for the numpy/BLAS builds checked and is tested in
-    # tests/test_quadrature_batching.py.  The error is taken per panel
-    # because numpy's vectorised complex abs can differ from hypot in the
-    # last bit.
-    k = (half * np.vecdot(_GK_WK, ys)).tolist()
-    g = (half * np.vecdot(_GK_WG, ys)).tolist()
-    return k, [abs(kk - gg) for kk, gg in zip(k, g)]
+    # tests/test_quadrature_batching.py, as is _abs.
+    k = half * np.vecdot(_GK_WK, ys)
+    return k, _abs(k - half * np.vecdot(_GK_WG, ys))
+
+
+def _running_sums(values, owner, counts):
+    """0.0 + v_0 + v_1 + ... of each integral's values, left to right:
+    np.add.accumulate is sequential, and +0.0 padding leaves a sum as is."""
+    padded = np.zeros((len(counts), counts.max() + 1), dtype=values.dtype)
+    padded[owner, np.arange(values.size) - (np.cumsum(counts) - counts)[owner] + 1] = values
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
+def integrate_batch(families, tol=1e-10, max_intervals=4096):
+    """Adaptive Gauss-Kronrod quadrature of many integrals in lockstep.
+
+    ``families`` holds (f, segment_lists) pairs, one integral per list of
+    finite segments; ``f(x, owner)`` gets a flat array of abscissas and the
+    index of each one's integral (complex results are fine).  Each integral
+    keeps its own heap, running sums and stopping rule: the worst panel is
+    bisected until the summed error estimate is below ``tol`` or below the
+    machine-precision floor of the running sum.  Only integrand calls are
+    shared, one per family for all initial segments and then one per round
+    for both halves of every unconverged integral's worst panel.  Returns
+    one list of results per family.  The first integral (by round, then
+    position) to run out of subdivisions raises ``IntegrationError``
+    carrying its error estimate.
+    """
+    results, active = [], []
+    for family, (f, segment_lists) in enumerate(families):
+        lists = [[(a, b) for a, b in segments if b != a] for segments in segment_lists]
+        counts = np.array([len(s) for s in lists], dtype=int)
+        if not counts.sum():
+            results.append([0.0] * len(lists))
+            continue
+        owner = np.repeat(np.arange(len(lists)), counts)
+        a, b = np.array([seg for s in lists for seg in s], dtype=float).T
+        values, errors = _panels(f, a, b, owner)
+        sums = [_running_sums(x, owner, counts) for x in (values, errors, _abs(values))]
+        total, total_err, total_abs = (x.tolist() for x in sums)
+        results.append([t if n else 0.0 for t, n in zip(total, counts.tolist())])
+        ends = np.cumsum(counts)
+        for i in np.flatnonzero((sums[1] > tol) & (sums[1] > _SUM_FLOOR * sums[2])).tolist():
+            # heap of (-err, tiebreak, a, b, value, err); the tiebreaks are
+            # unique, so the pop order does not depend on how it was built.
+            part = slice(ends[i] - counts[i], ends[i])
+            entries = list(zip(
+                (-errors[part]).tolist(), range(counts[i]), a[part].tolist(),
+                b[part].tolist(), values[part].tolist(), errors[part].tolist(),
+            ))
+            heapq.heapify(entries)
+            active.append([family, i, entries, len(entries), total[i], total_err[i], total_abs[i]])
+
+    while active:
+        halves = [[] for _ in families]
+        for member in active:
+            _, _, entries, _, total, total_err, total_abs = member
+            if not total_err > max(tol, _SUM_FLOOR * total_abs):
+                continue
+            if len(entries) >= max_intervals:
+                raise IntegrationError(
+                    f"no convergence after {max_intervals} intervals "
+                    f"(error estimate {total_err:.3e}, tol {tol:.3e})",
+                    achieved_error=total_err,
+                )
+            _, _, a, b, val, err = heapq.heappop(entries)
+            if err != 0.0:
+                member[4:] = total - val, total_err - err, total_abs - abs(val)
+                mid = 0.5 * (a + b)
+                halves[member[0]] += [(member, a, mid), (member, mid, b)]
+        active = []
+        for family, panels in enumerate(halves):
+            if not panels:
+                continue
+            members, lo, hi = zip(*panels)
+            owner = np.array([member[1] for member in members])
+            values, errors = _panels(families[family][0], np.array(lo), np.array(hi), owner)
+            for member, a, b, val, err in zip(members, lo, hi, values.tolist(), errors.tolist()):
+                heapq.heappush(member[2], (-err, member[3], a, b, val, err))
+                member[3:] = member[3] + 1, member[4] + val, member[5] + err, member[6] + abs(val)
+                results[family][member[1]] = member[4]
+            active += members[::2]
+    return results
 
 
 def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
-    """Adaptive quadrature over a union of finite segments.
-
-    ``f`` must accept a flat numpy array of abscissas (complex results are
-    fine); it is called once for all initial segments and once per
-    bisection, on the nodes of every panel involved.  The worst segment is
-    bisected until the summed error estimate drops below ``tol`` in
-    absolute terms, or below the machine-precision floor of the running
-    sum, whichever is larger.  Running out of subdivisions raises
-    ``IntegrationError`` carrying the achieved error estimate.
-    """
-    segments = [(a, b) for a, b in segments if b != a]
-    values, errors = [], []
-    if segments:
-        values, errors = _panels(f, *np.array(segments, dtype=float).T)
-    # heap of (-err, tiebreak, a, b, value, err); the tiebreaks are unique,
-    # so the pop order does not depend on how the heap was built.
-    entries = [
-        (-err, counter, a, b, val, err)
-        for counter, ((a, b), val, err) in enumerate(zip(segments, values, errors))
-    ]
-    heapq.heapify(entries)
-    counter = len(entries)
-    total = 0.0
-    total_err = 0.0
-    total_abs = 0.0
-    for val, err in zip(values, errors):
-        total = total + val
-        total_err += err
-        total_abs += abs(val)
-
-    while total_err > max(tol, _SUM_FLOOR * total_abs):
-        if len(entries) >= max_intervals:
-            raise IntegrationError(
-                f"no convergence after {max_intervals} intervals "
-                f"(error estimate {total_err:.3e}, tol {tol:.3e})",
-                achieved_error=total_err,
-            )
-        neg_err, _, a, b, val, err = heapq.heappop(entries)
-        if err == 0.0:
-            heapq.heappush(entries, (neg_err, counter, a, b, val, err))
-            break
-        total = total - val
-        total_err -= err
-        total_abs -= abs(val)
-        mid = 0.5 * (a + b)
-        values, errors = _panels(f, np.array([a, mid]), np.array([mid, b]))
-        for lo, hi, val2, err2 in zip((a, mid), (mid, b), values, errors):
-            heapq.heappush(entries, (-err2, counter, lo, hi, val2, err2))
-            counter += 1
-            total = total + val2
-            total_err += err2
-            total_abs += abs(val2)
-
-    return total
+    """Adaptive quadrature over a union of finite segments, a batch of one
+    for ``integrate_batch``: ``f`` takes a flat array of abscissas and is
+    called once for all segments, then once per bisection of the worst
+    panel, until the summed error estimate is below ``tol`` or the
+    machine-precision floor of the running sum, whichever is larger."""
+    return integrate_batch([(lambda x, _owner: f(x), [segments])], tol, max_intervals)[0][0]
 
 
 def _check_bipartite(matrix) -> np.ndarray:

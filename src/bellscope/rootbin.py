@@ -31,7 +31,12 @@ the first sign change at pi/(2 mu) add less than e^{-(pi/(2 mu))^2}.
 
 The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
-three-mode coherent-superposition candidate state.
+three-mode coherent-superposition candidate state.  A whole amplitude grid
+is one computation: every per-mode integral of every amplitude is a member
+of one lockstep quadrature (``numerics.integrate_batch``), and one array
+kernel forms the joint probabilities of every (amplitude, setting pattern,
+term pair, outcome), looping only over modes.  Both round every value as
+the one-amplitude, one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -49,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mk import mk_sum, mk_sum_tuplewise
-from .numerics import integrate_segments
+from .numerics import integrate_batch
 
 __all__ = [
     "RootBinningSpec",
@@ -222,106 +227,89 @@ def overlaps_VW(pair: CatPair):
     return _cat_overlaps(pair.mu, 2.0 * c_plus * c_minus)
 
 
+_PSI3_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
 def psi3_prime_terms(alpha: float):
     """The large-amplitude three-mode candidate state: an equal-weight sum of
     |a,a,a>, |a,-a,-a>, |-a,a,-a>, |-a,-a,a> with c'^2 = 1/[4(1+3e^{-4a^2})]."""
     if alpha <= 0:
         raise ValueError("amplitude must be > 0")
     weight = 1.0 / (2.0 * math.sqrt(1.0 + 3.0 * math.exp(-4.0 * alpha * alpha)))
-    patterns = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
     return tuple(
-        (weight, tuple(s * alpha for s in signs)) for signs in patterns
+        (weight, tuple(s * alpha for s in signs)) for signs in _PSI3_SIGNS
     )
 
 
-def _coherent_cross_x(a: float, b: float):
-    """<x|a> <x|b> for real amplitudes: both wavefunctions are real Gaussians."""
-    mu_a = math.sqrt(2.0) * a
-    mu_b = math.sqrt(2.0) * b
-
-    def cross(x):
-        return (math.pi ** -0.5) * np.exp(
-            -0.5 * (x - mu_a) ** 2 - 0.5 * (x - mu_b) ** 2
-        )
-
-    return cross
-
-
-def _coherent_cross_p(a: float, b: float):
-    """<p|a> conj(<p|b>) = pi^{-1/2} e^{-p^2} e^{-i sqrt(2) (a-b) p}."""
-    delta = math.sqrt(2.0) * (a - b)
-
-    def cross(p):
-        return (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta * p)
-
-    return cross
-
-
-def _mode_table(pair, setting, amplitudes, tol):
-    """Per-mode integrals of every coherent cross term over the two binning
-    domains.  Returns {(a, b): (I_plus, I_minus)}.
-
-    Each distinct integral is computed once.  <x|a><x|b> is symmetric in
-    (a, b); <p|a><p|b>* depends on a - b alone, and swapping a and b
-    conjugates it.  Both hold bit for bit in floating point, so every entry
-    equals its direct quadrature exactly.
-    """
-    if setting == "x":
-        segments = pair.x_segments()
-        make_cross = _coherent_cross_x
-    elif setting == "p":
-        segments = pair.p_segments()
-        make_cross = _coherent_cross_p
-    else:
-        raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")
-    plus = [(a, b) for a, b, s in segments if s > 0]
-    minus = [(a, b) for a, b, s in segments if s < 0]
-    per_call = max(tol / 2.0, 1e-14)
-    distinct = {}
-    table = {}
-    for a, b in itertools.product(sorted(set(amplitudes)), repeat=2):
-        if setting == "x":
-            key, swapped = (min(a, b), max(a, b)), False
-        else:
-            key, swapped = abs(a - b), a < b
-        if key not in distinct:
-            cross = make_cross(*((b, a) if swapped else (a, b)))
-            distinct[key] = (
-                integrate_segments(cross, plus, tol=per_call) if plus else 0.0,
-                integrate_segments(cross, minus, tol=per_call) if minus else 0.0,
-            )
-        i_plus, i_minus = distinct[key]
-        if swapped:
-            i_plus, i_minus = i_plus.conjugate(), i_minus.conjugate()
-        table[(a, b)] = (i_plus, i_minus)
-    return table
-
-
-def _joint_probabilities(terms, tables):
-    """All 2^m binned outcome probabilities from one mode table per mode."""
-    # Per pair of terms: the weight product and each mode's (I_plus, I_minus).
-    pairs = [
-        (
-            w_i * complex(w_j).conjugate(),
-            [table[(a_i[t], a_j[t])] for t, table in enumerate(tables)],
-        )
-        for w_i, a_i in terms
-        for w_j, a_j in terms
+def _mode_tables(requests, tol):
+    """Per-mode integrals of the coherent cross terms over the two binning
+    domains for each (pair, setting, amplitudes): complex T[i, j, side] over
+    the sorted distinct amplitudes, side 0 for plus, all from one lockstep
+    batch.  <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu =
+    sqrt(2) a, is symmetric in (a, b); <p|a><p|b>* = pi^{-1/2} e^{-p^2}
+    e^{-i sqrt(2) (a-b) p} depends on a - b, conjugated by a swap.  Both hold
+    bit for bit, so each distinct integral is computed once."""
+    segment_lists, keys, layouts = {"x": [], "p": []}, {"x": [], "p": []}, []
+    for pair, setting, amplitudes in requests:
+        if setting not in keys:
+            raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")
+        segments = pair.x_segments() if setting == "x" else pair.p_segments()
+        plus = [(a, b) for a, b, s in segments if s > 0]
+        minus = [(a, b) for a, b, s in segments if s < 0]
+        amps = sorted(set(amplitudes))
+        distinct, cells = {}, []
+        for a, b in itertools.product(amps, repeat=2):
+            key, swapped = ((min(a, b), max(a, b)), False) if setting == "x" else (abs(a - b), a < b)
+            if key not in distinct:
+                distinct[key] = len(segment_lists[setting])
+                segment_lists[setting] += [plus, minus]
+                keys[setting] += [key, key]
+            cells.append((distinct[key], swapped))
+        layouts.append((setting, len(amps), cells))
+    mu = math.sqrt(2.0) * np.array(keys["x"], dtype=float).reshape(-1, 2)
+    delta = math.sqrt(2.0) * np.array(keys["p"], dtype=float)
+    values = dict(zip("xp", integrate_batch([
+        (lambda x, i: (math.pi ** -0.5) * np.exp(
+            -0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2
+        ), segment_lists["x"]),
+        (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i] * p),
+         segment_lists["p"]),
+    ], tol=max(tol / 2.0, 1e-14))))
+    return [
+        np.array([
+            [v.conjugate() for v in values[s][k:k + 2]] if swapped else values[s][k:k + 2]
+            for k, swapped in cells
+        ], dtype=complex).reshape(n, n, 2)
+        for s, n, cells in layouts
     ]
-    probabilities = {}
-    for outcome in itertools.product((1, -1), repeat=len(tables)):
-        sides = [0 if d == 1 else 1 for d in outcome]
-        total = 0.0 + 0.0j
-        for factor, integrals in pairs:
-            for pair_integrals, side in zip(integrals, sides):
-                factor *= pair_integrals[side]
-            total += factor
-        if abs(total.imag) > 1e-10:
-            raise ArithmeticError(
-                f"probability came out non-real ({total!r}); inconsistent terms"
-            )
-        probabilities[outcome] = total.real
-    return probabilities
+
+
+def _outcome_probabilities(factors, amplitude_index, tables):
+    """Probabilities of all 2^m binned outcomes (itertools.product((1, -1))
+    order) at every point of a batch.  ``factors`` holds the real and
+    imaginary parts of w_i conj(w_j), broadcastable to (batch..., pairs, 1)
+    with the term pairs (i, j) in row-major order; ``tables[t]`` is mode t's
+    (batch..., n, n, 2) table, indexed by ``amplitude_index[i][t]``.
+    Complex products are float ufuncs in CPython's order, re = ar br - ai bi
+    and im = ar bi + ai br, and the pairs add in order to 0.0, so every
+    probability rounds as the scalar loop over pairs rounds it."""
+    m, index = len(tables), np.array(amplitude_index)
+    pair_i, pair_j = np.repeat(index, len(index), axis=0), np.tile(index, (len(index), 1))
+    outcome = np.arange(2 ** m)
+    re, im = factors
+    for t, table in enumerate(tables):
+        cells = table[..., pair_i[:, t], pair_j[:, t], :][..., (outcome >> (m - 1 - t)) & 1]
+        re, im = re * cells.real - im * cells.imag, re * cells.imag + im * cells.real
+    total_re, total_im = (  # np.add.accumulate is sequential
+        np.add.accumulate(np.concatenate([np.zeros_like(x[..., :1, :]), x], axis=-2), axis=-2)[..., -1, :]
+        for x in (re, im)
+    )
+    if np.any(np.abs(total_im) > 1e-10):
+        raise ArithmeticError(
+            f"probability came out non-real (imaginary part {np.abs(total_im).max():.3e}); "
+            "inconsistent terms"
+        )
+    return total_re
 
 
 # Only the tests call this; it stays here because perfbench/tracing.py wraps
@@ -337,11 +325,15 @@ def binned_product_probabilities(terms, settings, pair, tol=1e-9):
     m = len(settings)
     if any(len(amps) != m for _w, amps in terms):
         raise ValueError("term amplitude vectors must match the settings length")
-    tables = [
-        _mode_table(pair, setting, [amps[t] for _w, amps in terms], tol)
-        for t, setting in enumerate(settings)
-    ]
-    return _joint_probabilities(terms, tables)
+    amplitudes = [sorted(set([amps[t] for _w, amps in terms])) for t in range(m)]
+    tables = _mode_tables(
+        [(pair, setting, amplitudes[t]) for t, setting in enumerate(settings)], tol
+    )
+    factors = np.array([w_i * complex(w_j).conjugate() for w_i, _ in terms for w_j, _ in terms])
+    factors = (factors.real[:, None], factors.imag[:, None])
+    index = [[amplitudes[t].index(a) for t, a in enumerate(amps)] for _w, amps in terms]
+    probabilities = _outcome_probabilities(factors, index, tables)
+    return dict(zip(itertools.product((1, -1), repeat=m), probabilities.tolist()))
 
 
 @dataclass(frozen=True)
@@ -360,40 +352,45 @@ class Psi3Report:
         return max(self.bell_x_unprimed, self.bell_p_unprimed)
 
 
-def psi3_bell_report(alpha: float, tol: float = 1e-9) -> Psi3Report:
+def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     """Bell factor of the three-mode coherent-superposition state by direct
-    domain integration of its binned joint probabilities.
+    domain integration of its binned joint probabilities: one ``Psi3Report``
+    per amplitude of ``alphas``, in order.
 
     The state is permutation symmetric, so each correlator depends only on
     how many parties measured X; the four values cover both labelings.
-    Every mode carries the amplitudes +/-alpha, so one x table and one p
-    table serve all of them.
+    Every mode carries +/-alpha, so one x and one p table per amplitude
+    serve all modes.  The probabilities are one array over (amplitude,
+    setting pattern, outcome), summed over outcomes left to right as the
+    builtin ``sum`` of Python 3.11 adds them.
     """
-    pair = cat_pair(alpha)
-    terms = psi3_prime_terms(alpha)
-    tables = {s: _mode_table(pair, s, (-alpha, alpha), tol) for s in "xp"}
-    correlators = {}
-    probability_sums = {}
-    min_probability = math.inf
-    for n_x in range(4):
-        settings = "x" * n_x + "p" * (3 - n_x)
-        probs = _joint_probabilities(terms, [tables[s] for s in settings])
-        probability_sums[n_x] = sum(probs.values())
-        min_probability = min(min_probability, min(probs.values()))
-        correlators[n_x] = sum(
-            (outcome[0] * outcome[1] * outcome[2]) * p for outcome, p in probs.items()
+    pairs = [cat_pair(alpha) for alpha in alphas]
+    if not pairs:
+        return []
+    tables = np.array(
+        _mode_tables([(pair, s, (-pair.alpha, pair.alpha)) for pair in pairs for s in "xp"], tol)
+    ).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
+    # mode t of setting pattern n_x (= how many parties measure X) is X for t < n_x
+    per_mode = [tables[:, [int(t >= n_x) for n_x in range(4)]] for t in range(3)]
+    weights = np.array([psi3_prime_terms(pair.alpha)[0][0] for pair in pairs])
+    factors = ((weights * weights)[:, None, None, None], 0.0)  # all terms weigh the same
+    index = [[int(s > 0) for s in signs] for signs in _PSI3_SIGNS]  # into (-alpha, alpha)
+    probs = _outcome_probabilities(factors, index, per_mode)  # (alpha, n_x, outcome)
+    signs = [float(o[0] * o[1] * o[2]) for o in itertools.product((1, -1), repeat=3)]
+    sums = correlators = 0.0
+    for o, sign in enumerate(signs):
+        sums = sums + probs[..., o]
+        correlators = correlators + sign * probs[..., o]
+    # The tuple-by-tuple MK sum keeps the rounding of the reference curve
+    # where one labeling cancels to noise.
+    return [
+        Psi3Report(
+            alpha=pair.alpha,
+            bell_x_unprimed=abs(mk_sum_tuplewise(c[::-1])),
+            bell_p_unprimed=abs(mk_sum_tuplewise(c)),
+            correlators=dict(enumerate(c)),
+            probability_sums=dict(enumerate(s)),
+            min_probability=min(min(row) for row in p),
         )
-    # The tuple-by-tuple sum keeps the rounding of the reference curve where
-    # one labeling cancels to noise.
-    bells = {
-        "x-unprimed": abs(mk_sum_tuplewise([correlators[3 - k] for k in range(4)])),
-        "p-unprimed": abs(mk_sum_tuplewise([correlators[k] for k in range(4)])),
-    }
-    return Psi3Report(
-        alpha=alpha,
-        bell_x_unprimed=bells["x-unprimed"],
-        bell_p_unprimed=bells["p-unprimed"],
-        correlators=correlators,
-        probability_sums=probability_sums,
-        min_probability=min_probability,
-    )
+        for pair, p, s, c in zip(pairs, probs.tolist(), sums.tolist(), correlators.tolist())
+    ]

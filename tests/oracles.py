@@ -14,6 +14,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -31,8 +32,6 @@ from bellscope.numerics import (
 )
 from bellscope.rootbin import (
     Psi3Report,
-    _coherent_cross_p,
-    _coherent_cross_x,
     binned_product_probabilities,
     cat_norms,
     cat_pair,
@@ -431,6 +430,29 @@ def integrate_segments_one_panel_at_a_time(f, segments, tol=1e-10, max_intervals
     return float(total)
 
 
+def _coherent_cross_x(a, b):
+    """<x|a> <x|b> for real amplitudes: both wavefunctions are real Gaussians."""
+    mu_a = math.sqrt(2.0) * a
+    mu_b = math.sqrt(2.0) * b
+
+    def cross(x):
+        return (math.pi ** -0.5) * np.exp(
+            -0.5 * (x - mu_a) ** 2 - 0.5 * (x - mu_b) ** 2
+        )
+
+    return cross
+
+
+def _coherent_cross_p(a, b):
+    """<p|a> conj(<p|b>) = pi^{-1/2} e^{-p^2} e^{-i sqrt(2) (a-b) p}."""
+    delta = math.sqrt(2.0) * (a - b)
+
+    def cross(p):
+        return (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta * p)
+
+    return cross
+
+
 def binned_probabilities_every_entry(terms, settings, pair, tol=1e-9):
     """``binned_product_probabilities`` with no shared work: every mode gets
     its own table, and every (a, b) entry of it its own pair of
@@ -477,11 +499,14 @@ def psi3_report_every_entry(alpha, tol=1e-9):
     for n_x in range(4):
         settings = "x" * n_x + "p" * (3 - n_x)
         probs = binned_probabilities_every_entry(terms, settings, pair, tol)
-        probability_sums[n_x] = sum(probs.values())
+        # Left to right from 0.0, as the builtin sum adds floats up to
+        # Python 3.11 (3.12 compensates it); spelled out so that the
+        # comparison does not depend on the interpreter.
+        probability_sums[n_x] = functools.reduce(operator.add, probs.values(), 0.0)
         min_probability = min(min_probability, min(probs.values()))
-        correlators[n_x] = sum(
+        correlators[n_x] = functools.reduce(operator.add, (
             (outcome[0] * outcome[1] * outcome[2]) * p for outcome, p in probs.items()
-        )
+        ), 0.0)
     return Psi3Report(
         alpha=alpha,
         bell_x_unprimed=abs(mk_sum_tuplewise([correlators[3 - k] for k in range(4)])),

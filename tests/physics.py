@@ -187,7 +187,7 @@ def maximal_violation_curve(m_max: int):
 def direct_bell_psi3(alpha: float, tol: float = 1e-9) -> float:
     """Bell factor of the three-mode candidate state, maximized over the two
     X/P labelings of the measurement settings."""
-    return psi3_bell_report(alpha, tol).bell_best
+    return psi3_bell_report([alpha], tol)[0].bell_best
 
 
 # -- Erasure noise ---------------------------------------------------------------

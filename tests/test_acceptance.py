@@ -220,7 +220,7 @@ def test_criterion_06_cat_state_overlaps():
 def test_criterion_07_psi3_direct_integration():
     started = time.perf_counter()
     alphas = [0.5 + 0.05 * k for k in range(50)]
-    reports = [psi3_bell_report(a) for a in alphas]
+    reports = psi3_bell_report(alphas)
     elapsed = time.perf_counter() - started
     crossing = next(
         (a for a, rep in zip(alphas, reports) if rep.bell_best >= 2.0), None

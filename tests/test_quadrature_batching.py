@@ -1,5 +1,6 @@
-"""Batched quadrature, shared mode tables and the Gram-matrix inner product,
-each against the one-at-a-time form it replaced (``tests/oracles.py``).
+"""Batched quadrature, the lockstep batch of many integrals, shared mode
+tables, the psi3 grid and the Gram-matrix inner product, each against the
+one-at-a-time form it replaced (``tests/oracles.py``).
 
 Batching changes how often an integrand is called, never a result: values,
 and the error estimate an ``IntegrationError`` carries, must be equal with
@@ -13,6 +14,7 @@ rounds like the ``@`` of the integrator before batching does depend on it
 checks that one fact on its own.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -27,7 +29,14 @@ from bellscope.catprep import (
     scs_state,
     tensor,
 )
-from bellscope.numerics import _GK_WG, _GK_WK, IntegrationError, integrate_segments
+from bellscope import cli, numerics, rootbin
+from bellscope.numerics import (
+    _GK_WG,
+    _GK_WK,
+    IntegrationError,
+    integrate_batch,
+    integrate_segments,
+)
 from bellscope.rootbin import binned_product_probabilities, cat_pair, psi3_bell_report
 from oracles import (
     binned_probabilities_every_entry,
@@ -87,6 +96,105 @@ def test_integrate_segments_matches_one_panel_at_a_time(
     assert batched == single
 
 
+location = st.floats(min_value=-3.0, max_value=3.0)
+scale = st.floats(min_value=0.1, max_value=5.0)
+# One family: an INTEGRANDS kind and its integrals as (p, q, segments).
+family = st.tuples(
+    st.sampled_from(sorted(INTEGRANDS)),
+    st.lists(st.tuples(location, scale, segment_lists), max_size=4),
+)
+
+
+def family_integrand(kind, members):
+    """f(x, owner) of a family: each integral's (p, q) broadcast per node."""
+    p = np.array([m[0] for m in members])
+    q = np.array([m[1] for m in members])
+    return lambda x, owner: INTEGRANDS[kind](p[owner], q[owner])(x)
+
+
+@PROPERTY
+@given(
+    families=st.lists(family, min_size=1, max_size=3),
+    tol=st.sampled_from((1e-4, 1e-8, 1e-12)),
+    max_intervals=st.integers(min_value=1, max_value=64),
+)
+@example(  # empty lists, zero-length segments, one converged at round 0
+    families=[
+        ("gauss", [(0.0, 1.0, []), (0.3, 2.0, [(1.0, 1.0)]), (0.1, 0.5, [(-1.0, 1.0)])]),
+        ("complex-kink", [(0.5, 1.0, [(-2.0, 0.0), (0.0, 0.0), (0.0, 2.0)]), (0.0, 1.0, [])]),
+        ("chirp", []),
+    ],
+    tol=1e-4,
+    max_intervals=4096,
+)
+@example(  # two members exhaust their subdivisions, in different rounds
+    families=[
+        ("peak", [(0.3, 5.0, [(-6.0, 6.0)]), (0.2, 1.0, [(-6.0, 0.0), (0.0, 6.0)])]),
+        ("kink", [(0.1, 1.0, [(-1.0, 2.0)])]),
+    ],
+    tol=1e-12,
+    max_intervals=8,
+)
+@example(  # two members exhaust their subdivisions in the same round
+    families=[("peak", [(0.3, 5.0, [(-6.0, 6.0)]), (-0.4, 2.0, [(-6.0, 6.0)])])],
+    tol=1e-12,
+    max_intervals=8,
+)
+def test_batch_matches_each_integral_one_panel_at_a_time(families, tol, max_intervals):
+    """Member by member ``==`` with the one-at-a-time integrator.  The batch
+    raises exactly when some member does alone; the member that raises is
+    the first by (round, position), and the error carries its estimate."""
+    singles, first_failure = [], None
+    for kind, members in families:
+        for p, q, segments in members:
+            single = outcome(
+                integrate_segments_one_panel_at_a_time,
+                INTEGRANDS[kind](p, q), segments, tol, max_intervals,
+            )
+            singles.append(single)
+            if single[0] == "error":
+                # a member with n nonzero segments raises in round
+                # max_intervals - n, before any bisection if that is <= 0
+                n = sum(b != a for a, b in segments)
+                key = (max(max_intervals - n, 0), len(singles))
+                first_failure = min(first_failure or (key, single), (key, single))
+    try:
+        results = integrate_batch(
+            [(family_integrand(kind, members), [m[2] for m in members])
+             for kind, members in families],
+            tol=tol, max_intervals=max_intervals,
+        )
+    except IntegrationError as exc:
+        assert first_failure is not None
+        assert ("error", str(exc), exc.achieved_error) == first_failure[1]
+        return
+    assert first_failure is None
+    batched = [("value", v, type(v)) for values in results for v in values]
+    assert batched == singles
+
+
+def test_hypot_rounds_like_complex_abs():
+    """Initial panel errors and running sums take the abs of complex arrays
+    with np.hypot, which must round as Python's complex abs does; numpy's
+    complex abs does not always."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(20000) * 10.0 ** rng.uniform(-30, 30, 20000)
+    z = z + 1j * rng.standard_normal(20000) * 10.0 ** rng.uniform(-30, 30, 20000)
+    assert numerics._abs(z).tolist() == [abs(c) for c in z.tolist()]
+
+
+def test_psi3_curve_exits_3_when_the_batch_fails(tmp_path, monkeypatch, capsys):
+    """Two intervals per integral are too few at alpha = 0.5: the batch
+    raises IntegrationError, and the CLI reports a numerical failure."""
+    monkeypatch.setattr(
+        rootbin, "integrate_batch",
+        functools.partial(numerics.integrate_batch, max_intervals=2),
+    )
+    assert cli.main(["psi3-curve", "--alpha", "0.5", "--out", str(tmp_path)]) == 3
+    assert "numerical failure: no convergence after 2 intervals" in capsys.readouterr().err
+    assert not (tmp_path / "psi3-curve.csv").exists()
+
+
 @pytest.mark.parametrize("dtype", (float, complex))
 def test_vecdot_rounds_like_matmul(dtype):
     """Batched panel sums ``np.vecdot(W, ys)`` equal the per-panel ``W @ y``
@@ -132,13 +240,31 @@ def test_one_integrand_call_per_batch():
 @example(alpha=1.1)
 @example(alpha=3.0)
 def test_psi3_report_equals_every_entry_integrated(alpha):
-    shared = psi3_bell_report(alpha)
+    (shared,) = psi3_bell_report([alpha])
     direct = psi3_report_every_entry(alpha)
     assert shared.bell_x_unprimed == direct.bell_x_unprimed
     assert shared.bell_p_unprimed == direct.bell_p_unprimed
     assert shared.correlators == direct.correlators
     assert shared.probability_sums == direct.probability_sums
     assert shared.min_probability == direct.min_probability
+
+
+def test_psi3_grid_equals_every_entry_integrated():
+    """One lockstep batch for an unsorted grid with a duplicate, from the
+    smallest amplitude the curve is run at to where the p partition first
+    differs from the callable pair's (6.85) and beyond; each report equals
+    the one-amplitude oracle in every field."""
+    grid = [6.85, 1e-9, 12.0, 0.05, 1.1, 0.05]
+    oracle = {alpha: psi3_report_every_entry(alpha) for alpha in set(grid)}
+    reports = psi3_bell_report(grid)
+    assert [r.alpha for r in reports] == grid
+    for report in reports:
+        direct = oracle[report.alpha]
+        assert report.bell_x_unprimed == direct.bell_x_unprimed
+        assert report.bell_p_unprimed == direct.bell_p_unprimed
+        assert report.correlators == direct.correlators
+        assert report.probability_sums == direct.probability_sums
+        assert report.min_probability == direct.min_probability
 
 
 @SLOW_PROPERTY

@@ -6,7 +6,7 @@ import pytest
 
 from bellscope.rootbin import (
     RootBinningSpec,
-    _mode_table,
+    _mode_tables,
     bell_factor_root,
     binned_product_probabilities,
     cat_pair,
@@ -215,8 +215,8 @@ class TestCatPair:
         for alpha in (0.5, 3.0, 6.85, 12.0):
             pair, oracle = cat_pair(alpha), callable_cat_pair(alpha)
             for setting in "xp":
-                assert _mode_table(pair, setting, (-alpha, alpha), 1e-9) == (
-                    _mode_table(oracle, setting, (-alpha, alpha), 1e-9)
+                assert _mode_tables([(pair, setting, (-alpha, alpha))], 1e-9)[0].tolist() == (
+                    _mode_tables([(oracle, setting, (-alpha, alpha))], 1e-9)[0].tolist()
                 )
 
     def test_rejects_nonpositive_amplitude(self):
@@ -367,7 +367,7 @@ class TestPsi3:
             assert gram == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_sanity(self):
-        report = psi3_bell_report(1.5)
+        (report,) = psi3_bell_report([1.5])
         for total in report.probability_sums.values():
             assert total == pytest.approx(1.0, abs=1e-8)
         assert report.min_probability >= -1e-9

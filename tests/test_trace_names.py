@@ -4,8 +4,9 @@
 drops that name's metrics from a traced run's result, so renaming or moving
 a traced function silently thins the benchmark.  Each workload runs one
 cheap invocation of one of its commands through ``perfbench/child.py
---trace`` in a fresh interpreter, as the benchmark does.  Nothing under
-``perfbench/`` is changed.
+--trace`` in a fresh interpreter, as the benchmark does, and so does a short
+psi3 curve, whose grid goes through the lockstep quadrature that the
+tracer does not wrap.  Nothing under ``perfbench/`` is changed.
 """
 
 import json
@@ -33,6 +34,8 @@ CHEAP = {
     "root-curves": ("prep-fidelity", "--alpha", "1"),
     "optimizer": ("sign-optimize", "--m", "2", "--d", "12", "--constraint", "nonneg"),
 }
+# Traced runs beyond the one per workload, by test id.
+EXTRA = {"root-curves-psi3-curve": ("psi3-curve", "--alpha", "0.5:0.6:0.05")}
 PER_LAYER = {
     metric["name"]
     for metric in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[
@@ -47,14 +50,14 @@ def test_one_cheap_invocation_per_workload():
         assert argv[0] in {run[0] for _, run in WORKLOADS[workload]}
 
 
-@pytest.mark.parametrize("workload", sorted(CHEAP))
+@pytest.mark.parametrize("workload", sorted(CHEAP) + sorted(EXTRA))
 def test_traced_run_has_every_metric(tmp_path, workload):
     trace_file = tmp_path / "trace.json"
     proc = subprocess.run(
         [
             sys.executable, str(PERFBENCH / "child.py"), "--src", str(ROOT / "src"),
             "--trace", str(trace_file), "--spawned", repr(time.monotonic()),
-            "--", *CHEAP[workload], "--out", str(tmp_path / "out"),
+            "--", *{**CHEAP, **EXTRA}[workload], "--out", str(tmp_path / "out"),
         ],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
         env={k: v for k, v in os.environ.items() if k != "BELLSCOPE_JOBS"},
@@ -66,6 +69,8 @@ def test_traced_run_has_every_metric(tmp_path, workload):
     metrics, absent = tracing.layer_metrics([(trace, 1.0)], 0)
     assert absent == []
     assert PER_LAYER <= metrics.keys()
+    if workload in EXTRA:  # the whole grid is one traced report call
+        assert metrics["rootbin.psi3_bell_report.calls"] == 1
 
 
 @pytest.mark.parametrize("path", tracing.SPANNED + tracing.COUNTED + (tracing.G_TABLE,))
