@@ -42,9 +42,7 @@ from .erasure import (
 from .catprep import (
     CoherentSuperposition,
     bs_transform,
-    fidelity,
     generation_pipeline,
-    homodyne_project,
     psi3_prime_state,
     scs_state,
     tensor,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +29,17 @@ __all__ = [
     "scs_state",
     "psi3_prime_state",
     "bs_transform",
-    "homodyne_project",
-    "fidelity",
     "BSNetwork",
     "PREP_NETWORKS",
     "PipelineResult",
     "generation_pipeline",
 ]
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(E), E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2]: the overlaps of
+    the coherent products in the rows of ``a`` with those in the rows of ``b``."""
+    return np.exp(a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +72,9 @@ class CoherentSuperposition:
         pair of terms."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode counts differ")
-        a, b = self.amplitudes, other.amplitudes
-        exponent = a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1))
-        return complex(self.weights.conj() @ np.exp(exponent) @ other.weights)
+        return complex(
+            self.weights.conj() @ _gram(self.amplitudes, other.amplitudes) @ other.weights
+        )
 
     def norm_squared(self) -> float:
         return self.inner_product(self).real
@@ -115,44 +118,6 @@ def bs_transform(state: CoherentSuperposition, a: int, b: int) -> CoherentSuperp
     return CoherentSuperposition(state.weights, amplitudes)
 
 
-def homodyne_project(state: CoherentSuperposition, mode: int, x0: float):
-    """Project ``mode`` onto the quadrature eigenvalue x0 and drop it.
-
-    Returns (normalized conditional state on the remaining modes, outcome
-    probability density at x0).  A conditional state of negligible norm
-    (density below 1e-300) is an error rather than a garbage state.
-    """
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode index {mode} out of range")
-    if state.n_modes == 1:
-        raise ValueError("cannot drop the only mode")
-    # <x0|a> as one Python float expression per term, and the weights divided
-    # by sqrt(density) part by part as Python's complex / float does: np.exp,
-    # an array ** 2 and numpy's complex division can round differently.
-    weights = state.weights * np.array([
-        math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
-        for a in state.amplitudes[:, mode].tolist()
-    ])
-    amplitudes = np.delete(state.amplitudes, mode, axis=1)
-    density = CoherentSuperposition(weights, amplitudes).norm_squared()
-    if density < 1e-300:
-        raise ArithmeticError(
-            f"conditional state at x0 = {x0!r} has vanishing density"
-        )
-    normalized = (weights.view(float) / math.sqrt(density)).view(complex)
-    return CoherentSuperposition(normalized, amplitudes), density
-
-
-def fidelity(state: CoherentSuperposition, target: CoherentSuperposition) -> float:
-    """|<target|state>|^2 for normalized coherent superpositions."""
-    if state.n_modes != target.n_modes:
-        raise ValueError("mode counts differ")
-    for s in (state, target):
-        if abs(s.norm_squared() - 1.0) > 1e-8:
-            raise ValueError("fidelity expects normalized states")
-    return abs(target.inner_product(state)) ** 2
-
-
 class BSNetwork(NamedTuple):
     """Ordered balanced-beam-splitter applications as (mode_a, mode_b) pairs."""
 
@@ -175,31 +140,54 @@ PREP_NETWORKS = {
 
 
 class PipelineResult(NamedTuple):
-    fidelity: float
-    density: float
+    """Per x0 of the grid, in order: fidelity with the candidate state, density."""
+
+    fidelity: list
+    density: list
 
 
-@lru_cache(maxsize=32)
-def _prepared(alpha: float, wiring: str):
-    """(four cat states after the wiring's network, candidate state): the
-    part of the pipeline that does not depend on x0.  Both states are
-    immutable, so every x0 of a scan shares them."""
-    source = tensor(*(scs_state(alpha) for _ in range(4)))
-    return PREP_NETWORKS[wiring].apply(source), psi3_prime_state(alpha)
-
-
-def generation_pipeline(
-    alpha: float, x0: float, wiring: str = "sum-first"
-) -> PipelineResult:
+def generation_pipeline(alpha: float, x0_values, wiring: str = "sum-first") -> PipelineResult:
     """Run four cat states through the beam-splitter network, condition mode
-    0 on the homodyne outcome x0, and compare the three-mode conditional
-    state against the candidate state.
-
+    0 on each homodyne outcome x0 of the sequence ``x0_values``, and compare
+    each three-mode conditional state against the candidate state.
     Conditioning near x0 = -sqrt(2)*alpha (the coherent peak of amplitude
     -alpha) makes the conditional state approach the target as alpha grows.
+
+    Only the weights depend on x0 (w_i <x0|a_i0>), so the Gram matrices are
+    built once.  Both states must have norm 1 within 1e-8; a density below
+    1e-300 is an ArithmeticError naming the first such x0, not a garbage state.
     """
     if wiring not in PREP_NETWORKS:
         raise ValueError(f"unknown wiring {wiring!r}")
-    mixed, target = _prepared(alpha, wiring)
-    conditional, density = homodyne_project(mixed, 0, x0)
-    return PipelineResult(fidelity(conditional, target), density)
+    mixed = PREP_NETWORKS[wiring].apply(tensor(*(scs_state(alpha) for _ in range(4))))
+    target = psi3_prime_state(alpha)
+    remaining = mixed.amplitudes[:, 1:]
+    gram = _gram(remaining, remaining)
+    overlap = target.weights.conj() @ _gram(target.amplitudes, remaining)
+    # <x0|a> as one Python float expression per distinct amplitude of mode 0
+    # (np.exp and an array ** 2 can round differently), and the weights divided
+    # by sqrt(density) part by part as Python's complex / float does.
+    distinct, term = np.unique(mixed.amplitudes[:, 0], return_inverse=True)
+    position = np.array([
+        [math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
+         for a in distinct.tolist()]
+        for x0 in x0_values
+    ]).reshape(-1, distinct.size)
+    weights = mixed.weights * np.take(position, term, axis=1)  # C order, as view() needs
+
+    def squared_norms(w):  # stacked, so each row rounds as one vector would
+        return (w.conj()[:, None, :] @ gram @ w[:, :, None])[:, 0, 0].real
+
+    density = squared_norms(weights)
+    vanishing = np.flatnonzero(density < 1e-300)
+    first = vanishing[0] if vanishing.size else density.size
+    weights = (weights[:first].view(float) / np.sqrt(density[:first, None])).view(complex)
+    norms = [target.norm_squared(), *squared_norms(weights).tolist()] if first else []
+    if any(abs(norm - 1.0) > 1e-8 for norm in norms):
+        raise ValueError("fidelity expects normalized states")
+    if vanishing.size:
+        raise ArithmeticError(
+            f"conditional state at x0 = {x0_values[first]!r} has vanishing density"
+        )
+    fidelity = [abs(z) ** 2 for z in (overlap @ weights[:, :, None])[:, 0].tolist()]
+    return PipelineResult(fidelity, density.tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import sys
@@ -209,26 +210,20 @@ def cmd_noise_sweep(options):
 
 
 def cmd_prep_fidelity(options):
-    rows = []
+    rows, best_by_alpha = [], {}
     for alpha in options.alpha:
         if options.x0 is not None:
             x0_values = options.x0
         else:
             center = -math.sqrt(2.0) * alpha
             x0_values = [center + dx for dx in np.linspace(-2.0, 2.0, 41)]
-        for x0 in x0_values:
-            primary = catprep.generation_pipeline(alpha, x0, wiring="sum-first")
-            rows.append((alpha, x0, primary.fidelity, primary.density))
-    best_by_alpha = {}
-    for alpha, x0, fid, density in rows:
-        key = str(alpha)
-        if key not in best_by_alpha or fid > best_by_alpha[key]["fidelity"]:
-            best_by_alpha[key] = {"x0": x0, "fidelity": fid, "density": density}
+        fidelity, density = catprep.generation_pipeline(alpha, x0_values, wiring="sum-first")
+        rows += zip(itertools.repeat(alpha), x0_values, fidelity, density)
+        x0, fid, dens = max(zip(x0_values, fidelity, density), key=lambda row: row[1])
+        best_by_alpha[str(alpha)] = {"x0": x0, "fidelity": fid, "density": dens}
     for key, best in best_by_alpha.items():
-        alternate = catprep.generation_pipeline(
-            float(key), best["x0"], wiring="swapped"
-        )
-        best["fidelity_swapped_wiring"] = alternate.fidelity
+        alternate = catprep.generation_pipeline(float(key), [best["x0"]], wiring="swapped")
+        best["fidelity_swapped_wiring"] = alternate.fidelity[0]
     headline = {"best_by_alpha": best_by_alpha}
     return ("alpha", "x0", "fidelity", "density"), rows, headline
 

@@ -31,12 +31,12 @@ the first sign change at pi/(2 mu) add less than e^{-(pi/(2 mu))^2}.
 
 The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
-three-mode coherent-superposition candidate state.  A whole amplitude grid
-is one computation: every per-mode integral of every amplitude is a member
-of one lockstep quadrature (``numerics.integrate_batch``), and one array
-kernel forms the joint probabilities of every (amplitude, setting pattern,
-term pair, outcome), looping only over modes.  Both round every value as
-the one-amplitude, one-outcome scalar loops did.
+three-mode coherent-superposition candidate state.  Every per-mode integral
+of a run of consecutive amplitudes (capped in p pieces) is a member of one
+lockstep quadrature (``numerics.integrate_batch``), and one array kernel
+forms the joint probabilities of every (amplitude, setting pattern, term
+pair, outcome), looping only over modes.  Both round every value as the
+one-amplitude, one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -352,6 +352,24 @@ class Psi3Report:
         return max(self.bell_x_unprimed, self.bell_p_unprimed)
 
 
+# A lockstep batch holds all its initial panels at once, and an amplitude's p
+# pieces grow as alpha^2 (5,016 at 30), so a run of amplitudes stops here.
+_P_PIECES_PER_BATCH = 8192
+
+
+def _runs(pairs):
+    """Consecutive runs of ``pairs``, p pieces counted as ``CatPair.p_segments`` makes them."""
+    runs, pieces = [], math.inf
+    for pair in pairs:
+        count = 2 * int(pair.window / (math.pi / (2.0 * pair.mu))) + 2
+        if pieces + count > _P_PIECES_PER_BATCH:
+            runs.append([])
+            pieces = 0
+        runs[-1].append(pair)
+        pieces += count
+    return runs
+
+
 def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     """Bell factor of the three-mode coherent-superposition state by direct
     domain integration of its binned joint probabilities: one ``Psi3Report``
@@ -367,9 +385,10 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     pairs = [cat_pair(alpha) for alpha in alphas]
     if not pairs:
         return []
-    tables = np.array(
-        _mode_tables([(pair, s, (-pair.alpha, pair.alpha)) for pair in pairs for s in "xp"], tol)
-    ).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
+    tables = np.concatenate([
+        _mode_tables([(pair, s, (-pair.alpha, pair.alpha)) for pair in run for s in "xp"], tol)
+        for run in _runs(pairs)
+    ]).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
     # mode t of setting pattern n_x (= how many parties measure X) is X for t < n_x
     per_mode = [tables[:, [int(t >= n_x) for n_x in range(4)]] for t in range(3)]
     weights = np.array([psi3_prime_terms(pair.alpha)[0][0] for pair in pairs])

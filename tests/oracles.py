@@ -21,6 +21,13 @@ from typing import Callable
 
 import numpy as np
 
+from bellscope.catprep import (
+    PREP_NETWORKS,
+    CoherentSuperposition,
+    psi3_prime_state,
+    scs_state,
+    tensor,
+)
 from bellscope.mk import MKExpansion, mk_sum_tuplewise
 from bellscope.numerics import (
     _GK_NODES,
@@ -674,6 +681,54 @@ def inner_product_loop(left, right):
                 ov *= coherent_overlap(a, b)
             total += w_i.conjugate() * w_j * ov
     return total
+
+
+# The package's per-x0 cat-state preparation before ``generation_pipeline``
+# took a whole x0 grid: one projection, one normalisation and two norm checks
+# per x0, each a fresh ``CoherentSuperposition``.  The batch must give the
+# same floats bit for bit.
+
+
+def homodyne_project(state, mode, x0):
+    """Project ``mode`` onto the quadrature eigenvalue x0 and drop it.
+
+    Returns (normalized conditional state on the remaining modes, outcome
+    probability density at x0).  A conditional state of negligible norm
+    (density below 1e-300) is an error rather than a garbage state.
+    """
+    if not 0 <= mode < state.n_modes:
+        raise ValueError(f"mode index {mode} out of range")
+    if state.n_modes == 1:
+        raise ValueError("cannot drop the only mode")
+    weights = state.weights * np.array([
+        math.pi ** -0.25 * math.exp(-0.5 * (x0 - math.sqrt(2.0) * a) ** 2)
+        for a in state.amplitudes[:, mode].tolist()
+    ])
+    amplitudes = np.delete(state.amplitudes, mode, axis=1)
+    density = CoherentSuperposition(weights, amplitudes).norm_squared()
+    if density < 1e-300:
+        raise ArithmeticError(
+            f"conditional state at x0 = {x0!r} has vanishing density"
+        )
+    normalized = (weights.view(float) / math.sqrt(density)).view(complex)
+    return CoherentSuperposition(normalized, amplitudes), density
+
+
+def fidelity(state, target):
+    """|<target|state>|^2 for normalized coherent superpositions."""
+    if state.n_modes != target.n_modes:
+        raise ValueError("mode counts differ")
+    for s in (state, target):
+        if abs(s.norm_squared() - 1.0) > 1e-8:
+            raise ValueError("fidelity expects normalized states")
+    return abs(target.inner_product(state)) ** 2
+
+
+def per_x0_generation_pipeline(alpha, x0, wiring="sum-first"):
+    """(fidelity, density) at one x0, from the package's states."""
+    mixed = PREP_NETWORKS[wiring].apply(tensor(*(scs_state(alpha) for _ in range(4))))
+    conditional, density = homodyne_project(mixed, 0, x0)
+    return fidelity(conditional, psi3_prime_state(alpha)), density
 
 
 # The package's cat-state preparation before its states became a weight

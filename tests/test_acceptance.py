@@ -355,10 +355,8 @@ def test_criterion_09_property_suite():
 def test_criterion_10_generation_pipeline():
     def best_fidelity(alpha):
         center = -math.sqrt(2.0) * alpha
-        return max(
-            generation_pipeline(alpha, float(x0)).fidelity
-            for x0 in np.linspace(center - 1.5, center + 1.5, 31)
-        )
+        grid = np.linspace(center - 1.5, center + 1.5, 31).tolist()
+        return max(generation_pipeline(alpha, grid).fidelity)
 
     fidelities = {alpha: best_fidelity(alpha) for alpha in (1.0, 2.0, 3.0, 4.0)}
     monotone = all(

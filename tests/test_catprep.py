@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellscope import catprep
 from bellscope.catprep import (
     PREP_NETWORKS,
     CoherentSuperposition,
     bs_transform,
-    fidelity,
     generation_pipeline,
-    homodyne_project,
     psi3_prime_state,
     scs_state,
     tensor,
 )
-from oracles import coherent_overlap, tuple_generation_pipeline
+from oracles import (
+    coherent_overlap,
+    fidelity,
+    homodyne_project,
+    per_x0_generation_pipeline,
+    tuple_generation_pipeline,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def single(amps, weight=1.0):
@@ -98,6 +106,8 @@ class TestBeamSplitter:
 
 
 class TestHomodyne:
+    """The per-x0 oracle's projection, and the checks the batch keeps."""
+
     def test_product_state_factorizes(self):
         state = single((1.5, -0.7))
         conditional, density = homodyne_project(state, 0, 0.3)
@@ -122,13 +132,13 @@ class TestHomodyne:
         state = single((1.0, 1.0))
         with pytest.raises(ArithmeticError, match="vanishing"):
             homodyne_project(state, 0, 60.0)
+        for grid in ([60.0], [-1.0, 0.5, 60.0, 70.0, 2.0]):
+            with pytest.raises(ArithmeticError, match=r"x0 = 60\.0 has vanishing"):
+                generation_pipeline(1.0, grid)
 
     def test_density_normalizes(self):
-        alpha = 1.0
-        state = tensor(*(scs_state(alpha) for _ in range(4)))
-        mixed = PREP_NETWORKS["sum-first"].apply(state)
         xs = np.linspace(-9.0, 9.0, 1201)
-        dens = np.array([homodyne_project(mixed, 0, float(x))[1] for x in xs])
+        dens = generation_pipeline(1.0, xs.tolist()).density
         total = np.trapezoid(dens, xs)
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -152,25 +162,34 @@ class TestFidelity:
                 math.exp(-12.0 * alpha * alpha), rel=1e-10
             )
 
-    def test_requires_normalization_and_matching_modes(self):
+    def test_requires_normalization_and_matching_modes(self, monkeypatch):
         with pytest.raises(ValueError):
             fidelity(single((1.0,)), single((1.0, 1.0)))
         with pytest.raises(ValueError):
             fidelity(single((1.0,), weight=2.0), single((1.0,)))
+        # the batch checks the target's norm as well
+        target = psi3_prime_state(1.0)
+        heavy = CoherentSuperposition(2.0 * target.weights, target.amplitudes)
+        monkeypatch.setattr(catprep, "psi3_prime_state", lambda alpha: heavy)
+        with pytest.raises(ValueError, match="normalized"):
+            generation_pipeline(1.0, [-1.0, 0.0])
+        # ... but only once some x0 has a density to normalise by
+        with pytest.raises(ArithmeticError, match="vanishing"):
+            generation_pipeline(1.0, [60.0, 0.0])
 
 
 class TestGenerationPipeline:
     def test_target_reached_at_designed_outcome(self):
         alpha = 3.0
-        result = generation_pipeline(alpha, -math.sqrt(2.0) * alpha)
-        assert result.fidelity >= 0.99
-        assert result.density > 0.0
+        result = generation_pipeline(alpha, [-math.sqrt(2.0) * alpha])
+        assert result.fidelity[0] >= 0.99
+        assert result.density[0] > 0.0
 
     def test_plus_peak_gives_sign_flipped_target(self):
         alpha = 3.0
         x0 = math.sqrt(2.0) * alpha
-        result = generation_pipeline(alpha, x0)
-        assert result.fidelity < 0.01  # nearly orthogonal to the target itself
+        result = generation_pipeline(alpha, [x0])
+        assert result.fidelity[0] < 0.01  # nearly orthogonal to the target itself
         source = tensor(*(scs_state(alpha) for _ in range(4)))
         conditional, _ = homodyne_project(
             PREP_NETWORKS["sum-first"].apply(source), 0, x0
@@ -182,26 +201,27 @@ class TestGenerationPipeline:
     def test_monotone_in_amplitude_at_best_outcome(self):
         def best_fidelity(alpha):
             center = -math.sqrt(2.0) * alpha
-            return max(
-                generation_pipeline(alpha, float(x0)).fidelity
-                for x0 in np.linspace(center - 1.5, center + 1.5, 31)
-            )
+            grid = np.linspace(center - 1.5, center + 1.5, 31).tolist()
+            return max(generation_pipeline(alpha, grid).fidelity)
 
         values = [best_fidelity(a) for a in (1.0, 2.0, 3.0, 4.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_small_amplitude_below_unity(self):
-        result = generation_pipeline(0.3, -math.sqrt(2.0) * 0.3)
-        assert result.fidelity < 1.0 - 1e-5
+        result = generation_pipeline(0.3, [-math.sqrt(2.0) * 0.3])
+        assert result.fidelity[0] < 1.0 - 1e-5
 
     def test_unknown_wiring(self):
         with pytest.raises(ValueError):
-            generation_pipeline(1.0, 0.0, wiring="diagonal")
+            generation_pipeline(1.0, [0.0], wiring="diagonal")
+
+    def test_empty_grid(self):
+        assert generation_pipeline(1.0, []) == ([], [])
 
     def test_source_state_built_once_per_amplitude(self, monkeypatch):
-        """A second x0 at the same alpha reuses the prepared source state,
-        and gives what a freshly prepared pipeline gives."""
+        """One call builds the source state once for its whole x0 grid, and
+        gives what one call per x0 gives."""
         builds = []
 
         def counting_tensor(*states):
@@ -209,16 +229,12 @@ class TestGenerationPipeline:
             return tensor(*states)
 
         monkeypatch.setattr(catprep, "tensor", counting_tensor)
-        catprep._prepared.cache_clear()
-        alpha = 1.7
-        generation_pipeline(alpha, -2.0)
-        reused = generation_pipeline(alpha, -2.5)
+        grid = [-2.0, -2.5, 0.3]
+        batch = generation_pipeline(1.7, grid)
         assert builds == [4]
-        generation_pipeline(alpha, -2.5, wiring="swapped")
-        assert builds == [4, 4]
-        catprep._prepared.cache_clear()
-        assert generation_pipeline(alpha, -2.5) == reused
-        assert builds == [4, 4, 4]
+        singles = [generation_pipeline(1.7, [x0]) for x0 in grid]
+        assert builds == [4] * 4
+        assert list(zip(*batch)) == [(f, d) for (f,), (d,) in singles]
 
 
 class TestAgainstTupleOracle:
@@ -228,7 +244,29 @@ class TestAgainstTupleOracle:
     @pytest.mark.parametrize("alpha", [k / 10 for k in range(3, 51)])
     def test_raw_fidelity_and_density_equal(self, alpha):
         center = -math.sqrt(2.0) * alpha
-        for x0 in [center + dx for dx in np.linspace(-2.0, 2.0, 41)]:
-            for wiring, network in PREP_NETWORKS.items():
-                expected = tuple_generation_pipeline(alpha, x0, network.pairs)
-                assert tuple(generation_pipeline(alpha, x0, wiring)) == expected
+        grid = [center + dx for dx in np.linspace(-2.0, 2.0, 41)]
+        for wiring, network in PREP_NETWORKS.items():
+            expected = [tuple_generation_pipeline(alpha, x0, network.pairs) for x0 in grid]
+            assert list(zip(*generation_pipeline(alpha, grid, wiring))) == expected
+
+
+class TestAgainstPerX0Oracle:
+    """The grid batch gives, for every x0, the floats that one projection
+    and one fidelity per x0 give, bit for bit; and the tuple-of-terms
+    pipeline's within 1e-12."""
+
+    @PROPERTY
+    @given(
+        alpha=st.floats(1e-3, 8.0),
+        grid=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=12),
+        wiring=st.sampled_from(sorted(PREP_NETWORKS)),
+    )
+    def test_batch_equals_per_x0(self, alpha, grid, wiring):
+        batch = generation_pipeline(alpha, grid, wiring)
+        for x0, fid, density in zip(grid, *batch):
+            assert (fid, density) == per_x0_generation_pipeline(alpha, x0, wiring)
+            tuple_fid, tuple_density = tuple_generation_pipeline(
+                alpha, x0, PREP_NETWORKS[wiring].pairs
+            )
+            assert fid == pytest.approx(tuple_fid, rel=0, abs=1e-12)
+            assert density == pytest.approx(tuple_density, rel=1e-12, abs=0)

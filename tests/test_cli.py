@@ -188,6 +188,16 @@ class TestDeterminismAndErrors:
         assert run(tmp_path, "cat-vw", "--alpha", "1.0") == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "x0, named",
+        (("60", "60.0"), ("-1:61:20", "39.0")),  # grid -1, 19, 39, 59: 39 fails first
+    )
+    def test_vanishing_prep_density_exits_3(self, tmp_path, capsys, x0, named):
+        assert run(tmp_path, "prep-fidelity", "--alpha", "1", f"--x0={x0}") == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: conditional state at x0 = {named} has vanishing density" in err
+        assert not (tmp_path / "prep-fidelity.csv").exists()
+
     def test_sign_ghz_beyond_float_range_exits_3(self, tmp_path, capsys):
         assert run(tmp_path, "sign-ghz", "--m", "6000") == 3
         assert "numerical failure" in capsys.readouterr().err

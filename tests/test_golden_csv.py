@@ -1,4 +1,5 @@
-"""Byte identity of the CSV output of the optimizer and of the psi3 curve.
+"""Byte identity of the CSV output of the optimizer, the psi3 curve, the
+preparation fidelity and a few extreme amplitudes and party counts.
 
 Each invocation runs in this process through ``cli.main`` and its CSV is
 checked against either the committed benchmark reference under
@@ -6,7 +7,9 @@ checked against either the committed benchmark reference under
 ``tests/golden/``.  The sign-optimize golden files hold the bytes the code
 wrote before the support finish and the sign skip; the psi3-curve ones, the
 bytes it wrote before the grid was integrated in one lockstep batch (one
-amplitude at a time, down to 1e-9 and up to 30, and at ``--tol 1e-6``).
+amplitude at a time, down to 1e-9 and up to 30, and at ``--tol 1e-6``); the
+prep-fidelity ones, the bytes it wrote with one pipeline call per x0, and
+``<stem>.headline.json`` beside each the JSON headline of that run.
 
 The last printed digit of a coefficient can move with the numpy and BLAS
 build, and with the Python version wherever Python's own arithmetic rounds
@@ -64,7 +67,18 @@ PINNED = (
     (GOLDEN / "psi3-curve-a1e-9.csv", ("psi3-curve", "--alpha", "1e-9")),
     (GOLDEN / "psi3-curve-a30.csv", ("psi3-curve", "--alpha", "30")),
     (GOLDEN / "psi3-curve-a0.5-3-tol1e-6.csv", ("psi3-curve", "--alpha", "0.5:3.0:0.05", "--tol", "1e-6")),
+    (REFERENCE / "prep-fidelity-a1-4.csv", ("prep-fidelity", "--alpha", "1:4:1")),
+    (GOLDEN / "prep-fidelity-a0.3-2-x0-3-3.csv", ("prep-fidelity", "--alpha", "0.3:2:0.1", "--x0=-3:3:0.25")),
+    (GOLDEN / "prep-fidelity-a1e-9.csv", ("prep-fidelity", "--alpha", "1e-9")),
+    (GOLDEN / "prep-fidelity-a5-8.csv", ("prep-fidelity", "--alpha", "5:8:1")),
+    (GOLDEN / "prep-fidelity-a0.05-0.5.csv", ("prep-fidelity", "--alpha", "0.05:0.5:0.05")),
+    (GOLDEN / "cat-vw-a1e-9.csv", ("cat-vw", "--alpha", "1e-9")),
+    (GOLDEN / "cat-vw-a50.csv", ("cat-vw", "--alpha", "50")),
+    (GOLDEN / "sign-ghz-m1000.csv", ("sign-ghz", "--m", "1000")),
 )
+# The prep-fidelity JSON headline (best x0 per amplitude, its fidelity and
+# density, and the swapped wiring's fidelity there) is pinned as well.
+HEADLINED = "prep-fidelity"
 
 
 def running_build():
@@ -79,31 +93,68 @@ def running_build():
     }
 
 
+def on_recorded_build():
+    return running_build() == json.loads(BUILD.read_text(encoding="utf-8"))
+
+
+def headline_path(path):
+    return GOLDEN / f"{path.stem}.headline.json"
+
+
 def csv_bytes(argv, out):
     assert cli.main([*argv, "--out", str(out)]) == 0
     return (Path(out) / f"{argv[0]}.csv").read_bytes()
 
 
+def headline(out, argv):
+    return json.loads((Path(out) / f"{argv[0]}.json").read_text(encoding="utf-8"))["headline"]
+
+
 @pytest.mark.parametrize("path, argv", PINNED, ids=[path.stem for path, _ in PINNED])
 def test_csv_bytes_unchanged(tmp_path, path, argv):
     actual, expected = csv_bytes(argv, tmp_path), path.read_bytes()
-    if running_build() == json.loads(BUILD.read_text(encoding="utf-8")):
+    if on_recorded_build():
         assert actual == expected
     else:
         assert reference.compare(expected.decode(), actual.decode()) is None
+    if argv[0] == HEADLINED:
+        check_headline(headline(tmp_path, argv), headline_path(path))
+
+
+def check_headline(actual, path):
+    """Every value equal on the recorded build.  Elsewhere the fidelities
+    must lie within the benchmark's band of other columns: near fidelity 1
+    neighbouring x0 can tie to the last bit, so the best x0 (and with it
+    the density) may move between builds."""
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    if on_recorded_build():
+        assert actual == expected
+        return
+    assert actual["best_by_alpha"].keys() == expected["best_by_alpha"].keys()
+    for alpha, best in expected["best_by_alpha"].items():
+        for key in ("fidelity", "fidelity_swapped_wiring"):
+            assert actual["best_by_alpha"][alpha][key] == pytest.approx(
+                best[key], rel=reference.OTHER_REL, abs=reference.OTHER_ABS
+            )
 
 
 if __name__ == "__main__":
     import tempfile
 
-    build = running_build()
     stems = sys.argv[1:]
-    if build != json.loads(BUILD.read_text(encoding="utf-8")):
+    if not on_recorded_build():
         stems = []
-        BUILD.write_text(json.dumps(build, indent=2) + "\n", encoding="utf-8")
+        BUILD.write_text(json.dumps(running_build(), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {BUILD.relative_to(ROOT)}")
     for path, argv in PINNED:
-        if path.parent == GOLDEN and (not stems or path.stem in stems):
-            with tempfile.TemporaryDirectory() as out:
-                path.write_bytes(csv_bytes(argv, out))
-            print(f"wrote {path.relative_to(ROOT)}")
+        if stems and path.stem not in stems:
+            continue
+        with tempfile.TemporaryDirectory() as out:
+            written = csv_bytes(argv, out)
+            if path.parent == GOLDEN:
+                path.write_bytes(written)
+                print(f"wrote {path.relative_to(ROOT)}")
+            if argv[0] == HEADLINED:
+                text = json.dumps(headline(out, argv), indent=2, sort_keys=True)
+                headline_path(path).write_text(text + "\n", encoding="utf-8")
+                print(f"wrote {headline_path(path).relative_to(ROOT)}")

@@ -21,10 +21,8 @@ REEXPORTED = (
     "chsh_angles",
     "converged_optimum",
     "default_optimizer_angles",
-    "fidelity",
     "generation_pipeline",
     "ghz_like_angles",
-    "homodyne_project",
     "integrate_segments",
     "max_eigenpair",
     "mk_coefficient",
@@ -58,7 +56,7 @@ def test_package_reexports_pinned_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == list(REEXPORTED)
-    assert len(names) == 33
+    assert len(names) == 31
 
 
 def test_tracer_held_names_stay_but_are_not_public():

@@ -22,13 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellscope.catprep import (
-    CoherentSuperposition,
-    bs_transform,
-    homodyne_project,
-    scs_state,
-    tensor,
-)
+from bellscope.catprep import CoherentSuperposition, bs_transform, scs_state, tensor
 from bellscope import cli, numerics, rootbin
 from bellscope.numerics import (
     _GK_WG,
@@ -41,6 +35,7 @@ from bellscope.rootbin import binned_product_probabilities, cat_pair, psi3_bell_
 from oracles import (
     binned_probabilities_every_entry,
     cat_state_terms,
+    homodyne_project,
     inner_product_loop,
     integrate_segments_one_panel_at_a_time,
     psi3_report_every_entry,
@@ -265,6 +260,28 @@ def test_psi3_grid_equals_every_entry_integrated():
         assert report.correlators == direct.correlators
         assert report.probability_sums == direct.probability_sums
         assert report.min_probability == direct.min_probability
+
+
+def test_psi3_grid_runs_bound_the_batch_and_move_no_result(monkeypatch):
+    """A grid is cut into consecutive runs of at most _P_PIECES_PER_BATCH p
+    pieces (an amplitude with more is alone), which bounds the memory of
+    each lockstep batch; the benchmark grid is one run, and cutting every
+    amplitude into its own run moves no field of any report."""
+    grid = [cat_pair(a) for a in (1.0, 30.0, 2.0, 12.0, 20.0, 25.0, 21.0, 0.5)]
+    runs = rootbin._runs(grid)
+    assert [pair for run in runs for pair in run] == grid
+    assert len(runs) > 2
+    for run in runs:
+        pieces = sum(len(pair.p_segments()) for pair in run)
+        assert len(run) == 1 or pieces <= rootbin._P_PIECES_PER_BATCH
+    benchmark = [cat_pair(a) for a in cli.parse_range("0.5:3.0:0.05")]
+    assert len(rootbin._runs(benchmark)) == 1
+
+    alphas = [0.7, 1e-9, 3.0, 0.05, 2.2, 0.7]
+    whole = psi3_bell_report(alphas)
+    monkeypatch.setattr(rootbin, "_P_PIECES_PER_BATCH", 1)
+    assert [len(run) for run in rootbin._runs([cat_pair(a) for a in alphas])] == [1] * 6
+    assert psi3_bell_report(alphas) == whole
 
 
 @SLOW_PROPERTY
