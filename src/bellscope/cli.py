@@ -163,18 +163,11 @@ def cmd_cat_vw(options):
 
 
 def cmd_psi3_curve(options):
-    rows = []
-    for report in rootbin.psi3_bell_report(options.alpha, options.tol):
-        prob_err = max(abs(s - 1.0) for s in report.probability_sums.values())
-        rows.append(
-            (
-                report.alpha,
-                report.bell_x_unprimed,
-                report.bell_p_unprimed,
-                report.bell_best,
-                prob_err,
-            )
-        )
+    rows = [
+        (r.alpha, r.bell_x_unprimed, r.bell_p_unprimed, r.bell_best,
+         max(abs(s - 1.0) for s in r.probability_sums.values()))
+        for r in rootbin.psi3_bell_report(options.alpha, options.tol)
+    ]
     column = {"x-unprimed": 1, "p-unprimed": 2, "best": 3}[options.labeling]
     crossing = next((r[0] for r in rows if r[column] >= 2.0), None)
     headline = {
@@ -183,13 +176,7 @@ def cmd_psi3_curve(options):
         "bell_at_alpha_max": rows[-1][column],
         "max_probability_sum_error": max(r[4] for r in rows),
     }
-    header = (
-        "alpha",
-        "bell_x_unprimed",
-        "bell_p_unprimed",
-        "bell_best",
-        "probability_sum_error",
-    )
+    header = ("alpha", "bell_x_unprimed", "bell_p_unprimed", "bell_best", "probability_sum_error")
     return header, rows, headline
 
 
@@ -219,7 +206,7 @@ def cmd_prep_fidelity(options):
             x0_values = [center + dx for dx in np.linspace(-2.0, 2.0, 41)]
         fidelity, density = catprep.generation_pipeline(alpha, x0_values, wiring="sum-first")
         rows += zip(itertools.repeat(alpha), x0_values, fidelity, density)
-        x0, fid, dens = max(zip(x0_values, fidelity, density), key=lambda row: row[1])
+        x0, fid, dens = max(zip(x0_values, fidelity, density), key=lambda row: (row[1], row[2]))
         best_by_alpha[str(alpha)] = {"x0": x0, "fidelity": fid, "density": dens}
     for key, best in best_by_alpha.items():
         alternate = catprep.generation_pipeline(float(key), [best["x0"]], wiring="swapped")
@@ -263,11 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("root-max", help="root binning at V = W = 1")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument(
-        "--labeling",
-        choices=("x-unprimed", "p-unprimed", "best"),
-        default="x-unprimed",
-    )
+    p.add_argument("--labeling", choices=("x-unprimed", "p-unprimed", "best"), default="x-unprimed")
     common(p)
 
     p = sub.add_parser("cat-vw", help="overlaps V, W of the cat pair")
@@ -276,14 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi3-curve", help="three-mode candidate state Bell curve")
     p.add_argument("--alpha", required=True)
-    p.add_argument(
-        "--labeling",
-        choices=("x-unprimed", "p-unprimed", "best"),
-        default="best",
-    )
-    p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
-    )
+    p.add_argument("--labeling", choices=("x-unprimed", "p-unprimed", "best"), default="best")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
     common(p)
 
     p = sub.add_parser("noise-sweep", help="erasure-noise scaling for GHZ states")

@@ -201,9 +201,9 @@ def mk_sum(unprimed, primed):
     return total
 
 
-def mk_sum_tuplewise(by_primed_count) -> float:
+def mk_sum_tuplewise(by_primed_count):
     """sum_t c_t E(k(t)) for a correlator E that depends only on the primed
-    count k, given as ``by_primed_count[k]`` for k = 0..m.
+    count k, given as ``by_primed_count[k]`` for k = 0..m (or arrays of it).
 
     The terms are added one setting tuple at a time in the lexicographic
     order of ``expand_mk``, so a sum that cancels to rounding noise gives

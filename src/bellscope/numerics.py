@@ -7,7 +7,7 @@ mutable state.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 
 import numpy as np
@@ -78,81 +78,109 @@ def _panels(f, a, b, owner):
 def _running_sums(values, owner, counts):
     """0.0 + v_0 + v_1 + ... of each integral's values, left to right:
     np.add.accumulate is sequential, and +0.0 padding leaves a sum as is."""
-    padded = np.zeros((len(counts), counts.max() + 1), dtype=values.dtype)
-    padded[owner, np.arange(values.size) - (np.cumsum(counts) - counts)[owner] + 1] = values
-    return np.add.accumulate(padded, axis=1)[:, -1]
+    padded = np.zeros((counts.max() + 1, len(counts)), dtype=values.dtype)
+    padded[np.arange(values.size) - (np.cumsum(counts) - counts)[owner] + 1, owner] = values
+    return np.add.accumulate(padded)[-1]
+
+
+def _compact(rows, keep):
+    """Keep the rows (integrals) where ``keep`` is true."""
+    if not keep.all():
+        rows.update({key: x[keep] for key, x in rows.items()})
 
 
 def integrate_batch(families, tol=1e-10, max_intervals=4096):
     """Adaptive Gauss-Kronrod quadrature of many integrals in lockstep.
 
     ``families`` holds (f, segment_lists) pairs, one integral per list of
-    finite segments; ``f(x, owner)`` gets a flat array of abscissas and the
-    index of each one's integral (complex results are fine).  Each integral
-    keeps its own heap, running sums and stopping rule: the worst panel is
-    bisected until the summed error estimate is below ``tol`` or below the
-    machine-precision floor of the running sum.  Only integrand calls are
-    shared, one per family for all initial segments and then one per round
-    for both halves of every unconverged integral's worst panel.  Returns
-    one list of results per family.  The first integral (by round, then
-    position) to run out of subdivisions raises ``IntegrationError``
-    carrying its error estimate.
+    finite segments (pairs, or an (n, 2) array); ``f(x, owner)`` gets a flat
+    array of abscissas and the index of each one's integral (complex results
+    are fine).  Each integral keeps its own panels, running sums and
+    stopping rule (QUADPACK's greedy scheme): its worst panel, the first
+    inserted among equals, is bisected until the summed error estimate is
+    below ``tol`` or below the machine-precision floor of the running sum.
+    A family's state is one row per unconverged integral: its initial
+    panels sorted worst first, with a cursor, and its halves in insertion
+    order, two more a round.  A round is array operations over all rows and
+    one integrand call per family for both halves of every worst panel.
+    Returns one list of results per family.  The first integral (by round,
+    then position) to run out of subdivisions raises ``IntegrationError``
+    with its error estimate.
     """
-    results, active = [], []
-    for family, (f, segment_lists) in enumerate(families):
-        lists = [[(a, b) for a, b in segments if b != a] for segments in segment_lists]
-        counts = np.array([len(s) for s in lists], dtype=int)
-        if not counts.sum():
-            results.append([0.0] * len(lists))
+    results, states = [], []
+    for f, segment_lists in families:
+        counts = [len(s) for s in segment_lists]
+        owner = np.repeat(np.arange(len(counts)), counts)
+        a, b = np.concatenate([np.empty((0, 2)), *filter(len, segment_lists)]).T
+        a, b, owner = a[b != a], b[b != a], owner[b != a]
+        counts = np.bincount(owner, minlength=len(counts))
+        results.append((np.zeros(counts.size), counts))
+        if not owner.size:
             continue
-        owner = np.repeat(np.arange(len(lists)), counts)
-        a, b = np.array([seg for s in lists for seg in s], dtype=float).T
         values, errors = _panels(f, a, b, owner)
-        sums = [_running_sums(x, owner, counts) for x in (values, errors, _abs(values))]
-        total, total_err, total_abs = (x.tolist() for x in sums)
-        results.append([t if n else 0.0 for t, n in zip(total, counts.tolist())])
-        ends = np.cumsum(counts)
-        for i in np.flatnonzero((sums[1] > tol) & (sums[1] > _SUM_FLOOR * sums[2])).tolist():
-            # heap of (-err, tiebreak, a, b, value, err); the tiebreaks are
-            # unique, so the pop order does not depend on how it was built.
-            part = slice(ends[i] - counts[i], ends[i])
-            entries = list(zip(
-                (-errors[part]).tolist(), range(counts[i]), a[part].tolist(),
-                b[part].tolist(), values[part].tolist(), errors[part].tolist(),
-            ))
-            heapq.heapify(entries)
-            active.append([family, i, entries, len(entries), total[i], total_err[i], total_abs[i]])
+        total, err, size = (_running_sums(x, owner, counts) for x in (values, errors, _abs(values)))
+        results[-1] = total, counts
+        live = (err > tol) & (err > _SUM_FLOOR * size)
+        # the live integrals' initial panels, each one's worst first and
+        # equals in slot order
+        order = np.flatnonzero(live[owner])
+        order = order[np.lexsort((-errors[order], owner[order]))]
+        live = np.flatnonzero(live)
+        ends = np.cumsum(counts[live])
+        states.append((f, np.array([a, b, errors]).T[order], values[order], total, {
+            "idx": live, "limit": max_intervals - counts[live], "total": total[live],
+            "err": err[live], "abs": size[live], "next": ends - counts[live], "end": ends,
+            # the halves' (a, b, error) and values; column 0 is a popped placeholder
+            "halves": np.tile([0.0, 0.0, -1.0], (live.size, 1, 1)),
+            "values": np.zeros((live.size, 1), dtype=values.dtype),
+        }))
 
-    while active:
-        halves = [[] for _ in families]
-        for member in active:
-            _, _, entries, _, total, total_err, total_abs = member
-            if not total_err > max(tol, _SUM_FLOOR * total_abs):
-                continue
-            if len(entries) >= max_intervals:
+    for bisections in itertools.count():
+        for *_, rows in states:
+            _compact(rows, (rows["err"] > tol) & (rows["err"] > _SUM_FLOOR * rows["abs"]))
+            if np.any(rows["limit"] <= bisections):
+                total_err = rows["err"][np.argmax(rows["limit"] <= bisections)].item()
                 raise IntegrationError(
                     f"no convergence after {max_intervals} intervals "
                     f"(error estimate {total_err:.3e}, tol {tol:.3e})",
                     achieved_error=total_err,
                 )
-            _, _, a, b, val, err = heapq.heappop(entries)
-            if err != 0.0:
-                member[4:] = total - val, total_err - err, total_abs - abs(val)
-                mid = 0.5 * (a + b)
-                halves[member[0]] += [(member, a, mid), (member, mid, b)]
-        active = []
-        for family, panels in enumerate(halves):
-            if not panels:
-                continue
-            members, lo, hi = zip(*panels)
-            owner = np.array([member[1] for member in members])
-            values, errors = _panels(families[family][0], np.array(lo), np.array(hi), owner)
-            for member, a, b, val, err in zip(members, lo, hi, values.tolist(), errors.tolist()):
-                heapq.heappush(member[2], (-err, member[3], a, b, val, err))
-                member[3:] = member[3] + 1, member[4] + val, member[5] + err, member[6] + abs(val)
-                results[family][member[1]] = member[4]
-            active += members[::2]
-    return results
+        if not any(rows["idx"].size for *_, rows in states):
+            break
+        halves = []
+        for _, initial, initial_values, _, rows in states:
+            # the worst initial panel left against the worst half: the
+            # initial one wins a tie, as it was inserted first
+            cursor = np.minimum(rows["next"], len(initial) - 1)
+            first = np.where(rows["next"] < rows["end"], initial[cursor, 2], -np.inf)
+            line, col = np.arange(cursor.size), rows["halves"][..., 2].argmax(axis=1)
+            pick = first >= rows["halves"][line, col, 2]
+            a, b, err = np.where(pick[:, None], initial[cursor], rows["halves"][line, col]).T
+            val = np.where(pick, initial_values[cursor], rows["values"][line, col])
+            rows["next"] = rows["next"] + pick
+            rows["halves"][line[~pick], col[~pick], 2] = -1.0
+            # a popped panel without error ends its integral unchanged
+            go = err != 0.0
+            _compact(rows, go)
+            a, b, val = a[go], b[go], val[go]
+            rows["total"], rows["err"], rows["abs"] = (
+                rows["total"] - val, rows["err"] - err[go], rows["abs"] - _abs(val)
+            )
+            edges = np.array([a, 0.5 * (a + b), b]).T
+            halves.append((edges[:, :2], edges[:, 1:]))
+        for (f, *_, total, rows), (lo, hi) in zip(states, halves):
+            if lo.size:
+                owner = np.repeat(rows["idx"], 2)
+                values, errors = (x.reshape(-1, 2) for x in _panels(f, lo.ravel(), hi.ravel(), owner))
+                for val, err in zip(values.T, errors.T):  # the left half, then the right
+                    rows["total"], rows["err"], rows["abs"] = (
+                        rows["total"] + val, rows["err"] + err, rows["abs"] + _abs(val)
+                    )
+                new = np.array([lo, hi, errors]).transpose(1, 2, 0)
+                rows["halves"] = np.concatenate([rows["halves"], new], axis=1)
+                rows["values"] = np.concatenate([rows["values"], values], axis=1)
+                total[rows["idx"]] = rows["total"]
+    return [[t if n else 0.0 for t, n in zip(s.tolist(), n.tolist())] for s, n in results]
 
 
 def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):

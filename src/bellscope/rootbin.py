@@ -33,10 +33,10 @@ The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
 three-mode coherent-superposition candidate state.  Every per-mode integral
 of a run of consecutive amplitudes (capped in p pieces) is a member of one
-lockstep quadrature (``numerics.integrate_batch``), and one array kernel
-forms the joint probabilities of every (amplitude, setting pattern, term
-pair, outcome), looping only over modes.  Both round every value as the
-one-amplitude, one-outcome scalar loops did.
+lockstep quadrature (``numerics.integrate_batch``) fed from arrays, and one
+array kernel forms the joint probabilities of every (amplitude, setting
+pattern, term pair, outcome), looping only over modes.  Both round every
+value as the one-amplitude, one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -191,26 +191,20 @@ class CatPair:
         return 8.0 + 2.0 * self.mu
 
     def x_segments(self):
-        """(a, b, sign of f*g) for the two pieces of the x window."""
+        """Rows (a, b, sign of f*g) for the two pieces of the x window."""
         window = self.window
-        return ((-window, 0.0, -1), (0.0, window, 1))
+        return np.array([(-window, 0.0, -1.0), (0.0, window, 1.0)])
 
     def p_segments(self):
-        """(a, b, sign of f~*h~) for the pieces of the p window between the
-        roots k pi/(2 mu), each signed like -sin(2 mu p) at its midpoint."""
+        """Rows (a, b, sign of f~*h~) for the pieces of the p window between
+        the roots k pi/(2 mu), each signed like -sin(2 mu p) at its midpoint."""
         mu, window = self.mu, self.window
         spacing = math.pi / (2.0 * mu)
         k_max = int(window / spacing)
-        edges = [-window]
-        edges.extend(
-            r for r in (k * spacing for k in range(-k_max, k_max + 1))
-            if -window < r < window
-        )
-        edges.append(window)
-        pieces = list(zip(edges, edges[1:]))
-        mids = np.array([0.5 * (a + b) for a, b in pieces])
-        signs = np.where(-np.sin(2.0 * mu * mids) >= 0.0, 1, -1).tolist()
-        return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
+        roots = np.arange(-k_max, k_max + 1) * spacing
+        edges = np.concatenate(([-window], roots[np.abs(roots) < window], [window]))
+        a, b = edges[:-1], edges[1:]
+        return np.array([a, b, np.where(np.sin(2.0 * mu * (0.5 * (a + b))) <= 0.0, 1.0, -1.0)]).T
 
 
 def cat_pair(alpha: float) -> CatPair:
@@ -241,47 +235,53 @@ def psi3_prime_terms(alpha: float):
     )
 
 
+def _split(array, sizes):
+    """Consecutive pieces of ``array`` with the given sizes (np.split, with
+    less overhead per piece)."""
+    ends = np.cumsum(sizes).tolist()
+    return [array[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def _mode_tables(requests, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
     domains for each (pair, setting, amplitudes): complex T[i, j, side] over
     the sorted distinct amplitudes, side 0 for plus, all from one lockstep
-    batch.  <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu =
+    batch; a pair's segments are rows (a, b, sign +/-1).
+    <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu =
     sqrt(2) a, is symmetric in (a, b); <p|a><p|b>* = pi^{-1/2} e^{-p^2}
     e^{-i sqrt(2) (a-b) p} depends on a - b, conjugated by a swap.  Both hold
-    bit for bit, so each distinct integral is computed once."""
-    segment_lists, keys, layouts = {"x": [], "p": []}, {"x": [], "p": []}, []
-    for pair, setting, amplitudes in requests:
-        if setting not in keys:
+    bit for bit, so each distinct integral is computed once; one gather
+    builds the tables."""
+    for _, setting, _ in requests:
+        if setting not in ("x", "p"):
             raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")
-        segments = pair.x_segments() if setting == "x" else pair.p_segments()
-        plus = [(a, b) for a, b, s in segments if s > 0]
-        minus = [(a, b) for a, b, s in segments if s < 0]
+    segments = [pair.x_segments() if s == "x" else pair.p_segments() for pair, s, _ in requests]
+    # each request's plus pieces, then its minus pieces, cut from one array
+    rows = np.concatenate(segments)
+    side = 2 * np.repeat(np.arange(len(segments)), [len(s) for s in segments]) + (rows[:, 2] < 0)
+    sides = _split(rows[np.argsort(side, kind="stable"), :2], np.bincount(side, minlength=2 * len(segments)))
+    integrals, cells, sizes = {"x": {}, "p": {}}, [], []
+    for r, (_, setting, amplitudes) in enumerate(requests):
         amps = sorted(set(amplitudes))
-        distinct, cells = {}, []
+        sizes.append(len(amps))
         for a, b in itertools.product(amps, repeat=2):
-            key, swapped = ((min(a, b), max(a, b)), False) if setting == "x" else (abs(a - b), a < b)
-            if key not in distinct:
-                distinct[key] = len(segment_lists[setting])
-                segment_lists[setting] += [plus, minus]
-                keys[setting] += [key, key]
-            cells.append((distinct[key], swapped))
-        layouts.append((setting, len(amps), cells))
-    mu = math.sqrt(2.0) * np.array(keys["x"], dtype=float).reshape(-1, 2)
-    delta = math.sqrt(2.0) * np.array(keys["p"], dtype=float)
-    values = dict(zip("xp", integrate_batch([
-        (lambda x, i: (math.pi ** -0.5) * np.exp(
-            -0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2
-        ), segment_lists["x"]),
+            key = (r, min(a, b), max(a, b)) if setting == "x" else (r, abs(a - b))
+            index = integrals[setting].setdefault(key, len(integrals[setting]))
+            cells.append((2 * index, setting == "p", setting == "p" and a < b))
+    segment_lists = {s: [x for r, *_ in keys for x in sides[2 * r:2 * r + 2]] for s, keys in integrals.items()}
+    mu = math.sqrt(2.0) * np.array([k[1:] for k in integrals["x"] for _ in "+-"], dtype=float).reshape(-1, 2)
+    delta = math.sqrt(2.0) * np.array([k[1] for k in integrals["p"] for _ in "+-"], dtype=float)
+    values = integrate_batch([
+        (lambda x, i: (math.pi ** -0.5) * np.exp(-0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2),
+         segment_lists["x"]),
         (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i] * p),
          segment_lists["p"]),
-    ], tol=max(tol / 2.0, 1e-14))))
-    return [
-        np.array([
-            [v.conjugate() for v in values[s][k:k + 2]] if swapped else values[s][k:k + 2]
-            for k, swapped in cells
-        ], dtype=complex).reshape(n, n, 2)
-        for s, n, cells in layouts
-    ]
+    ], tol=max(tol / 2.0, 1e-14))
+    position, on_p, swapped = np.array(cells, dtype=int).T
+    flat = np.array(values[0] + values[1], dtype=complex)
+    table = flat[(position + on_p * len(values[0]))[:, None] + [0, 1]]
+    table = np.where(swapped[:, None] == 1, table.conj(), table)
+    return [t.reshape(n, n, 2) for t, n in zip(_split(table, np.square(sizes)), sizes)]
 
 
 def _outcome_probabilities(factors, amplitude_index, tables):
@@ -300,10 +300,9 @@ def _outcome_probabilities(factors, amplitude_index, tables):
     for t, table in enumerate(tables):
         cells = table[..., pair_i[:, t], pair_j[:, t], :][..., (outcome >> (m - 1 - t)) & 1]
         re, im = re * cells.real - im * cells.imag, re * cells.imag + im * cells.real
-    total_re, total_im = (  # np.add.accumulate is sequential
-        np.add.accumulate(np.concatenate([np.zeros_like(x[..., :1, :]), x], axis=-2), axis=-2)[..., -1, :]
-        for x in (re, im)
-    )
+    total_re = total_im = 0.0
+    for k in range(re.shape[-2]):  # the pairs in order
+        total_re, total_im = total_re + re[..., k, :], total_im + im[..., k, :]
     if np.any(np.abs(total_im) > 1e-10):
         raise ArithmeticError(
             f"probability came out non-real (imaginary part {np.abs(total_im).max():.3e}); "
@@ -400,16 +399,12 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     for o, sign in enumerate(signs):
         sums = sums + probs[..., o]
         correlators = correlators + sign * probs[..., o]
-    # The tuple-by-tuple MK sum keeps the rounding of the reference curve
-    # where one labeling cancels to noise.
+    # The tuple-by-tuple MK sum, one pass over the amplitude axis, keeps the
+    # rounding of the reference curve where one labeling cancels to noise.
+    bell_x, bell_p = (np.abs(mk_sum_tuplewise(c)).tolist() for c in (correlators.T[::-1], correlators.T))
     return [
-        Psi3Report(
-            alpha=pair.alpha,
-            bell_x_unprimed=abs(mk_sum_tuplewise(c[::-1])),
-            bell_p_unprimed=abs(mk_sum_tuplewise(c)),
-            correlators=dict(enumerate(c)),
-            probability_sums=dict(enumerate(s)),
-            min_probability=min(min(row) for row in p),
+        Psi3Report(pair.alpha, x, p, dict(enumerate(c)), dict(enumerate(s)), min(map(min, rows)))
+        for pair, x, p, rows, s, c in zip(
+            pairs, bell_x, bell_p, probs.tolist(), sums.tolist(), correlators.tolist()
         )
-        for pair, p, s, c in zip(pairs, probs.tolist(), sums.tolist(), correlators.tolist())
     ]

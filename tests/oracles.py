@@ -389,11 +389,16 @@ def panel_one_at_a_time(f, a, b):
     return k, abs(k - g)
 
 
-def integrate_segments_one_panel_at_a_time(f, segments, tol=1e-10, max_intervals=4096):
+def integrate_segments_one_panel_at_a_time(
+    f, segments, tol=1e-10, max_intervals=4096, stops=None
+):
     """The greedy Gauss-Kronrod integrator with one integrand call per panel:
     the worst segment is bisected until the summed error estimate drops
     below max(tol, 64 eps sum |values|).  ``integrate_segments`` must agree
-    with it bit for bit."""
+    with it bit for bit.  A list passed as ``stops`` gets the rule that
+    ended the loop: "tolerance", "sum floor", "zero-error panel" or
+    "exhausted"."""
+    stops = [] if stops is None else stops
     entries = []  # heap of (-err, tiebreak, a, b, value, err)
     counter = 0
     total = 0.0
@@ -411,6 +416,7 @@ def integrate_segments_one_panel_at_a_time(f, segments, tol=1e-10, max_intervals
 
     while total_err > max(tol, 64.0 * np.finfo(float).eps * total_abs):
         if len(entries) >= max_intervals:
+            stops.append("exhausted")
             raise IntegrationError(
                 f"no convergence after {max_intervals} intervals "
                 f"(error estimate {total_err:.3e}, tol {tol:.3e})",
@@ -419,6 +425,7 @@ def integrate_segments_one_panel_at_a_time(f, segments, tol=1e-10, max_intervals
         neg_err, _, a, b, val, err = heapq.heappop(entries)
         if err == 0.0:
             heapq.heappush(entries, (neg_err, counter, a, b, val, err))
+            stops.append("zero-error panel")
             break
         total = total - val
         total_err -= err
@@ -431,6 +438,8 @@ def integrate_segments_one_panel_at_a_time(f, segments, tol=1e-10, max_intervals
             total = total + val2
             total_err += err2
             total_abs += abs(val2)
+    else:
+        stops.append("tolerance" if not total_err > tol else "sum floor")
 
     if isinstance(total, complex) or np.iscomplexobj(total):
         return complex(total)
@@ -471,8 +480,8 @@ def binned_probabilities_every_entry(terms, settings, pair, tol=1e-9):
             segments, make_cross = pair.x_segments(), _coherent_cross_x
         else:
             segments, make_cross = pair.p_segments(), _coherent_cross_p
-        plus = [(a, b) for a, b, s in segments if s > 0]
-        minus = [(a, b) for a, b, s in segments if s < 0]
+        plus = [(a, b) for a, b, s in segments.tolist() if s > 0]
+        minus = [(a, b) for a, b, s in segments.tolist() if s < 0]
         amplitudes = sorted({amps[t] for _w, amps in terms})
         table = {}
         for a, b in itertools.product(amplitudes, repeat=2):
@@ -563,14 +572,13 @@ class ParityFunctionPair:
 
 def _signed_segments(product_fn, roots, window):
     """Partition (-window, window) at the roots and attach the sign of the
-    product on each piece, evaluated at the midpoints in one call."""
+    product on each piece, evaluated at the midpoints in one call: rows
+    (a, b, sign), as ``CatPair`` gives them."""
     edges = [-window]
     edges.extend(r for r in roots if -window < r < window)
     edges.append(window)
-    pieces = list(zip(edges, edges[1:]))
-    mids = np.array([0.5 * (a + b) for a, b in pieces])
-    signs = np.where(product_fn(mids) >= 0.0, 1, -1).tolist()
-    return tuple((a, b, sign) for (a, b), sign in zip(pieces, signs))
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    return np.stack([a, b, np.where(product_fn(0.5 * (a + b)) >= 0.0, 1.0, -1.0)], axis=1)
 
 
 def quadrature_overlaps_VW(pair, tol=1e-9):

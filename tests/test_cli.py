@@ -129,6 +129,17 @@ class TestCommands:
         assert best["fidelity"] >= 0.99
         assert "fidelity_swapped_wiring" in best
 
+    def test_prep_fidelity_ties_at_the_top_go_to_the_larger_density(self, tmp_path):
+        """At alpha = 6 every fidelity of the default scan rounds to 1.0, so
+        the headline's best x0 is the one with the largest density."""
+        assert run(tmp_path, "prep-fidelity", "--alpha", "6") == 0
+        rows = [line.split(",") for line in read_csv(tmp_path, "prep-fidelity").splitlines()[1:]]
+        assert {float(fidelity) for _, _, fidelity, _ in rows} == {1.0}
+        best = read_json(tmp_path, "prep-fidelity")["headline"]["best_by_alpha"]["6.0"]
+        assert best["fidelity"] == 1.0
+        assert format(best["density"], ".12g") == max(rows, key=lambda r: float(r[3]))[3]
+        assert best["density"] > 0.1
+
 
 class TestDeterminismAndErrors:
     def test_csv_bytes_reproducible(self, tmp_path):

@@ -9,7 +9,10 @@ wrote before the support finish and the sign skip; the psi3-curve ones, the
 bytes it wrote before the grid was integrated in one lockstep batch (one
 amplitude at a time, down to 1e-9 and up to 30, and at ``--tol 1e-6``); the
 prep-fidelity ones, the bytes it wrote with one pipeline call per x0, and
-``<stem>.headline.json`` beside each the JSON headline of that run.
+``<stem>.headline.json`` beside each the JSON headline of that run (its best
+x0 breaks a tie at the top fidelity by the larger density); the README
+examples, the bytes written before the lockstep quadrature kept its state in
+arrays.
 
 The last printed digit of a coefficient can move with the numpy and BLAS
 build, and with the Python version wherever Python's own arithmetic rounds
@@ -75,6 +78,13 @@ PINNED = (
     (GOLDEN / "cat-vw-a1e-9.csv", ("cat-vw", "--alpha", "1e-9")),
     (GOLDEN / "cat-vw-a50.csv", ("cat-vw", "--alpha", "50")),
     (GOLDEN / "sign-ghz-m1000.csv", ("sign-ghz", "--m", "1000")),
+    # the README examples not pinned above
+    (GOLDEN / "sign-ghz-m3.csv", ("sign-ghz", "--m", "3")),
+    (GOLDEN / "sign-optimize-m3-d20.csv", ("sign-optimize", "--m", "3", "--d", "20")),
+    (GOLDEN / "sign-optimize-m3-d400-nonneg.csv", ("sign-optimize", "--m", "3", "--d", "400", "--constraint", "nonneg")),
+    (GOLDEN / "root-max-m8.csv", ("root-max", "--m-max", "8")),
+    (GOLDEN / "cat-vw-a0.5-6-0.5.csv", ("cat-vw", "--alpha", "0.5:6:0.5")),
+    (GOLDEN / "noise-sweep-m3-10.csv", ("noise-sweep", "--m", "3:10:1", "--p", "0:0.12:0.01")),
 )
 # The prep-fidelity JSON headline (best x0 per amplitude, its fidelity and
 # density, and the swapped wiring's fidelity there) is pinned as well.

@@ -16,6 +16,7 @@ checks that one fact on its own.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from bellscope.catprep import CoherentSuperposition, bs_transform, scs_state, tensor
 from bellscope import cli, numerics, rootbin
 from bellscope.numerics import (
+    _GK_NODES,
     _GK_WG,
     _GK_WK,
     IntegrationError,
@@ -168,6 +170,124 @@ def test_batch_matches_each_integral_one_panel_at_a_time(families, tol, max_inte
     assert batched == singles
 
 
+# Integrands that bisect hundreds of times at tol = 1e-12 (a comb of narrow
+# peaks about 860 times on (-6, 6)), and a narrow spike and a kink that
+# bisect tens of times.
+DEEP = {
+    "comb": lambda p, q: lambda x: 1.0 / (1e-4 + q * np.sin(5.0 * (x - p)) ** 2),
+    "wave": lambda p, q: lambda x: np.sin(40.0 * q * x + p),
+    "complex-comb": lambda p, q: lambda x: (
+        np.exp(4j * x) / (1e-3 + q * np.sin(3.0 * (x - p)) ** 2)
+    ),
+    "spike": lambda p, q: lambda x: 1.0 / (1e-6 + q * (x - p) ** 2),
+    "kink": lambda p, q: lambda x: q * np.abs(x - p),
+}
+
+
+def owner_dispatch(integrands):
+    """f(x, owner) of a family: integral i's nodes go to integrands[i]."""
+    def f(x, owner):
+        parts = [np.asarray(g(x[owner == i])) for i, g in enumerate(integrands)]
+        out = np.zeros(x.shape, dtype=np.result_type(*parts))
+        for i, part in enumerate(parts):
+            out[owner == i] = part
+        return out
+    return f
+
+
+def assert_batch_matches_alone(families, tol, max_intervals):
+    """``integrate_batch`` over families of (integrand, segments) members
+    against each member integrated alone by the one-panel-at-a-time oracle:
+    values, their types, and the error text and estimate of the first
+    member (by round, then position) to run out of subdivisions, all with
+    ``==``.  Returns the oracle's stopping rule of each member."""
+    alone, stops, first_failure = [], [], None
+    for members in families:
+        for f, segments in members:
+            single = outcome(
+                functools.partial(integrate_segments_one_panel_at_a_time, stops=stops),
+                f, segments, tol, max_intervals,
+            )
+            alone.append(single)
+            if single[0] == "error":
+                key = (max(max_intervals - sum(b != a for a, b in segments), 0), len(alone))
+                first_failure = min(first_failure or (key, single), (key, single))
+    try:
+        results = integrate_batch(
+            [(owner_dispatch([f for f, _ in members]), [s for _, s in members])
+             for members in families],
+            tol=tol, max_intervals=max_intervals,
+        )
+    except IntegrationError as exc:
+        assert first_failure is not None and type(exc.achieved_error) is float
+        assert ("error", str(exc), exc.achieved_error) == first_failure[1]
+        return stops
+    assert first_failure is None
+    assert [("value", v, type(v)) for values in results for v in values] == alone
+    return stops
+
+
+deep_member = st.tuples(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.5, max_value=4.0),
+    st.lists(st.tuples(edge, edge), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    families=st.lists(
+        st.tuples(st.sampled_from(sorted(DEEP)), st.lists(deep_member, min_size=1, max_size=3)),
+        min_size=1, max_size=2,
+    ),
+    max_intervals=st.sampled_from((128, 1024, 4096)),
+)
+@example(families=[("comb", [(0.1, 2.0, [(-6.0, 6.0)]), (-0.3, 1.0, [(-6.0, 0.3), (0.3, 5.0)])]),
+                   ("complex-comb", [(0.2, 1.5, [(-6.0, 6.0)])])],
+         max_intervals=4096)
+def test_deep_bisection_matches_one_panel_at_a_time(families, max_intervals):
+    """Integrals bisected hundreds of times, past the 64 intervals of the
+    properties above, grow each row of halves by hundreds of columns."""
+    assert_batch_matches_alone(
+        [[(DEEP[kind](p, q), segments) for p, q, segments in members] for kind, members in families],
+        1e-12, max_intervals,
+    )
+
+
+def node_pattern(segments):
+    """Nonzero only on the nodes of the initial panels over ``segments``, so
+    every half of a bisection integrates to 0 with error estimate 0."""
+    nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES for a, b in segments])
+    return lambda x: np.where(np.isin(x, nodes), 0.1 * np.sin(40.0 * x), 0.0)
+
+
+ZERO_ERROR_SEGMENTS = [(-1.0, 0.3), (0.3, 2.0)]
+# (families, tol, max_intervals, the oracle's stopping rule of each member)
+STOPPING_RULES = {
+    "tolerance": ([[(DEEP["wave"](0.2, 1.0), [(-6.0, 6.0)])]], 1e-12, 4096, ["tolerance"]),
+    # with tol = 0 only the floor 64 eps sum |values| can stop the spike
+    "sum floor": ([[(DEEP["spike"](0.1, 2.0), [(-6.0, 6.0)])]], 0.0, 4096, ["sum floor"]),
+    # both initial panels bisected, the summed error is 7e-18 of rounding
+    # left over while every panel left has error 0
+    "zero-error panel": (
+        [[(node_pattern(ZERO_ERROR_SEGMENTS), ZERO_ERROR_SEGMENTS)]], 0.0, 4096,
+        ["zero-error panel"],
+    ),
+    # one member of each of two families runs out in round 39; the first
+    # family's raises
+    "same-round exhaustion": (
+        [[(DEEP["comb"](0.1, 2.0), [(-6.0, 6.0)])], [(DEEP["wave"](0.2, 1.0), [(-6.0, 6.0)])]],
+        1e-12, 40, ["exhausted", "exhausted"],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(STOPPING_RULES))
+def test_each_stopping_rule_matches_one_panel_at_a_time(rule):
+    families, tol, max_intervals, stops = STOPPING_RULES[rule]
+    assert assert_batch_matches_alone(families, tol, max_intervals) == stops
+
+
 def test_hypot_rounds_like_complex_abs():
     """Initial panel errors and running sums take the abs of complex arrays
     with np.hypot, which must round as Python's complex abs does; numpy's
@@ -282,6 +402,20 @@ def test_psi3_grid_runs_bound_the_batch_and_move_no_result(monkeypatch):
     monkeypatch.setattr(rootbin, "_P_PIECES_PER_BATCH", 1)
     assert [len(run) for run in rootbin._runs([cat_pair(a) for a in alphas])] == [1] * 6
     assert psi3_bell_report(alphas) == whole
+
+
+def test_psi3_memory_stays_bounded_at_the_widest_amplitude():
+    """alpha = 30 alone is the widest batch the curve runs (5,016 p pieces,
+    about 10 MB of traced peak); a per-integral state that pads every
+    integral to the longest would undo the cap on a run's p pieces."""
+    psi3_bell_report([30.0])  # warm: the peak below is the batch's own
+    tracemalloc.start()
+    try:
+        psi3_bell_report([30.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
 
 
 @SLOW_PROPERTY
