@@ -176,7 +176,13 @@ def cmd_psi3_curve(options):
         "bell_at_alpha_max": rows[-1][column],
         "max_probability_sum_error": max(r[4] for r in rows),
     }
-    header = ("alpha", "bell_x_unprimed", "bell_p_unprimed", "bell_best", "probability_sum_error")
+    header = (
+        "alpha",
+        "bell_x_unprimed",
+        "bell_p_unprimed",
+        "bell_best",
+        "probability_sum_error",
+    )
     return header, rows, headline
 
 
@@ -250,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("root-max", help="root binning at V = W = 1")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--labeling", choices=("x-unprimed", "p-unprimed", "best"), default="x-unprimed")
+    p.add_argument(
+        "--labeling",
+        choices=("x-unprimed", "p-unprimed", "best"),
+        default="x-unprimed",
+    )
     common(p)
 
     p = sub.add_parser("cat-vw", help="overlaps V, W of the cat pair")
@@ -259,8 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi3-curve", help="three-mode candidate state Bell curve")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--labeling", choices=("x-unprimed", "p-unprimed", "best"), default="best")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
+    p.add_argument(
+        "--labeling",
+        choices=("x-unprimed", "p-unprimed", "best"),
+        default="best",
+    )
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
+    )
     common(p)
 
     p = sub.add_parser("noise-sweep", help="erasure-noise scaling for GHZ states")

@@ -75,14 +75,6 @@ def _panels(f, a, b, owner):
     return k, _abs(k - half * np.vecdot(_GK_WG, ys))
 
 
-def _running_sums(values, owner, counts):
-    """0.0 + v_0 + v_1 + ... of each integral's values, left to right:
-    np.add.accumulate is sequential, and +0.0 padding leaves a sum as is."""
-    padded = np.zeros((counts.max() + 1, len(counts)), dtype=values.dtype)
-    padded[np.arange(values.size) - (np.cumsum(counts) - counts)[owner] + 1, owner] = values
-    return np.add.accumulate(padded)[-1]
-
-
 def _compact(rows, keep):
     """Keep the rows (integrals) where ``keep`` is true."""
     if not keep.all():
@@ -99,10 +91,10 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
     stopping rule (QUADPACK's greedy scheme): its worst panel, the first
     inserted among equals, is bisected until the summed error estimate is
     below ``tol`` or below the machine-precision floor of the running sum.
-    A family's state is one row per unconverged integral: its initial
-    panels sorted worst first, with a cursor, and its halves in insertion
-    order, two more a round.  A round is array operations over all rows and
-    one integrand call per family for both halves of every worst panel.
+    A family's state is arrays with one row per unconverged integral, its
+    panels in insertion order, so that ``argmax`` picks every row's worst
+    panel at once; a round pops those, updates the sums elementwise, calls
+    the integrand once for both halves of each and appends them to the rows.
     Returns one list of results per family.  The first integral (by round,
     then position) to run out of subdivisions raises ``IntegrationError``
     with its error estimate.
@@ -118,21 +110,22 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
         if not owner.size:
             continue
         values, errors = _panels(f, a, b, owner)
-        total, err, size = (_running_sums(x, owner, counts) for x in (values, errors, _abs(values)))
+        # each integral's panels (a, b, error) and values in a row, in insertion
+        # order after a placeholder; a slot not in use reads as popped (error
+        # -1) and adds 0.0 to the sums, left to right as np.add.accumulate adds
+        slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
+        panels = np.tile([0.0, 0.0, -1.0], (counts.size, counts.max() + 1, 1))
+        panels[owner, slot] = np.array([a, b, errors]).T
+        row_values = np.zeros(panels.shape[:2], dtype=values.dtype)
+        row_values[owner, slot] = values
+        total, err, size = (
+            np.add.accumulate(x, axis=1)[:, -1]
+            for x in (row_values, np.maximum(panels[..., 2], 0.0), _abs(row_values))
+        )
         results[-1] = total, counts
-        live = (err > tol) & (err > _SUM_FLOOR * size)
-        # the live integrals' initial panels, each one's worst first and
-        # equals in slot order
-        order = np.flatnonzero(live[owner])
-        order = order[np.lexsort((-errors[order], owner[order]))]
-        live = np.flatnonzero(live)
-        ends = np.cumsum(counts[live])
-        states.append((f, np.array([a, b, errors]).T[order], values[order], total, {
-            "idx": live, "limit": max_intervals - counts[live], "total": total[live],
-            "err": err[live], "abs": size[live], "next": ends - counts[live], "end": ends,
-            # the halves' (a, b, error) and values; column 0 is a popped placeholder
-            "halves": np.tile([0.0, 0.0, -1.0], (live.size, 1, 1)),
-            "values": np.zeros((live.size, 1), dtype=values.dtype),
+        states.append((f, total, {
+            "idx": np.arange(counts.size), "limit": max_intervals - counts, "total": total,
+            "err": err, "abs": size, "panels": panels, "values": row_values,
         }))
 
     for bisections in itertools.count():
@@ -147,39 +140,32 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
                 )
         if not any(rows["idx"].size for *_, rows in states):
             break
-        halves = []
-        for _, initial, initial_values, _, rows in states:
-            # the worst initial panel left against the worst half: the
-            # initial one wins a tie, as it was inserted first
-            cursor = np.minimum(rows["next"], len(initial) - 1)
-            first = np.where(rows["next"] < rows["end"], initial[cursor, 2], -np.inf)
-            line, col = np.arange(cursor.size), rows["halves"][..., 2].argmax(axis=1)
-            pick = first >= rows["halves"][line, col, 2]
-            a, b, err = np.where(pick[:, None], initial[cursor], rows["halves"][line, col]).T
-            val = np.where(pick, initial_values[cursor], rows["values"][line, col])
-            rows["next"] = rows["next"] + pick
-            rows["halves"][line[~pick], col[~pick], 2] = -1.0
+        for f, total, rows in states:
+            # argmax takes the first of equal errors: the first inserted
+            line, col = np.arange(len(rows["idx"])), rows["panels"][..., 2].argmax(axis=1)
+            (a, b, err), val = rows["panels"][line, col].T, rows["values"][line, col]
+            rows["panels"][line, col, 2] = -1.0
             # a popped panel without error ends its integral unchanged
             go = err != 0.0
             _compact(rows, go)
+            if not go.any():
+                continue
             a, b, val = a[go], b[go], val[go]
             rows["total"], rows["err"], rows["abs"] = (
                 rows["total"] - val, rows["err"] - err[go], rows["abs"] - _abs(val)
             )
             edges = np.array([a, 0.5 * (a + b), b]).T
-            halves.append((edges[:, :2], edges[:, 1:]))
-        for (f, *_, total, rows), (lo, hi) in zip(states, halves):
-            if lo.size:
-                owner = np.repeat(rows["idx"], 2)
-                values, errors = (x.reshape(-1, 2) for x in _panels(f, lo.ravel(), hi.ravel(), owner))
-                for val, err in zip(values.T, errors.T):  # the left half, then the right
-                    rows["total"], rows["err"], rows["abs"] = (
-                        rows["total"] + val, rows["err"] + err, rows["abs"] + _abs(val)
-                    )
-                new = np.array([lo, hi, errors]).transpose(1, 2, 0)
-                rows["halves"] = np.concatenate([rows["halves"], new], axis=1)
-                rows["values"] = np.concatenate([rows["values"], values], axis=1)
-                total[rows["idx"]] = rows["total"]
+            lo, hi = edges[:, :2], edges[:, 1:]
+            owner = np.repeat(rows["idx"], 2)
+            values, errors = (x.reshape(-1, 2) for x in _panels(f, lo.ravel(), hi.ravel(), owner))
+            for val, err in zip(values.T, errors.T):  # the left half, then the right
+                rows["total"], rows["err"], rows["abs"] = (
+                    rows["total"] + val, rows["err"] + err, rows["abs"] + _abs(val)
+                )
+            new = np.array([lo, hi, errors]).transpose(1, 2, 0)
+            rows["panels"] = np.concatenate([rows["panels"], new], axis=1)
+            rows["values"] = np.concatenate([rows["values"], values], axis=1)
+            total[rows["idx"]] = rows["total"]
     return [[t if n else 0.0 for t, n in zip(s.tolist(), n.tolist())] for s, n in results]
 
 

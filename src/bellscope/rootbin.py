@@ -236,8 +236,7 @@ def psi3_prime_terms(alpha: float):
 
 
 def _split(array, sizes):
-    """Consecutive pieces of ``array`` with the given sizes (np.split, with
-    less overhead per piece)."""
+    """Consecutive pieces of ``array`` of the given sizes, as np.split (faster)."""
     ends = np.cumsum(sizes).tolist()
     return [array[start:end] for start, end in zip([0] + ends, ends)]
 
@@ -246,12 +245,11 @@ def _mode_tables(requests, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
     domains for each (pair, setting, amplitudes): complex T[i, j, side] over
     the sorted distinct amplitudes, side 0 for plus, all from one lockstep
-    batch; a pair's segments are rows (a, b, sign +/-1).
-    <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu =
-    sqrt(2) a, is symmetric in (a, b); <p|a><p|b>* = pi^{-1/2} e^{-p^2}
-    e^{-i sqrt(2) (a-b) p} depends on a - b, conjugated by a swap.  Both hold
-    bit for bit, so each distinct integral is computed once; one gather
-    builds the tables."""
+    batch over the pairs' segment rows (a, b, sign +/-1).  <x|a><x|b> =
+    pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu = sqrt(2) a, is symmetric
+    in (a, b); <p|a><p|b>* = pi^{-1/2} e^{-p^2} e^{-i sqrt(2) (a-b) p}
+    depends on a - b, conjugated by a swap.  Both hold bit for bit, so each
+    distinct integral is computed once; one gather builds the tables."""
     for _, setting, _ in requests:
         if setting not in ("x", "p"):
             raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")

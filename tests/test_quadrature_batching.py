@@ -282,6 +282,26 @@ STOPPING_RULES = {
 }
 
 
+def on_nodes(panels):
+    """An integrand equal to ``y`` on the 15 nodes of each panel (a, b) of
+    ``panels`` (a dict (a, b) -> y) and 0 everywhere else."""
+    table = {}
+    for (a, b), y in panels.items():
+        table.update(zip((0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES).tolist(), y))
+    return lambda x: np.array([table.get(v, 0.0) for v in x.tolist()])
+
+
+def test_an_initial_panel_beats_a_half_with_an_equal_error():
+    """(1, 2) and the half (0, 0.5) of (0, 1) have the same error estimate
+    (twice the values on half the width); the initial panel is bisected
+    first, as the heap's insertion order has it.  Its halves carry error and
+    the other's do not, so the estimate at the fourth interval tells."""
+    unit = np.eye(15)[0]
+    f = on_nodes({(0.0, 1.0): 100.0 * unit, (1.0, 2.0): unit, (0.0, 0.5): 2.0 * unit,
+                  (1.0, 1.5): 0.3 * unit, (1.5, 2.0): 0.7 * unit})
+    assert assert_batch_matches_alone([[(f, [(0.0, 1.0), (1.0, 2.0)])]], 1e-20, 4) == ["exhausted"]
+
+
 @pytest.mark.parametrize("rule", sorted(STOPPING_RULES))
 def test_each_stopping_rule_matches_one_panel_at_a_time(rule):
     families, tol, max_intervals, stops = STOPPING_RULES[rule]
