@@ -114,7 +114,7 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
         # order after a placeholder; a slot not in use reads as popped (error
         # -1) and adds 0.0 to the sums, left to right as np.add.accumulate adds
         slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
-        panels = np.tile([0.0, 0.0, -1.0], (counts.size, counts.max() + 1, 1))
+        panels = np.full((counts.size, counts.max() + 1, 3), -1.0)
         panels[owner, slot] = np.array([a, b, errors]).T
         row_values = np.zeros(panels.shape[:2], dtype=values.dtype)
         row_values[owner, slot] = values
