@@ -247,18 +247,25 @@ deep_member = st.tuples(
          max_intervals=4096)
 def test_deep_bisection_matches_one_panel_at_a_time(families, max_intervals):
     """Integrals bisected hundreds of times, past the 64 intervals of the
-    properties above, grow each row of halves by hundreds of columns."""
+    properties above, grow each row of panels by hundreds of columns."""
     assert_batch_matches_alone(
         [[(DEEP[kind](p, q), segments) for p, q, segments in members] for kind, members in families],
         1e-12, max_intervals,
     )
 
 
-def node_pattern(segments):
-    """Nonzero only on the nodes of the initial panels over ``segments``, so
-    every half of a bisection integrates to 0 with error estimate 0."""
-    nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES for a, b in segments])
-    return lambda x: np.where(np.isin(x, nodes), 0.1 * np.sin(40.0 * x), 0.0)
+def nodes(a, b):
+    """The 15 nodes of the panel (a, b), as the integrator computes them."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES
+
+
+def on_nodes(panels):
+    """An integrand equal to ``y`` on the nodes of each panel (a, b) of
+    ``panels`` (a dict (a, b) -> y) and 0 everywhere else."""
+    table = {}
+    for (a, b), y in panels.items():
+        table.update(zip(nodes(a, b).tolist(), y))
+    return lambda x: np.array([table.get(v, 0.0) for v in x.tolist()])
 
 
 ZERO_ERROR_SEGMENTS = [(-1.0, 0.3), (0.3, 2.0)]
@@ -269,9 +276,11 @@ STOPPING_RULES = {
     "sum floor": ([[(DEEP["spike"](0.1, 2.0), [(-6.0, 6.0)])]], 0.0, 4096, ["sum floor"]),
     # both initial panels bisected, the summed error is 7e-18 of rounding
     # left over while every panel left has error 0
+    # (nonzero only on the initial nodes, so every half has error 0)
     "zero-error panel": (
-        [[(node_pattern(ZERO_ERROR_SEGMENTS), ZERO_ERROR_SEGMENTS)]], 0.0, 4096,
-        ["zero-error panel"],
+        [[(on_nodes({s: 0.1 * np.sin(40.0 * nodes(*s)) for s in ZERO_ERROR_SEGMENTS}),
+           ZERO_ERROR_SEGMENTS)]],
+        0.0, 4096, ["zero-error panel"],
     ),
     # one member of each of two families runs out in round 39; the first
     # family's raises
@@ -280,15 +289,6 @@ STOPPING_RULES = {
         1e-12, 40, ["exhausted", "exhausted"],
     ),
 }
-
-
-def on_nodes(panels):
-    """An integrand equal to ``y`` on the 15 nodes of each panel (a, b) of
-    ``panels`` (a dict (a, b) -> y) and 0 everywhere else."""
-    table = {}
-    for (a, b), y in panels.items():
-        table.update(zip((0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES).tolist(), y))
-    return lambda x: np.array([table.get(v, 0.0) for v in x.tolist()])
 
 
 def test_an_initial_panel_beats_a_half_with_an_equal_error():
@@ -424,14 +424,18 @@ def test_psi3_grid_runs_bound_the_batch_and_move_no_result(monkeypatch):
     assert psi3_bell_report(alphas) == whole
 
 
-def test_psi3_memory_stays_bounded_at_the_widest_amplitude():
-    """alpha = 30 alone is the widest batch the curve runs (5,016 p pieces,
-    about 10 MB of traced peak); a per-integral state that pads every
-    integral to the longest would undo the cap on a run's p pieces."""
-    psi3_bell_report([30.0])  # warm: the peak below is the batch's own
+@pytest.mark.parametrize("alphas", ("30", "0.05:12:0.25"))
+def test_psi3_memory_stays_bounded(alphas):
+    """alpha = 30 alone is the widest batch the curve runs (5,016 p pieces)
+    and 0.05:12:0.25 a grid of two runs (traced peaks of about 10 and
+    15 MB).  The quadrature pads each integral's row of panels to the
+    longest of its family; the bound keeps that padding from undoing the
+    cap on a run's p pieces."""
+    grid = cli.parse_range(alphas)
+    psi3_bell_report(grid)  # warm: the peak below is the batch's own
     tracemalloc.start()
     try:
-        psi3_bell_report([30.0])
+        psi3_bell_report(grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
