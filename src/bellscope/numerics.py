@@ -119,7 +119,7 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
         row_values = np.zeros(panels.shape[:2], dtype=values.dtype)
         row_values[owner, slot] = values
         total, err, size = (
-            np.add.accumulate(x, axis=1)[:, -1]
+            np.add.accumulate(x, axis=1)[:, -1].copy()  # not a view of the whole
             for x in (row_values, np.maximum(panels[..., 2], 0.0), _abs(row_values))
         )
         results[-1] = total, counts

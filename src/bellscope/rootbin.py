@@ -235,12 +235,6 @@ def psi3_prime_terms(alpha: float):
     )
 
 
-def _split(array, sizes):
-    """Consecutive pieces of ``array`` of the given sizes, as np.split (faster)."""
-    ends = np.cumsum(sizes).tolist()
-    return [array[start:end] for start, end in zip([0] + ends, ends)]
-
-
 def _mode_tables(requests, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
     domains for each (pair, setting, amplitudes): complex T[i, j, side] over
@@ -255,9 +249,10 @@ def _mode_tables(requests, tol):
             raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")
     segments = [pair.x_segments() if s == "x" else pair.p_segments() for pair, s, _ in requests]
     # each request's plus pieces, then its minus pieces, cut from one array
-    rows = np.concatenate(segments)
+    rows = np.concatenate([np.empty((0, 3)), *segments])
     side = 2 * np.repeat(np.arange(len(segments)), [len(s) for s in segments]) + (rows[:, 2] < 0)
-    sides = _split(rows[np.argsort(side, kind="stable"), :2], np.bincount(side, minlength=2 * len(segments)))
+    cuts = np.cumsum(np.bincount(side, minlength=2 * len(segments)))[:-1]
+    sides = np.split(rows[np.argsort(side, kind="stable"), :2], cuts)
     integrals, cells, sizes = {"x": {}, "p": {}}, [], []
     for r, (_, setting, amplitudes) in enumerate(requests):
         amps = sorted(set(amplitudes))
@@ -275,11 +270,11 @@ def _mode_tables(requests, tol):
         (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i] * p),
          segment_lists["p"]),
     ], tol=max(tol / 2.0, 1e-14))
-    position, on_p, swapped = np.array(cells, dtype=int).T
+    position, on_p, swapped = np.array(cells, dtype=int).reshape(-1, 3).T
     flat = np.array(values[0] + values[1], dtype=complex)
     table = flat[(position + on_p * len(values[0]))[:, None] + [0, 1]]
     table = np.where(swapped[:, None] == 1, table.conj(), table)
-    return [t.reshape(n, n, 2) for t, n in zip(_split(table, np.square(sizes)), sizes)]
+    return [t.reshape(n, n, 2) for t, n in zip(np.split(table, np.cumsum(np.square(sizes))[:-1]), sizes)]
 
 
 def _outcome_probabilities(factors, amplitude_index, tables):
