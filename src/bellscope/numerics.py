@@ -131,8 +131,9 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
     for bisections in itertools.count():
         for *_, rows in states:
             _compact(rows, (rows["err"] > tol) & (rows["err"] > _SUM_FLOOR * rows["abs"]))
-            if np.any(rows["limit"] <= bisections):
-                total_err = rows["err"][np.argmax(rows["limit"] <= bisections)].item()
+            spent = rows["limit"] <= bisections
+            if spent.any():
+                total_err = rows["err"][spent.argmax()].item()
                 raise IntegrationError(
                     f"no convergence after {max_intervals} intervals "
                     f"(error estimate {total_err:.3e}, tol {tol:.3e})",
