@@ -1,5 +1,6 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature over finite
-segments, many integrals in lockstep, and even/odd bipartite eigenproblems.
+segments, many integrals in lockstep on array state (one row of panels per
+integral), and even/odd bipartite eigenproblems.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.

@@ -374,8 +374,8 @@ def panel_one_at_a_time(f, a, b):
     |K - G| error guess).
 
     The weighted sums use the program's ``np.vecdot`` reduction, so the
-    comparison with ``integrate_segments`` tests the batching and the heap
-    and not the numpy build.  The integrator before batching used
+    comparison with ``integrate_segments`` tests the batching and the
+    bisection order and not the numpy build.  The integrator before batching used
     ``_GK_WK @ ys``; ``test_vecdot_rounds_like_matmul`` checks separately
     that the two round alike.
     """
