@@ -4,7 +4,8 @@ Every command writes <command>.csv and <command>.json into --out.  CSV files
 are deterministic byte-for-byte for a given configuration (fixed iteration
 order, 12 significant digits, no timestamps); wall time lives only in the
 JSON summary.  Exit status: 0 success, 2 configuration error, 3 numerical
-failure.
+failure.  ``bellscope --help`` lists the commands, ``bellscope <command>
+--help`` shows a command's options; a run builds its own command's parser.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ class ConfigError(ValueError):
 
 
 def parse_range(text: str, name: str = "range"):
-    """start:stop:step (inclusive start, step > 0, at most MAX_RANGE_VALUES
-    values) or a single value, all finite."""
+    """start:stop:step (inclusive start, step > 0 and large enough to move
+    every value past the one before, at most MAX_RANGE_VALUES values) or a
+    single value, all finite."""
     try:
         numbers = [float(p) for p in text.split(":")]
         if len(numbers) not in (1, 3):
@@ -55,14 +57,14 @@ def parse_range(text: str, name: str = "range"):
     if (stop - start) / step + 1e-9 >= MAX_RANGE_VALUES:
         raise ConfigError(f"{name} {text!r} has more than {MAX_RANGE_VALUES} values")
     values = []
-    k = 0
-    while True:
+    for k in range(MAX_RANGE_VALUES + 1):
         v = start + k * step
         if v > stop + 1e-9 * step:
-            break
+            return values
+        if values and v <= values[-1]:
+            raise ConfigError(f"{name} step {step!r} is below the float resolution at {v!r}")
         values.append(v)
-        k += 1
-    return values
+    raise ConfigError(f"{name} {text!r} has more than {MAX_RANGE_VALUES} values")
 
 
 def parse_int_range(text: str, name: str = "range"):
@@ -232,64 +234,72 @@ COMMANDS = {
 }
 
 
+LABELINGS = ("x-unprimed", "p-unprimed", "best")
+# Each command's help line and its options but --out, in the order its help
+# lists them: (flag, add_argument keywords).  Both parsers read this table.
+_OPTIONS = {
+    "sign-ghz": ("GHZ state, sign binning, GHZ-like angles", (
+        ("--m", dict(type=int, required=True)),
+    )),
+    "sign-optimize": ("optimal state at fixed angles", (
+        ("--m", dict(type=int, required=True)),
+        ("--d", dict(type=int, required=True)),
+        ("--constraint", dict(choices=("none", "nonneg"), default="none")),
+    )),
+    "root-max": ("root binning at V = W = 1", (
+        ("--m-max", dict(type=int, required=True)),
+        ("--theta", dict(type=float, default=None)),
+        ("--labeling", dict(choices=LABELINGS, default="x-unprimed")),
+    )),
+    "cat-vw": ("overlaps V, W of the cat pair", (("--alpha", dict(required=True)),)),
+    "psi3-curve": ("three-mode candidate state Bell curve", (
+        ("--alpha", dict(required=True)),
+        ("--labeling", dict(choices=LABELINGS, default="best")),
+        ("--tol", dict(type=float, default=DEFAULT_TOL, help="quadrature tolerance")),
+    )),
+    "noise-sweep": ("erasure-noise scaling for GHZ states", (
+        ("--m", dict(required=True)), ("--p", dict(required=True)),
+    )),
+    "prep-fidelity": ("conditional-generation fidelity", (
+        ("--alpha", dict(required=True)), ("--x0", dict(default=None)),
+    )),
+}
+
+
+def _add_options(parser, name) -> None:
+    for flag, keywords in _OPTIONS[name][1]:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--out", default=".", help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="bellscope",
         description="Bell factors for multimode continuous-variable states "
         "under homodyne detection with binned outcomes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
-
-    p = sub.add_parser("sign-ghz", help="GHZ state, sign binning, GHZ-like angles")
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("sign-optimize", help="optimal state at fixed angles")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--constraint", choices=("none", "nonneg"), default="none")
-    common(p)
-
-    p = sub.add_parser("root-max", help="root binning at V = W = 1")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument(
-        "--labeling",
-        choices=("x-unprimed", "p-unprimed", "best"),
-        default="x-unprimed",
-    )
-    common(p)
-
-    p = sub.add_parser("cat-vw", help="overlaps V, W of the cat pair")
-    p.add_argument("--alpha", required=True)
-    common(p)
-
-    p = sub.add_parser("psi3-curve", help="three-mode candidate state Bell curve")
-    p.add_argument("--alpha", required=True)
-    p.add_argument(
-        "--labeling",
-        choices=("x-unprimed", "p-unprimed", "best"),
-        default="best",
-    )
-    p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance"
-    )
-    common(p)
-
-    p = sub.add_parser("noise-sweep", help="erasure-noise scaling for GHZ states")
-    p.add_argument("--m", required=True)
-    p.add_argument("--p", required=True)
-    common(p)
-
-    p = sub.add_parser("prep-fidelity", help="conditional-generation fidelity")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--x0", default=None)
-    common(p)
-
+    for name, (help_line, _) in _OPTIONS.items():
+        _add_options(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the named command's parser alone, the one argparse builds
+    as the subparser ``bellscope <name>``.  The full parser takes every
+    other command line (help, no or an unknown command, ``--``) and one
+    with arguments the command leaves over, which argparse reports with
+    the top-level usage."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"bellscope {argv[0]}")
+        parser.set_defaults(command=argv[0])
+        _add_options(parser, argv[0])
+        options, leftover = parser.parse_known_args(argv[1:])
+        if not leftover:
+            return options
+    return build_parser().parse_args(argv)
 
 
 def _validate(options) -> None:
@@ -334,8 +344,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    options = parser.parse_args(argv)
+    options = _parse(argv)
     try:
         _validate(options)
     except ConfigError as exc:

@@ -43,6 +43,14 @@ class TestRangeParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_range(bad)
 
+    # START + k * STEP rounds back to a value already listed: the loop once
+    # repeated 1e20 8,193 times, and 1e300 until memory ran out
+    @pytest.mark.parametrize("bad", ("1e20:1e20:1", "1e300:1e300:1", "1e16:1.0000000000001e16:1.5"))
+    def test_step_below_float_resolution(self, bad):
+        with pytest.raises(cli.ConfigError, match="below the float resolution"):
+            cli.parse_range(bad)
+        assert cli.parse_range("1e20:1e20:32768") == [1e20]
+
     def test_non_integer_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_int_range("2:3:0.5")
@@ -184,6 +192,11 @@ class TestDeterminismAndErrors:
     def test_huge_range_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "cat-vw", "--alpha", "0.5:1e12:1e-3") == 2
         assert "more than 1000000 values" in capsys.readouterr().err
+        assert not (tmp_path / "cat-vw.csv").exists()
+
+    def test_step_below_float_resolution_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "cat-vw", "--alpha", "1e300:1e300:1") == 2
+        assert "below the float resolution at 1e+300" in capsys.readouterr().err
         assert not (tmp_path / "cat-vw.csv").exists()
 
     def test_unknown_command_exits_2(self):
