@@ -92,6 +92,17 @@ class TestCommands:
         assert "converged" not in headline and "convergence_delta" not in headline
         assert len(read_csv(tmp_path, "sign-optimize").splitlines()) == 12
 
+    def test_sign_optimize_json_angles_are_the_ghz_like_floats(self, tmp_path):
+        """The JSON angle lists hold plain floats equal, bit for bit, to the
+        scalar formula of the GHZ-like family (sign +1 at odd m)."""
+        m = 3
+        assert run(tmp_path, "sign-optimize", "--m", str(m), "--d", "11") == 0
+        headline = read_json(tmp_path, "sign-optimize")["headline"]
+        theta = [1.0 * math.pi * k / (2.0 * m) for k in range(m)]
+        for key, expected in (("theta", theta), ("theta_prime", [t + math.pi / 2.0 for t in theta])):
+            assert all(type(value) is float for value in headline[key])
+            assert [v.hex() for v in headline[key]] == [v.hex() for v in expected]
+
     def test_sign_ghz_large_m(self, tmp_path):
         assert run(tmp_path, "sign-ghz", "--m", "1000") == 0
         headline = read_json(tmp_path, "sign-ghz")["headline"]

@@ -85,6 +85,10 @@ PINNED = (
     (GOLDEN / "root-max-m8.csv", ("root-max", "--m-max", "8")),
     (GOLDEN / "cat-vw-a0.5-6-0.5.csv", ("cat-vw", "--alpha", "0.5:6:0.5")),
     (GOLDEN / "noise-sweep-m3-10.csv", ("noise-sweep", "--m", "3:10:1", "--p", "0:0.12:0.01")),
+    # the scans in m: parties past mk._BLOCK = 256, both labelings, a fixed phase
+    (GOLDEN / "noise-sweep-m250-1000.csv", ("noise-sweep", "--m", "250:1000:250", "--p", "0:0.12:0.04")),
+    (GOLDEN / "root-max-m300-best.csv", ("root-max", "--m-max", "300", "--labeling", "best")),
+    (GOLDEN / "root-max-m12-theta0.3-p-unprimed.csv", ("root-max", "--m-max", "12", "--theta", "0.3", "--labeling", "p-unprimed")),
 )
 # The prep-fidelity JSON headline (best x0 per amplitude, its fidelity and
 # density, and the swapped wiring's fidelity there) is pinned as well.
