@@ -128,8 +128,8 @@ def cmd_sign_optimize(options):
         "d": d,
         "constraint": options.constraint,
         "bell_factor": bell,
-        "theta": list(angles.theta),
-        "theta_prime": list(angles.theta_prime),
+        "theta": angles.theta.tolist(),
+        "theta_prime": angles.theta_prime.tolist(),
         **convergence,
     }
     rows = [(r, c) for r, c in enumerate(state.coefficients)]

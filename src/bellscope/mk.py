@@ -31,8 +31,7 @@ oracle the fast evaluator is tested against, and no CLI command calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +62,7 @@ def _sorted_terms(terms):
     return dict(sorted(terms.items()))
 
 
-@dataclass(frozen=True)
-class MKExpansion:
+class MKExpansion(NamedTuple):
     """Signed rational coefficients of B_m over the 2^m setting tuples.
 
     ``terms`` is pruned of exact zeros and iterates in lexicographic order
@@ -72,11 +70,13 @@ class MKExpansion:
     """
 
     m: int
-    terms: dict = field(default_factory=dict)
+    terms: dict
 
 
 def expand_mk(m: int) -> MKExpansion:
     """Fully expanded Bell operator B_m as a map setting tuple -> coefficient."""
+    from fractions import Fraction  # no command expands B_m, so the CLI never loads it
+
     if m < 1:
         raise ValueError("party count must be >= 1")
     terms = {(False,): Fraction(2)}

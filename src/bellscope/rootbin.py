@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,16 +91,14 @@ class RootBinningSpec:
             raise ValueError("theta must be finite")
 
 
-@lru_cache(maxsize=256)
 def _mk_class_sums(v: float, w: float, m: int) -> tuple:
     """sum_t c_t V^k (iW)^(m-k) over the MK expansion, k the number of
     parties measuring X, for the labelings in ``LABELINGS`` order.
 
     E(k, m-k) is the real part of e^{i theta} V^k (iW)^(m-k), a product over
-    parties, so each labeling is one product-form MK sum.  The sums do not
-    depend on theta, so a scan over the state phase computes them once.
+    parties, so each labeling is one product-form MK sum.
     """
-    x_then_p = np.array([[complex(v), 1j * w]] * m)
+    x_then_p = np.full((m, 2), [v, 1j * w])
     return tuple(mk_sum(x_then_p, x_then_p[:, ::-1]).tolist())
 
 
@@ -167,8 +165,7 @@ def _cat_overlaps(mu: float, scale: float):
     return v, scale * (2.0 / math.sqrt(math.pi)) * dawson
 
 
-@dataclass(frozen=True)
-class CatPair:
+class CatPair(NamedTuple):
     """The cat pair at amplitude alpha as root-binning data:
 
         f(x) = c_+ [ <x|alpha> + <x|-alpha> ]
@@ -328,8 +325,7 @@ def binned_product_probabilities(terms, settings, pair, tol=1e-9):
     return dict(zip(itertools.product((1, -1), repeat=m), probabilities.tolist()))
 
 
-@dataclass(frozen=True)
-class Psi3Report:
+class Psi3Report(NamedTuple):
     """Direct-integration results for the three-mode candidate state."""
 
     alpha: float

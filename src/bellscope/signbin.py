@@ -83,26 +83,27 @@ class FockCorrelatedState:
         return cls(m, np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleSettings:
-    """Per-party quadrature angles (theta_t, theta_t'), in radians."""
+    """Per-party quadrature angles (theta_t, theta_t'), in radians, stored
+    as two read-only float64 arrays of one length, one entry per party."""
 
-    theta: tuple
-    theta_prime: tuple
+    theta: np.ndarray
+    theta_prime: np.ndarray
 
     def __post_init__(self):
-        theta = tuple(float(t) for t in self.theta)
-        prime = tuple(float(t) for t in self.theta_prime)
-        if len(theta) != len(prime) or not theta:
+        for name in ("theta", "theta_prime"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.theta.ndim != 1 or self.theta.shape != self.theta_prime.shape or not self.m:
             raise ValueError("theta and theta_prime must have equal nonzero length")
-        if not all(math.isfinite(t) for t in theta + prime):
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.theta_prime).all()):
             raise ValueError("angles must be finite")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_prime", prime)
 
     @property
     def m(self) -> int:
-        return len(self.theta)
+        return self.theta.size
 
 
 def _g_parts(rows, cols):
@@ -204,8 +205,8 @@ def ghz_like_angles(m: int) -> AngleSettings:
     if m < 2:
         raise ValueError("angle family defined for m >= 2")
     sign = 1.0 if m % 2 else -1.0
-    theta = tuple(sign * math.pi * k / (2.0 * m) for k in range(m))
-    return AngleSettings(theta, tuple(t + math.pi / 2.0 for t in theta))
+    theta = sign * math.pi * np.arange(m) / (2.0 * m)
+    return AngleSettings(theta, theta + math.pi / 2.0)
 
 
 def chsh_angles(phi: float = math.pi / 4.0) -> AngleSettings:

@@ -1,0 +1,58 @@
+"""The result records are named tuples, and importing the CLI loads no
+module only the test oracles need."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bellscope.mk import MKExpansion, expand_mk
+from bellscope.rootbin import CatPair, Psi3Report, cat_pair, psi3_bell_report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# tests/oracles.py builds Psi3Report by keyword; perfbench/tracing.py reads
+# ``result.terms`` of expand_mk's result.
+FIELDS = (
+    (MKExpansion, ("m", "terms")),
+    (CatPair, ("alpha",)),
+    (
+        Psi3Report,
+        ("alpha", "bell_x_unprimed", "bell_p_unprimed", "correlators",
+         "probability_sums", "min_probability"),
+    ),
+)
+
+
+@pytest.mark.parametrize("record, names", FIELDS, ids=[r.__name__ for r, _ in FIELDS])
+def test_field_names_and_keyword_construction(record, names):
+    assert record._fields == names
+    values = tuple(range(len(names)))
+    built = record(**dict(zip(names, values)))
+    assert built == record(*values) == values
+    assert tuple(built) == values
+    assert [getattr(built, name) for name in names] == list(values)
+
+
+def test_records_from_the_package_unpack():
+    m, terms = expand_mk(2)
+    assert m == 2 and len(terms) == 4
+    (alpha,) = pair = cat_pair(1.5)
+    assert alpha == 1.5 and pair == CatPair(alpha=1.5)
+    assert pair.mu == pytest.approx(1.5 * 2**0.5)
+    report = psi3_bell_report([1.0])[0]
+    assert report.bell_best == max(report.bell_x_unprimed, report.bell_p_unprimed)
+    assert report == Psi3Report(*report)
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    """Only the exact expansion, which no command runs, uses ``fractions``."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bellscope.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -239,10 +239,40 @@ class TestAngles:
     def test_validation(self):
         with pytest.raises(ValueError):
             ghz_like_angles(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equal nonzero length"):
             AngleSettings((0.0,), (0.0, 1.0))
-        with pytest.raises(ValueError):
-            AngleSettings((math.inf,), (0.0,))
+        with pytest.raises(ValueError, match="equal nonzero length"):
+            AngleSettings((), ())
+        with pytest.raises(ValueError, match="equal nonzero length"):
+            AngleSettings([[0.0]], [[1.0]])
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                AngleSettings((bad,), (0.0,))
+            with pytest.raises(ValueError, match="finite"):
+                AngleSettings((0.0,), (bad,))
+
+    def test_arrays_are_read_only_float_copies(self):
+        theta, prime = np.array([0.1, 0.2]), [1, 2]
+        a = AngleSettings(theta, prime)
+        theta[0] = 9.0
+        assert a.theta.tolist() == [0.1, 0.2]
+        assert a.theta_prime.tolist() == [1.0, 2.0]
+        assert a.theta.dtype == a.theta_prime.dtype == np.float64
+        assert a.m == 2 and type(a.m) is int
+        for stored in (a.theta, a.theta_prime):
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    @pytest.mark.parametrize("m", (2, 3, 4, 257, 1000))
+    def test_ghz_like_rounds_as_the_scalar_formula(self, m):
+        """Bit for bit the angles of the one-float-at-a-time formula."""
+        sign = 1.0 if m % 2 else -1.0
+        theta = [sign * math.pi * k / (2.0 * m) for k in range(m)]
+        a = ghz_like_angles(m)
+        assert [t.hex() for t in a.theta.tolist()] == [t.hex() for t in theta]
+        assert [t.hex() for t in a.theta_prime.tolist()] == [
+            (t + math.pi / 2.0).hex() for t in theta
+        ]
 
     def test_phi_sum(self):
         a = AngleSettings((0.1, 0.2), (1.1, 1.2))
@@ -397,8 +427,10 @@ class TestOptimizeState:
             converged_optimum(3, ghz_like_angles(3), d=d, d_step=d_step)
 
     def test_default_angles_switch(self):
-        assert default_optimizer_angles(2) == chsh_angles()
-        assert default_optimizer_angles(3) == ghz_like_angles(3)
+        for m, family in ((2, chsh_angles()), (3, ghz_like_angles(3))):
+            angles = default_optimizer_angles(m)
+            np.testing.assert_array_equal(angles.theta, family.theta)
+            np.testing.assert_array_equal(angles.theta_prime, family.theta_prime)
 
 
 class TestParityNull:
