@@ -5,7 +5,9 @@ are deterministic byte-for-byte for a given configuration (fixed iteration
 order, 12 significant digits, no timestamps); wall time lives only in the
 JSON summary.  Exit status: 0 success, 2 configuration error, 3 numerical
 failure.  ``bellscope --help`` lists the commands, ``bellscope <command>
---help`` shows a command's options; a run builds its own command's parser.
+--help`` shows a command's options.  A plain command line (each option
+spelled out, ``--flag value``, no value starting with ``-``) is read from the
+option table with no argparse parser built; argparse takes every other line.
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ COMMANDS = {
 
 LABELINGS = ("x-unprimed", "p-unprimed", "best")
 # Each command's help line and its options but --out, in the order its help
-# lists them: (flag, add_argument keywords).  Both parsers read this table.
+# lists them: (flag, add_argument keywords).  The full parser and the plain
+# reader of _parse both read this table; the reader knows the keywords type,
+# required, default, choices and help.
 _OPTIONS = {
     "sign-ghz": ("GHZ state, sign binning, GHZ-like angles", (
         ("--m", dict(type=int, required=True)),
@@ -264,12 +268,12 @@ _OPTIONS = {
         ("--alpha", dict(required=True)), ("--x0", dict(default=None)),
     )),
 }
+_OUT = ("--out", dict(default=".", help="output directory"))
 
 
 def _add_options(parser, name) -> None:
-    for flag, keywords in _OPTIONS[name][1]:
+    for flag, keywords in (*_OPTIONS[name][1], _OUT):
         parser.add_argument(flag, **keywords)
-    parser.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,20 +290,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse with the named command's parser alone, the one argparse builds
-    as the subparser ``bellscope <name>``.  The full parser takes every
-    other command line (help, no or an unknown command, ``--``) and one
-    with arguments the command leaves over, which argparse reports with
-    the top-level usage."""
+    """Read a plain command line straight from ``_OPTIONS``, building no
+    parser: a command, then ``<flag> <value>`` pairs, each flag spelled as
+    in the table (or ``--out``) and each value not starting with ``-``,
+    converting with the flag's ``type`` and lying in its ``choices``, with
+    every required flag given.  The full parser takes every other line
+    (help, no or an unknown command, ``--``, abbreviations, ``--flag=value``,
+    negative numbers and every error), so argparse writes all help and
+    usage text."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"bellscope {argv[0]}")
-        parser.set_defaults(command=argv[0])
-        _add_options(parser, argv[0])
-        options, leftover = parser.parse_known_args(argv[1:])
-        if not leftover:
-            return options
-    return build_parser().parse_args(argv)
+    options = _parse_plain(argv)
+    return build_parser().parse_args(argv) if options is None else options
+
+
+def _parse_plain(argv):
+    """The Namespace the full parser would give for a plain command line,
+    or None for any other."""
+    if not argv or argv[0] not in _OPTIONS or len(argv) % 2 == 0:
+        return None
+    table = (*_OPTIONS[argv[0]][1], _OUT)
+    keywords_of = dict(table)
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = keywords_of.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value  # a repeated flag keeps its last value, as in argparse
+    options = argparse.Namespace(command=argv[0])
+    for flag, keywords in table:
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(options, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
+    return options
 
 
 def _validate(options) -> None:

@@ -198,7 +198,9 @@ class CatPair(NamedTuple):
         mu, window = self.mu, self.window
         spacing = math.pi / (2.0 * mu)
         k_max = int(window / spacing)
-        roots = np.arange(-k_max, k_max + 1) * spacing
+        # 0 is a root on its own: once spacing overflows to inf, 0 * spacing is nan
+        positive = np.arange(1, k_max + 1) * spacing
+        roots = np.concatenate((-positive[::-1], [0.0], positive))
         edges = np.concatenate(([-window], roots[np.abs(roots) < window], [window]))
         a, b = edges[:-1], edges[1:]
         return np.array([a, b, np.where(np.sin(2.0 * mu * (0.5 * (a + b))) <= 0.0, 1.0, -1.0)]).T

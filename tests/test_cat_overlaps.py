@@ -139,3 +139,16 @@ def test_cli_extreme_amplitudes(tmp_path, alpha):
     v_ref, w_ref = mp_overlaps(float(alpha))
     assert rel(headline["V"], v_ref) <= 1e-14
     assert rel(headline["W"], w_ref) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_psi3_curve_past_the_root_spacing_overflow(tmp_path):
+    """At alpha = 1e-320 the p roots' spacing pi/(2 mu) overflows to inf; the
+    root at 0 stays 0 (not 0 * inf = nan), so the Bell columns read as at
+    1e-160, where the spacing is finite."""
+    rows = []
+    for alpha in ("1e-160", "1e-320"):
+        assert cli.main(["psi3-curve", "--alpha", alpha, "--out", str(tmp_path / alpha)]) == 0
+        lines = (tmp_path / alpha / "psi3-curve.csv").read_text(encoding="utf-8").splitlines()
+        rows.append(lines[1].split(",")[1:4])
+    assert rows[1] == rows[0] == ["0", "0", "0"]
