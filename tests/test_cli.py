@@ -238,6 +238,26 @@ class TestDeterminismAndErrors:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "sign-ghz.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("root-max", "--m-max", "2047"), "Mermin-Klyshko sum exceeds the float range"),
+            (("noise-sweep", "--m", "5872:5876:1", "--p", "0"), "Bell value e^709.821 exceeds the float range"),
+            (("noise-sweep", "--m", "5874", "--p", "0"), "Bell value e^709.821 exceeds the float range"),
+        ),
+    )
+    def test_scan_beyond_float_range_exits_3(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 3
+        assert capsys.readouterr().err == f"bellscope: numerical failure: {message}\n"
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv", (("root-max", "--m-max", "2046"), ("noise-sweep", "--m", "5872:5873:1", "--p", "0"))
+    )
+    def test_scan_to_the_edge_of_float_range_exits_0(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_objects_unfrozen_after_a_run(self, tmp_path):
         """main freezes the objects alive when it starts, for the length of
         the run only, so an in-process caller's garbage stays collectable."""

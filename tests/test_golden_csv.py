@@ -89,6 +89,11 @@ PINNED = (
     (GOLDEN / "noise-sweep-m250-1000.csv", ("noise-sweep", "--m", "250:1000:250", "--p", "0:0.12:0.04")),
     (GOLDEN / "root-max-m300-best.csv", ("root-max", "--m-max", "300", "--labeling", "best")),
     (GOLDEN / "root-max-m12-theta0.3-p-unprimed.csv", ("root-max", "--m-max", "12", "--theta", "0.3", "--labeling", "p-unprimed")),
+    # the benchmark's scans in m (its references hold them only within a band)
+    # and one scan across both mk._BLOCK boundaries, 256 and 512 parties
+    (GOLDEN / "noise-sweep-m3-14.csv", ("noise-sweep", "--m", "3:14:1", "--p", "0:0.12:0.01")),
+    (REFERENCE / "root-max-m14.csv", ("root-max", "--m-max", "14")),
+    (GOLDEN / "noise-sweep-m250-530.csv", ("noise-sweep", "--m", "250:530:10", "--p", "0:0.1:0.05")),
 )
 # The prep-fidelity JSON headline (best x0 per amplitude, its fidelity and
 # density, and the swapped wiring's fidelity there) is pinned as well.
