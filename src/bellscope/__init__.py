@@ -6,7 +6,6 @@ generation of a three-mode candidate state.
 
 from .mk import (
     mk_coefficient,
-    mk_sum,
     quantum_bound,
 )
 from .numerics import (
@@ -22,6 +21,7 @@ from .signbin import (
     chsh_angles,
     converged_optimum,
     default_optimizer_angles,
+    ghz_bell_factors,
     ghz_like_angles,
     optimize_state,
 )

@@ -193,10 +193,7 @@ def cmd_psi3_curve(options):
 def cmd_noise_sweep(options):
     rows = []
     p_max_by_m = {}
-    for m in options.m:
-        clean = signbin.bell_factor_sign(
-            signbin.FockCorrelatedState.ghz(m), signbin.ghz_like_angles(m)
-        )
+    for m, clean in zip(options.m, signbin.ghz_bell_factors(options.m)):
         result = erasure.p_max_ghz(m)
         p_max_by_m[str(m)] = {"p_max": result.p_max, "clamped": result.clamped}
         for p in options.p:

@@ -23,7 +23,7 @@ form of Mermin (PRL 65, 1838, 1990) and Belinskii & Klyshko (Phys. Usp. 36,
         = 2^((3-m)/2) (1/2) [e^{-i beta} prod_j (a_j + i b_j)
                              + e^{i beta} prod_j (a_j - i b_j)],
 
-with beta = (m-1) pi/4.  ``mk_sum`` evaluates it in O(m) work.
+with beta = (m-1) pi/4.  ``mk_sum_scaled`` evaluates it in O(m) work.
 ``expand_mk`` keeps the full expansion as exact dyadic rationals; it is the
 oracle the fast evaluator is tested against, and no CLI command calls it.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "SettingTuple",
     "quantum_bound",
     "mk_coefficient",
-    "mk_sum",
     "mk_sum_scaled",
     "mk_sum_tuplewise",
 ]
@@ -48,7 +47,7 @@ SettingTuple = tuple  # m-tuple of bool, True = primed
 
 # e^{i j pi/4} for j = 0..7, with the odd j multiplied by sqrt(2): Gaussian
 # integers, so every phase of the product form is exact.
-_EIGHTH_TURNS = (1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j)
+_EIGHTH_TURNS = np.array((1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j))
 _SIDES = np.array([1j, -1j])
 # Factors normalised to modulus [1/2, 1) multiply in blocks of this many
 # without leaving the normal float range (2^-256 is far above 2^-1022).
@@ -128,7 +127,7 @@ def mk_coefficient(m: int, k: int) -> float:
         raise ValueError("party count must be >= 1")
     if not 0 <= k <= m:
         raise ValueError("primed count must lie between 0 and m")
-    return math.ldexp(_EIGHTH_TURNS[(m - 1 - 2 * k) % 8].real, 1 - m // 2)
+    return math.ldexp(float(_EIGHTH_TURNS[(m - 1 - 2 * k) % 8].real), 1 - m // 2)
 
 
 def _ldexp(z, exponent):
@@ -144,11 +143,14 @@ def _normalised(z):
     return _ldexp(z, -exponent), exponent
 
 
-def _scaled_product(factors):
+def _scaled_product(factors, pad=None):
     """Product over axis 1 as (mantissa, exponent): product = mantissa *
     2**exponent.  Up to m = _BLOCK the mantissa rounds exactly like the
-    plain product would without over- or underflow."""
+    plain product would without over- or underflow.  A factor where ``pad``
+    is True counts as mantissa 1, exponent 0, so it changes no bit."""
     mantissas, exponents = _normalised(factors)
+    if pad is not None:
+        mantissas, exponents = np.where(pad, 1.0, mantissas), np.where(pad, 0, exponents)
     exponent = exponents.sum(axis=1)
     while mantissas.shape[1] > _BLOCK:
         blocks = [
@@ -160,7 +162,7 @@ def _scaled_product(factors):
     return mantissas.prod(axis=1), exponent
 
 
-def mk_sum_scaled(unprimed, primed):
+def mk_sum_scaled(unprimed, primed, parties=None):
     """sum_t c_t prod_j f_j(t_j) over the 2^m setting tuples of B_m, in O(m).
 
     ``unprimed[j]`` is f_j at party j's unprimed setting and ``primed[j]``
@@ -168,6 +170,12 @@ def mk_sum_scaled(unprimed, primed):
     batch axes.  Returns (mantissa, exponent) with the sum equal to
     mantissa * 2**exponent and |mantissa| < 4, so nothing over- or
     underflows, whatever m is.
+
+    ``parties``, broadcastable to the batch axes, gives each sum its own m:
+    it takes the first m entries of axis 0 and ignores the padding after.
+    Padding keeps every bit where m and the padded length fill the same
+    number of ``_BLOCK``-party blocks, and the batch holds two or more sums
+    (numpy then multiplies party by party; a lone sum may go in another order).
 
     The rounding error is a few m ulps of 2^((3-m)/2) prod_j (|a_j| + |b_j|),
     the largest |c_t| times the sum over all 2^m tuples of |prod_j f_j(t_j)|.
@@ -178,27 +186,21 @@ def mk_sum_scaled(unprimed, primed):
     b = np.asarray(primed, dtype=complex)
     if a.shape != b.shape or a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("need one unprimed and one primed factor per party")
-    m = a.shape[0]
     batch = (1,) * (a.ndim - 1)
+    m, pad = a.shape[0], None
+    if parties is not None:
+        m = np.broadcast_to(parties, a.shape[1:])
+        if np.any((m < 1) | (m > a.shape[0])):
+            raise ValueError("party counts must lie between 1 and the length of axis 0")
+        pad = np.arange(a.shape[0]).reshape((-1,) + batch) >= m
     # axis 0: prod (a_j + i b_j), prod (a_j - i b_j); axis 1: the parties
-    products, exponents = _scaled_product(a + _SIDES.reshape((2, 1) + batch) * b)
+    products, exponents = _scaled_product(a + _SIDES.reshape((2, 1) + batch) * b, pad)
     top = exponents.max(axis=0)
     # 2^((3-m)/2) e^{i beta} / 2 = 2^(-floor(m/2)) omega, omega a Gaussian integer
     omega = _EIGHTH_TURNS[(m - 1) % 8]
-    weights = np.array([omega.conjugate(), omega]).reshape((2,) + batch)
+    weights = np.array([omega.conj(), omega]).reshape((2,) + (np.shape(m) or batch))
     aligned = products * np.ldexp(1.0, exponents - top)  # scales <= 1
     return (weights * aligned).sum(axis=0), top - m // 2
-
-
-def mk_sum(unprimed, primed):
-    """``mk_sum_scaled`` as ordinary complex numbers.  Raises OverflowError,
-    rather than returning inf or nan, where the sum exceeds the float range."""
-    mantissa, exponent = mk_sum_scaled(unprimed, primed)
-    with np.errstate(over="ignore"):
-        total = _ldexp(mantissa, exponent)
-    if not np.isfinite(total).all():
-        raise OverflowError("Mermin-Klyshko sum exceeds the float range")
-    return total
 
 
 def mk_sum_tuplewise(by_primed_count):
@@ -208,7 +210,7 @@ def mk_sum_tuplewise(by_primed_count):
     The terms are added one setting tuple at a time in the lexicographic
     order of ``expand_mk``, so a sum that cancels to rounding noise gives
     the same digits as that expansion.  2^m work: for small m only; use
-    ``mk_sum`` otherwise.
+    ``mk_sum_scaled`` otherwise.
     """
     m = len(by_primed_count) - 1
     total = 0.0

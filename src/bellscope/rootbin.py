@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mk import mk_sum, mk_sum_tuplewise
+from .mk import _EIGHTH_TURNS, mk_sum_tuplewise
 from .numerics import integrate_batch
 
 __all__ = [
@@ -91,15 +91,38 @@ class RootBinningSpec:
             raise ValueError("theta must be finite")
 
 
+def _scaled_power(x: float, m: int):
+    """x^m as (mantissa, exponent), x^m = mantissa * 2**exponent: powers of
+    x's mantissa at most 1,000 at a time, so nothing over- or underflows."""
+    base, base_exponent = math.frexp(x)
+    mantissa, exponent = 1.0, base_exponent * m
+    for step in [1000] * (m // 1000) + [m % 1000]:
+        mantissa, k = math.frexp(mantissa * base**step)
+        exponent += k
+    return mantissa, exponent
+
+
 def _mk_class_sums(v: float, w: float, m: int) -> tuple:
     """sum_t c_t V^k (iW)^(m-k) over the MK expansion, k the number of
     parties measuring X, for the labelings in ``LABELINGS`` order.
 
     E(k, m-k) is the real part of e^{i theta} V^k (iW)^(m-k), a product over
-    parties, so each labeling is one product-form MK sum.
+    parties that all share one factor pair, so each labeling is one
+    product-form MK sum (see ``mk``) of scalar powers: (v -/+ w)^m with X
+    unprimed and i^m (w +/- v)^m with P unprimed, kept as mantissa and
+    exponent until the last ldexp.  At V = W = 1 every step is exact.
     """
-    x_then_p = np.full((m, 2), [v, 1j * w])
-    return tuple(mk_sum(x_then_p, x_then_p[:, ::-1]).tolist())
+    omega = complex(_EIGHTH_TURNS[(m - 1) % 8])
+    sums = []
+    for unit, plus, minus in ((1, v - w, v + w), (complex(_EIGHTH_TURNS[2 * m % 8]), w + v, w - v)):
+        (p, e_p), (q, e_q) = _scaled_power(plus, m), _scaled_power(minus, m)
+        top = max(e_p, e_q)
+        z = unit * (omega.conjugate() * math.ldexp(p, e_p - top) + omega * math.ldexp(q, e_q - top))
+        try:
+            sums.append(complex(math.ldexp(z.real, top - m // 2), math.ldexp(z.imag, top - m // 2)))
+        except OverflowError:
+            raise OverflowError("Mermin-Klyshko sum exceeds the float range") from None
+    return tuple(sums)
 
 
 def _labeling_values(values, labeling: str) -> float:

@@ -19,11 +19,14 @@ whose prefactor and bracket span hundreds of orders of magnitude.  Their
 logs and signs form one d x d table per truncation d, built from O(d)
 lgamma values and combined with m in log space; each entry is
 exponentiated once, at the end.  phi is always the sum of the chosen angles
-over all parties.
+over all parties.  The MK sums behind a Bell value are one batch over the
+orders r - s and over party counts, so a scan in m (``ghz_bell_factors``)
+is a few array passes, and one state is a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mk import mk_sum_scaled
+from .mk import _BLOCK, mk_sum_scaled
 from .numerics import _canonical_sign, max_eigenpair
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "default_optimizer_angles",
     "bell_expectation_sign",
     "bell_factor_sign",
+    "ghz_bell_factors",
     "bell_matrix",
     "optimize_state",
     "ConvergedOptimum",
@@ -50,6 +54,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# Padded party slots in one batch of MK sums: arrays of a few hundred kB.
+_SLOTS_PER_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -164,11 +170,11 @@ def _g_magnitude(d: int):
     return table
 
 
-def _g_log(m: int, parts):
+def _g_log(m, parts):
     """log |g_{r,s}| without its cos(phi (r-s)) factor, and its sign, for
-    one mode count m from the ``_g_parts`` arrays."""
+    mode counts m (broadcast against them) from the ``_g_parts`` arrays."""
     pref, log_b, sign = parts
-    return pref * (m / 2.0) + log_b * m, sign if m % 2 else np.abs(sign)
+    return pref * (m / 2.0) + log_b * m, np.where(m % 2, sign, np.abs(sign))
 
 
 def _pairs(c: np.ndarray):
@@ -223,31 +229,20 @@ def default_optimizer_angles(m: int) -> AngleSettings:
     return chsh_angles() if m == 2 else ghz_like_angles(m)
 
 
-def _mk_cos_sums(angles: AngleSettings, orders):
-    """sum_t c_t cos(n phi_t) over the MK expansion for each order n, as
-    (log |.|, sign) arrays.
-
-    cos(n phi_t) is the real part of prod_j e^{i n theta_j}, with theta_j
-    party j's angle in tuple t: a product over parties, so each order is one
-    product-form MK sum.
-    """
-    n = np.asarray(orders, dtype=float)
-    mantissa, exponent = mk_sum_scaled(
-        np.exp(1j * np.outer(angles.theta, n)),
-        np.exp(1j * np.outer(angles.theta_prime, n)),
-    )
-    with np.errstate(divide="ignore"):
-        log = np.log(np.abs(mantissa.real)) + exponent * _LN2
-    return log, np.sign(mantissa.real)
-
-
-def _pair_terms(m: int, angles: AngleSettings, d: int, r, s):
+def _pair_terms(parties, angles, d: int, r, s):
     """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
-    (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays: nothing is
-    exponentiated yet."""
-    log_mk, sign_mk = _mk_cos_sums(angles, np.arange(r.max() + 1))
-    log_g, sign_g = _g_log(m, _g_magnitude(d))
-    return log_g[r, s] + m * _LN2 + log_mk[r - s], sign_g[r, s] * sign_mk[r - s]
+    (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays with one row per
+    m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
+    and theta', column i holding the i-th m's parties, padded to the largest.
+    cos(n phi_t) is the real part of prod_j e^{i n theta_j}, so each order n
+    at each m is one product-form MK sum, and all are one batch."""
+    m = np.asarray(parties)[:, None]
+    unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
+    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if m.min() < angles.shape[1] else None)
+    with np.errstate(divide="ignore"):
+        log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
+    log_g, sign_g = _g_log(m, [part[r, s] for part in _g_magnitude(d)])
+    return log_g + m * _LN2 + log_mk[:, r - s], sign_g * np.sign(mantissa.real)[:, r - s]
 
 
 def _exp_sum(logs, signs) -> float:
@@ -270,29 +265,55 @@ def _exp_sum(logs, signs) -> float:
     return math.copysign(math.exp(log_total), scaled)
 
 
-def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
-    """<B_m> with its sign for the state under sign binning.
+def _bell_expectations(c, parties, angles) -> list:
+    """<B_m> with its sign for the state sum_r c_r |r>^(x m) under sign
+    binning, for each m of ``parties`` (angles as in ``_pair_terms``).
 
     The correlator is the Fourier sum 2^m sum_{r>s} 2 c_r c_s g_{r,s}(phi),
-    so the MK sum is taken once per order r - s.  All factors meet in log
-    space, so any m whose value fits a float is evaluated correctly.
+    so the MK sum is taken once per order r - s and m.  All factors meet in
+    log space, so any m whose value fits a float is evaluated correctly.
     """
-    if angles.m != state.m:
-        raise ValueError("state and angles disagree on the party count")
-    c = state.coefficients
     r, s = _pairs(c)
     if r.size == 0:
-        return 0.0
-    logs, signs = _pair_terms(state.m, angles, c.size, r, s)
+        return [0.0] * len(parties)
+    logs, signs = _pair_terms(parties, angles, c.size, r, s)
     weights = 2.0 * c[r] * c[s]
     with np.errstate(divide="ignore"):  # a weight that underflows to 0 drops out
         log_weights = np.log(np.abs(weights))
-    return _exp_sum(logs + log_weights, signs * np.sign(weights))
+    return [_exp_sum(*terms) for terms in zip(logs + log_weights, signs * np.sign(weights))]
+
+
+def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
+    """<B_m> with its sign for the state under sign binning: a batch of one."""
+    if angles.m != state.m:
+        raise ValueError("state and angles disagree on the party count")
+    one = np.stack((angles.theta, angles.theta_prime))[..., None]
+    return _bell_expectations(state.coefficients, [state.m], one)[0]
 
 
 def bell_factor_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
     """|<B_m>| for the state under sign binning at the given angles."""
     return abs(bell_expectation_sign(state, angles))
+
+
+def ghz_bell_factors(ms) -> list:
+    """``bell_factor_sign`` of the m-mode GHZ state at ``ghz_like_angles(m)``
+    for each m of ms, the same floats, from batches of MK sums: runs of
+    consecutive m that fill one number of ``mk._BLOCK`` blocks (so padding
+    keeps every bit), at most ``_SLOTS_PER_BATCH`` party slots once padded.
+    """
+    if min(ms) < 2:
+        raise ValueError("angle family defined for m >= 2")
+    c, values = FockCorrelatedState.ghz(2).coefficients, []
+    for _, run in itertools.groupby(ms, key=lambda m: -(-m // _BLOCK)):
+        run = list(run)
+        size = max(1, _SLOTS_PER_BATCH // max(run))
+        for batch in (np.array(run[i : i + size]) for i in range(0, len(run), size)):
+            # ghz_like_angles(m) in column m, run on to the largest m
+            sign = np.where(batch % 2, math.pi, -math.pi)
+            theta = sign * np.arange(batch.max())[:, None] / (2.0 * batch)
+            values += _bell_expectations(c, batch, np.stack((theta, theta + math.pi / 2.0)))
+    return [abs(v) for v in values]
 
 
 def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
@@ -308,7 +329,8 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     if angles.m != m:
         raise ValueError("angles do not match the party count")
     r, s = _pairs(np.ones(d))
-    logs, signs = _pair_terms(m, angles, d, r, s)
+    one = np.stack((angles.theta, angles.theta_prime))[..., None]
+    logs, signs = (x[0] for x in _pair_terms([m], one, d, r, s))
     if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
         raise OverflowError("Bell matrix entries exceed the float range")
     values = signs * np.exp(np.where(signs != 0, logs, -np.inf))

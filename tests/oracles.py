@@ -28,7 +28,7 @@ from bellscope.catprep import (
     scs_state,
     tensor,
 )
-from bellscope.mk import MKExpansion, mk_sum_tuplewise
+from bellscope.mk import _EIGHTH_TURNS, _SIDES, MKExpansion, _normalised, mk_sum_tuplewise
 from bellscope.numerics import (
     _GK_NODES,
     _GK_WG,
@@ -44,8 +44,16 @@ from bellscope.rootbin import (
     cat_pair,
     psi3_prime_terms,
 )
-from bellscope.signbin import _exp_sum, _mk_cos_sums, bell_matrix
-from physics import hermite_eval
+from bellscope.signbin import (
+    AngleSettings,
+    FockCorrelatedState,
+    _exp_sum,
+    _g_log,
+    _g_magnitude,
+    _pairs,
+    bell_matrix,
+)
+from physics import hermite_eval, mk_sum
 
 _LN2 = math.log(2.0)
 
@@ -1100,7 +1108,7 @@ def pair_terms_entry(m, angles, pairs):
     """(log |.|, sign) of 2^m g_{r,s}(phi) summed over the MK expansion for
     each pair, with g built one entry at a time."""
     r, s = np.array(pairs).T
-    log_mk, sign_mk = _mk_cos_sums(angles, np.arange(r.max() + 1))
+    log_mk, sign_mk = mk_cos_sums_per_m(angles, np.arange(r.max() + 1))
     g = [g_magnitude_entry(a, b, m) for a, b in pairs]
     log_g = np.array([x.log_magnitude for x in g])
     sign_g = np.array([x.sign for x in g])
@@ -1143,3 +1151,78 @@ def bell_matrix_every_entry(m, d, angles):
     matrix[r, s] = values
     matrix[s, r] = values
     return matrix
+
+
+# One m at a time: the sign-binned Bell value and the root-binning class sums
+# as they were before the scans in m were batched, on the MK kernel of one
+# party count (``mk.mk_sum_scaled`` without its ``parties`` padding).  The
+# batched and scalar code must equal them bit for bit.
+
+
+def mk_sum_scaled_per_m(unprimed, primed):
+    """(mantissa, exponent) of the MK sum of all the parties on axis 0."""
+    a = np.asarray(unprimed, dtype=complex)
+    b = np.asarray(primed, dtype=complex)
+    m = a.shape[0]
+    batch = (1,) * (a.ndim - 1)
+    mantissas, exponents = _normalised(a + _SIDES.reshape((2, 1) + batch) * b)
+    exponent = exponents.sum(axis=1)
+    while mantissas.shape[1] > 256:
+        blocks = [mantissas[:, i : i + 256].prod(axis=1) for i in range(0, mantissas.shape[1], 256)]
+        mantissas, exponents = _normalised(np.stack(blocks, axis=1))
+        exponent = exponent + exponents.sum(axis=1)
+    products = mantissas.prod(axis=1)
+    top = exponent.max(axis=0)
+    omega = complex(_EIGHTH_TURNS[(m - 1) % 8])
+    weights = np.array([omega.conjugate(), omega]).reshape((2,) + batch)
+    aligned = products * np.ldexp(1.0, exponent - top)
+    return (weights * aligned).sum(axis=0), top - m // 2
+
+
+def mk_cos_sums_per_m(angles, orders):
+    n = np.asarray(orders, dtype=float)
+    mantissa, exponent = mk_sum_scaled_per_m(
+        np.exp(1j * np.outer(angles.theta, n)),
+        np.exp(1j * np.outer(angles.theta_prime, n)),
+    )
+    with np.errstate(divide="ignore"):
+        log = np.log(np.abs(mantissa.real)) + exponent * _LN2
+    return log, np.sign(mantissa.real)
+
+
+def bell_expectation_sign_per_m(state, angles):
+    c, m = state.coefficients, state.m
+    r, s = _pairs(c)
+    if r.size == 0:
+        return 0.0
+    log_mk, sign_mk = mk_cos_sums_per_m(angles, np.arange(r.max() + 1))
+    log_g, sign_g = _g_log(m, _g_magnitude(c.size))
+    logs = log_g[r, s] + m * _LN2 + log_mk[r - s]
+    signs = sign_g[r, s] * sign_mk[r - s]
+    weights = 2.0 * c[r] * c[s]
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(np.abs(weights))
+    return _exp_sum(logs + log_weights, signs * np.sign(weights))
+
+
+def ghz_like_angles_per_m(m):
+    sign = 1.0 if m % 2 else -1.0
+    theta = sign * math.pi * np.arange(m) / (2.0 * m)
+    return AngleSettings(theta, theta + math.pi / 2.0)
+
+
+def ghz_bell_factor_per_m(m):
+    return abs(bell_expectation_sign_per_m(FockCorrelatedState.ghz(m), ghz_like_angles_per_m(m)))
+
+
+def mk_class_sums_per_m(v, w, m):
+    """The root-binning class sums for both labelings from one array MK sum."""
+    x_then_p = np.full((m, 2), [v, 1j * w])
+    return tuple(mk_sum(x_then_p, x_then_p[:, ::-1], mk_sum_scaled_per_m).tolist())
+
+
+def bell_factor_root_per_m(class_sums, theta, labeling):
+    """``rootbin.bell_factor_root`` from the class sums of ``mk_class_sums_per_m``."""
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    values = [abs(cos_t * z.real - sin_t * z.imag) for z in class_sums]
+    return max(values) if labeling == "best" else values[("x-unprimed", "p-unprimed").index(labeling)]

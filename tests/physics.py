@@ -3,7 +3,8 @@
 No CLI command reaches these functions; they state results of the paper in
 their textbook form, so the tests can check the engine against them:
 
-- the exhaustive classical bound of a Mermin-Klyshko expansion
+- the exhaustive classical bound of a Mermin-Klyshko expansion, and an
+  MK sum as plain complex numbers
 - the erasure mixture term by term, with each noisy term's correlator
   integrated rather than assumed zero
 - the Hermite recurrence, per-pair g coefficients and the closed-form
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bellscope.mk import MKExpansion, mk_sum
+from bellscope.mk import MKExpansion, _ldexp, mk_sum_scaled
 from bellscope.numerics import integrate_segments
 from bellscope.rootbin import (
     RootBinningSpec,
@@ -43,6 +44,18 @@ from bellscope.signbin import (
 
 
 # -- Mermin-Klyshko ------------------------------------------------------------
+
+
+def mk_sum(unprimed, primed, scaled=mk_sum_scaled):
+    """An MK sum from ``scaled``'s (mantissa, exponent) as ordinary complex
+    numbers.  Raises OverflowError, rather than returning inf or nan, where
+    the sum exceeds the float range."""
+    mantissa, exponent = scaled(unprimed, primed)
+    with np.errstate(over="ignore"):
+        total = _ldexp(mantissa, exponent)
+    if not np.isfinite(total).all():
+        raise OverflowError("Mermin-Klyshko sum exceeds the float range")
+    return total
 
 
 def classical_bound_exhaustive(expansion: MKExpansion, limit: int = 4) -> float:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellscope.mk import expand_mk, mk_coefficient, mk_sum, mk_sum_scaled
+from bellscope.mk import expand_mk, mk_coefficient, mk_sum_scaled
 from bellscope.rootbin import (
     LABELINGS,
     RootBinningSpec,
@@ -40,6 +40,7 @@ from physics import (
     erased_term_correlator,
     g_rs,
     max_theta_bell,
+    mk_sum,
     noisy_bell_direct,
 )
 

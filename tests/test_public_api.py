@@ -22,11 +22,11 @@ REEXPORTED = (
     "converged_optimum",
     "default_optimizer_angles",
     "generation_pipeline",
+    "ghz_bell_factors",
     "ghz_like_angles",
     "integrate_segments",
     "max_eigenpair",
     "mk_coefficient",
-    "mk_sum",
     "noisy_bell_factor",
     "optimal_phase",
     "optimize_state",
