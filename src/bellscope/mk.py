@@ -47,7 +47,9 @@ SettingTuple = tuple  # m-tuple of bool, True = primed
 
 # e^{i j pi/4} for j = 0..7, with the odd j multiplied by sqrt(2): Gaussian
 # integers, so every phase of the product form is exact.
-_EIGHTH_TURNS = np.array((1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j))
+_EIGHTH_TURNS = (1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j)
+# (conj(omega), omega) for omega = _EIGHTH_TURNS[j], in column j
+_WEIGHTS = np.array([np.conj(_EIGHTH_TURNS), _EIGHTH_TURNS])
 _SIDES = np.array([1j, -1j])
 # Factors normalised to modulus [1/2, 1) multiply in blocks of this many
 # without leaving the normal float range (2^-256 is far above 2^-1022).
@@ -127,7 +129,7 @@ def mk_coefficient(m: int, k: int) -> float:
         raise ValueError("party count must be >= 1")
     if not 0 <= k <= m:
         raise ValueError("primed count must lie between 0 and m")
-    return math.ldexp(float(_EIGHTH_TURNS[(m - 1 - 2 * k) % 8].real), 1 - m // 2)
+    return math.ldexp(_EIGHTH_TURNS[(m - 1 - 2 * k) % 8].real, 1 - m // 2)
 
 
 def _ldexp(z, exponent):
@@ -197,8 +199,7 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     products, exponents = _scaled_product(a + _SIDES.reshape((2, 1) + batch) * b, pad)
     top = exponents.max(axis=0)
     # 2^((3-m)/2) e^{i beta} / 2 = 2^(-floor(m/2)) omega, omega a Gaussian integer
-    omega = _EIGHTH_TURNS[(m - 1) % 8]
-    weights = np.array([omega.conj(), omega]).reshape((2,) + (np.shape(m) or batch))
+    weights = _WEIGHTS[:, (m - 1) % 8].reshape((2,) + (batch if parties is None else m.shape))
     aligned = products * np.ldexp(1.0, exponents - top)  # scales <= 1
     return (weights * aligned).sum(axis=0), top - m // 2
 

@@ -112,9 +112,9 @@ def _mk_class_sums(v: float, w: float, m: int) -> tuple:
     unprimed and i^m (w +/- v)^m with P unprimed, kept as mantissa and
     exponent until the last ldexp.  At V = W = 1 every step is exact.
     """
-    omega = complex(_EIGHTH_TURNS[(m - 1) % 8])
+    omega = _EIGHTH_TURNS[(m - 1) % 8]
     sums = []
-    for unit, plus, minus in ((1, v - w, v + w), (complex(_EIGHTH_TURNS[2 * m % 8]), w + v, w - v)):
+    for unit, plus, minus in ((1, v - w, v + w), (_EIGHTH_TURNS[2 * m % 8], w + v, w - v)):
         (p, e_p), (q, e_q) = _scaled_power(plus, m), _scaled_power(minus, m)
         top = max(e_p, e_q)
         z = unit * (omega.conjugate() * math.ldexp(p, e_p - top) + omega * math.ldexp(q, e_q - top))

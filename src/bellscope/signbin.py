@@ -238,11 +238,14 @@ def _pair_terms(parties, angles, d: int, r, s):
     at each m is one product-form MK sum, and all are one batch."""
     m = np.asarray(parties)[:, None]
     unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
-    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if m.min() < angles.shape[1] else None)
+    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if min(parties) < angles.shape[1] else None)
     with np.errstate(divide="ignore"):
         log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
-    log_g, sign_g = _g_log(m, [part[r, s] for part in _g_magnitude(d)])
-    return log_g + m * _LN2 + log_mk[:, r - s], sign_g * np.sign(mantissa.real)[:, r - s]
+    log_g, sign_g = _g_log(m[..., None], _g_magnitude(d))
+    return (
+        log_g[:, r, s] + m * _LN2 + log_mk[:, r - s],
+        sign_g[:, r, s] * np.sign(mantissa.real)[:, r - s],
+    )
 
 
 def _exp_sum(logs, signs) -> float:
@@ -287,7 +290,7 @@ def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> 
     """<B_m> with its sign for the state under sign binning: a batch of one."""
     if angles.m != state.m:
         raise ValueError("state and angles disagree on the party count")
-    one = np.stack((angles.theta, angles.theta_prime))[..., None]
+    one = np.array((angles.theta, angles.theta_prime))[..., None]
     return _bell_expectations(state.coefficients, [state.m], one)[0]
 
 
@@ -308,11 +311,11 @@ def ghz_bell_factors(ms) -> list:
     for _, run in itertools.groupby(ms, key=lambda m: -(-m // _BLOCK)):
         run = list(run)
         size = max(1, _SLOTS_PER_BATCH // max(run))
-        for batch in (np.array(run[i : i + size]) for i in range(0, len(run), size)):
+        for batch in (run[i : i + size] for i in range(0, len(run), size)):
             # ghz_like_angles(m) in column m, run on to the largest m
-            sign = np.where(batch % 2, math.pi, -math.pi)
-            theta = sign * np.arange(batch.max())[:, None] / (2.0 * batch)
-            values += _bell_expectations(c, batch, np.stack((theta, theta + math.pi / 2.0)))
+            m = np.array(batch)
+            theta = np.where(m % 2, math.pi, -math.pi) * np.arange(max(batch))[:, None] / (2.0 * m)
+            values += _bell_expectations(c, batch, np.array((theta, theta + math.pi / 2.0)))
     return [abs(v) for v in values]
 
 
@@ -329,7 +332,7 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     if angles.m != m:
         raise ValueError("angles do not match the party count")
     r, s = _pairs(np.ones(d))
-    one = np.stack((angles.theta, angles.theta_prime))[..., None]
+    one = np.array((angles.theta, angles.theta_prime))[..., None]
     logs, signs = (x[0] for x in _pair_terms([m], one, d, r, s))
     if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
         raise OverflowError("Bell matrix entries exceed the float range")
