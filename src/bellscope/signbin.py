@@ -237,15 +237,15 @@ def _pair_terms(parties, angles, d: int, r, s):
     cos(n phi_t) is the real part of prod_j e^{i n theta_j}, so each order n
     at each m is one product-form MK sum, and all are one batch."""
     m = np.asarray(parties)[:, None]
+    # orders 0 .. max(r - s): at least two, so numpy multiplies party by party
     unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
-    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if min(parties) < angles.shape[1] else None)
+    padded = min(parties) < angles.shape[1]
+    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if padded else None)
     with np.errstate(divide="ignore"):
         log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
-    log_g, sign_g = _g_log(m[..., None], _g_magnitude(d))
-    return (
-        log_g[:, r, s] + m * _LN2 + log_mk[:, r - s],
-        sign_g[:, r, s] * np.sign(mantissa.real)[:, r - s],
-    )
+    log_g, sign_g = _g_log(m, [part.take(r * d + s) for part in _g_magnitude(d)])
+    order = r - s
+    return log_g + m * _LN2 + log_mk[:, order], sign_g * np.sign(mantissa.real)[:, order]
 
 
 def _exp_sum(logs, signs) -> float:
