@@ -232,9 +232,9 @@ def default_optimizer_angles(m: int) -> AngleSettings:
 def _pair_terms(parties, angles, d: int, r, s):
     """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
     (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays with one row per
-    m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
-    and theta', column i holding the i-th m's parties, padded to the largest.
-    cos(n phi_t) is the real part of prod_j e^{i n theta_j}, so each order n
+    m of ``parties``: nothing is exponentiated yet.  ``angles`` is theta
+    and theta' stacked, shape (2, largest m, len(parties)), column i holding
+    the i-th m's parties and padding after them.  cos(n phi_t) is the real part of prod_j e^{i n theta_j}, so each order n
     at each m is one product-form MK sum, and all are one batch."""
     m = np.asarray(parties)[:, None]
     # orders 0 .. max(r - s): at least two, so numpy multiplies party by party
@@ -312,7 +312,7 @@ def ghz_bell_factors(ms) -> list:
         run = list(run)
         size = max(1, _SLOTS_PER_BATCH // max(run))
         for batch in (run[i : i + size] for i in range(0, len(run), size)):
-            # ghz_like_angles(m) in column m, run on to the largest m
+            # column i: ghz_like_angles(batch[i]).theta, run on to the largest m
             m = np.array(batch)
             theta = np.where(m % 2, math.pi, -math.pi) * np.arange(max(batch))[:, None] / (2.0 * m)
             values += _bell_expectations(c, batch, np.array((theta, theta + math.pi / 2.0)))

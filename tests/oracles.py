@@ -45,13 +45,13 @@ from bellscope.rootbin import (
     psi3_prime_terms,
 )
 from bellscope.signbin import (
-    AngleSettings,
     FockCorrelatedState,
     _exp_sum,
     _g_log,
     _g_magnitude,
     _pairs,
     bell_matrix,
+    ghz_like_angles,
 )
 from physics import hermite_eval, mk_sum
 
@@ -1205,14 +1205,8 @@ def bell_expectation_sign_per_m(state, angles):
     return _exp_sum(logs + log_weights, signs * np.sign(weights))
 
 
-def ghz_like_angles_per_m(m):
-    sign = 1.0 if m % 2 else -1.0
-    theta = sign * math.pi * np.arange(m) / (2.0 * m)
-    return AngleSettings(theta, theta + math.pi / 2.0)
-
-
 def ghz_bell_factor_per_m(m):
-    return abs(bell_expectation_sign_per_m(FockCorrelatedState.ghz(m), ghz_like_angles_per_m(m)))
+    return abs(bell_expectation_sign_per_m(FockCorrelatedState.ghz(m), ghz_like_angles(m)))
 
 
 def mk_class_sums_per_m(v, w, m):
