@@ -176,8 +176,9 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     ``parties``, broadcastable to the batch axes, gives each sum its own m:
     it takes the first m entries of axis 0 and ignores the padding after.
     Padding keeps every bit where m and the padded length fill the same
-    number of ``_BLOCK``-party blocks, and the batch holds two or more sums
-    (numpy then multiplies party by party; a lone sum may go in another order).
+    number of ``_BLOCK``-party blocks and the batch axes hold two or more
+    entries (numpy then multiplies party by party; one entry alone is
+    reduced in another order).
 
     The rounding error is a few m ulps of 2^((3-m)/2) prod_j (|a_j| + |b_j|),
     the largest |c_t| times the sum over all 2^m tuples of |prod_j f_j(t_j)|.
