@@ -145,14 +145,13 @@ def _normalised(z):
     return _ldexp(z, -exponent), exponent
 
 
-def _scaled_product(factors, pad=None):
+def _scaled_product(factors, pad):
     """Product over axis 1 as (mantissa, exponent): product = mantissa *
     2**exponent.  Up to m = _BLOCK the mantissa rounds exactly like the
     plain product would without over- or underflow.  A factor where ``pad``
     is True counts as mantissa 1, exponent 0, so it changes no bit."""
     mantissas, exponents = _normalised(factors)
-    if pad is not None:
-        mantissas, exponents = np.where(pad, 1.0, mantissas), np.where(pad, 0, exponents)
+    mantissas, exponents = np.where(pad, 1.0, mantissas), np.where(pad, 0, exponents)
     exponent = exponents.sum(axis=1)
     while mantissas.shape[1] > _BLOCK:
         blocks = [
@@ -173,12 +172,12 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     mantissa * 2**exponent and |mantissa| < 4, so nothing over- or
     underflows, whatever m is.
 
-    ``parties``, broadcastable to the batch axes, gives each sum its own m:
-    it takes the first m entries of axis 0 and ignores the padding after.
-    Padding keeps every bit where m and the padded length fill the same
-    number of ``_BLOCK``-party blocks and the batch axes hold two or more
-    entries (numpy then multiplies party by party; one entry alone is
-    reduced in another order).
+    ``parties`` (default: the length of axis 0), broadcastable to the batch
+    axes, gives each sum its own m: its first m entries on axis 0 are its
+    parties, the rest padding that changes no bit where m and the padded
+    length fill the same number of ``_BLOCK``-party blocks and the batch
+    axes hold two or more entries (numpy then multiplies party by party;
+    one entry alone is reduced in another order).
 
     The rounding error is a few m ulps of 2^((3-m)/2) prod_j (|a_j| + |b_j|),
     the largest |c_t| times the sum over all 2^m tuples of |prod_j f_j(t_j)|.
@@ -189,18 +188,16 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     b = np.asarray(primed, dtype=complex)
     if a.shape != b.shape or a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("need one unprimed and one primed factor per party")
+    m = np.full(a.shape[1:], a.shape[0] if parties is None else parties)
+    if m.min(initial=1) < 1 or m.max(initial=1) > a.shape[0]:
+        raise ValueError("party counts must lie between 1 and the length of axis 0")
     batch = (1,) * (a.ndim - 1)
-    m, pad = a.shape[0], None
-    if parties is not None:
-        m = np.broadcast_to(parties, a.shape[1:])
-        if np.any((m < 1) | (m > a.shape[0])):
-            raise ValueError("party counts must lie between 1 and the length of axis 0")
-        pad = np.arange(a.shape[0]).reshape((-1,) + batch) >= m
+    pad = np.arange(a.shape[0]).reshape((-1,) + batch) >= m
     # axis 0: prod (a_j + i b_j), prod (a_j - i b_j); axis 1: the parties
     products, exponents = _scaled_product(a + _SIDES.reshape((2, 1) + batch) * b, pad)
     top = exponents.max(axis=0)
     # 2^((3-m)/2) e^{i beta} / 2 = 2^(-floor(m/2)) omega, omega a Gaussian integer
-    weights = _WEIGHTS[:, (m - 1) % 8].reshape((2,) + (batch if parties is None else m.shape))
+    weights = _WEIGHTS[:, (m - 1) % 8]
     aligned = products * np.ldexp(1.0, exponents - top)  # scales <= 1
     return (weights * aligned).sum(axis=0), top - m // 2
 

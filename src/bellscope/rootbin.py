@@ -107,13 +107,12 @@ def _mk_class_sums(v: float, w: float, m: int) -> tuple:
     parties measuring X, for the labelings in ``LABELINGS`` order.
 
     E(k, m-k) is the real part of e^{i theta} V^k (iW)^(m-k), a product over
-    parties that all share one factor pair, so each labeling is one
-    product-form MK sum (see ``mk``) of scalar powers: (v -/+ w)^m with X
-    unprimed and i^m (w +/- v)^m with P unprimed, kept as mantissa and
-    exponent until the last ldexp.  At V = W = 1 every step is exact.
+    parties that share one factor pair, so each labeling is one product-form
+    MK sum (see ``mk``) of powers: (v -/+ w)^m with X unprimed, i^m (w +/- v)^m
+    with P unprimed, as mantissa and exponent until the last ldexp.  At
+    V = W = 1 every step is exact.
     """
-    omega = _EIGHTH_TURNS[(m - 1) % 8]
-    sums = []
+    omega, sums = _EIGHTH_TURNS[(m - 1) % 8], []
     for unit, plus, minus in ((1, v - w, v + w), (_EIGHTH_TURNS[2 * m % 8], w + v, w - v)):
         (p, e_p), (q, e_q) = _scaled_power(plus, m), _scaled_power(minus, m)
         top = max(e_p, e_q)

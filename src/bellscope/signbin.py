@@ -111,6 +111,10 @@ class AngleSettings:
     def m(self) -> int:
         return self.theta.size
 
+    @property
+    def column(self) -> np.ndarray:  # (theta, theta') as a batch of one, shape (2, m, 1)
+        return np.array((self.theta, self.theta_prime))[..., None]
+
 
 def _g_parts(rows, cols):
     """The parts of log |g_{r,s}| that do not depend on m, at every (r, s)
@@ -232,15 +236,14 @@ def default_optimizer_angles(m: int) -> AngleSettings:
 def _pair_terms(parties, angles, d: int, r, s):
     """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
     (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays with one row per
-    m of ``parties``: nothing is exponentiated yet.  ``angles`` is theta
-    and theta' stacked, shape (2, largest m, len(parties)), column i holding
-    the i-th m's parties and padding after them.  cos(n phi_t) is the real part of prod_j e^{i n theta_j}, so each order n
-    at each m is one product-form MK sum, and all are one batch."""
+    m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
+    and theta', shape (2, largest m, len(parties)); column i holds the i-th
+    m's parties, then padding.  cos(n phi_t) is the real part of prod_j
+    e^{i n theta_j}, so all orders n at all m are one batch of MK sums."""
     m = np.asarray(parties)[:, None]
     # orders 0 .. max(r - s): at least two, so numpy multiplies party by party
     unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
-    padded = min(parties) < angles.shape[1]
-    mantissa, exponent = mk_sum_scaled(unprimed, primed, m if padded else None)
+    mantissa, exponent = mk_sum_scaled(unprimed, primed, m)
     with np.errstate(divide="ignore"):
         log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
     log_g, sign_g = _g_log(m, [part.take(r * d + s) for part in _g_magnitude(d)])
@@ -290,8 +293,7 @@ def bell_expectation_sign(state: FockCorrelatedState, angles: AngleSettings) -> 
     """<B_m> with its sign for the state under sign binning: a batch of one."""
     if angles.m != state.m:
         raise ValueError("state and angles disagree on the party count")
-    one = np.array((angles.theta, angles.theta_prime))[..., None]
-    return _bell_expectations(state.coefficients, [state.m], one)[0]
+    return _bell_expectations(state.coefficients, [state.m], angles.column)[0]
 
 
 def bell_factor_sign(state: FockCorrelatedState, angles: AngleSettings) -> float:
@@ -301,11 +303,12 @@ def bell_factor_sign(state: FockCorrelatedState, angles: AngleSettings) -> float
 
 def ghz_bell_factors(ms) -> list:
     """``bell_factor_sign`` of the m-mode GHZ state at ``ghz_like_angles(m)``
-    for each m of ms, the same floats, from batches of MK sums: runs of
-    consecutive m that fill one number of ``mk._BLOCK`` blocks (so padding
-    keeps every bit), at most ``_SLOTS_PER_BATCH`` party slots once padded.
-    """
-    if min(ms) < 2:
+    for each m of the iterable ms, the same floats, from batches of MK sums:
+    runs of consecutive m that fill one number of ``mk._BLOCK`` blocks (so
+    padding keeps every bit), at most ``_SLOTS_PER_BATCH`` padded party
+    slots each.  An empty ms gives an empty list."""
+    ms = list(ms)
+    if min(ms, default=2) < 2:
         raise ValueError("angle family defined for m >= 2")
     c, values = FockCorrelatedState.ghz(2).coefficients, []
     for _, run in itertools.groupby(ms, key=lambda m: -(-m // _BLOCK)):
@@ -332,8 +335,7 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     if angles.m != m:
         raise ValueError("angles do not match the party count")
     r, s = _pairs(np.ones(d))
-    one = np.array((angles.theta, angles.theta_prime))[..., None]
-    logs, signs = (x[0] for x in _pair_terms([m], one, d, r, s))
+    logs, signs = (x[0] for x in _pair_terms([m], angles.column, d, r, s))
     if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
         raise OverflowError("Bell matrix entries exceed the float range")
     values = signs * np.exp(np.where(signs != 0, logs, -np.inf))

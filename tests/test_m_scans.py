@@ -73,6 +73,13 @@ def test_ghz_bell_factors_reject_one_party():
         signbin.ghz_bell_factors([3, 1])
 
 
+def test_ghz_bell_factors_read_any_iterable_once():
+    """A generator is read once, not drained by the range check; no m, no
+    values."""
+    assert signbin.ghz_bell_factors(m for m in (3, 4, 300)) == signbin.ghz_bell_factors([3, 4, 300])
+    assert signbin.ghz_bell_factors(iter(())) == []
+
+
 @st.composite
 def states_and_angles(draw):
     m = draw(st.integers(2, 40))
