@@ -48,8 +48,8 @@ SettingTuple = tuple  # m-tuple of bool, True = primed
 # e^{i j pi/4} for j = 0..7, with the odd j multiplied by sqrt(2): Gaussian
 # integers, so every phase of the product form is exact.
 _EIGHTH_TURNS = (1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j)
-# (conj(omega), omega) for omega = _EIGHTH_TURNS[j], in column j
-_WEIGHTS = np.array([np.conj(_EIGHTH_TURNS), _EIGHTH_TURNS])
+# (conj(omega), omega) for omega = _EIGHTH_TURNS[j], in row j
+_WEIGHTS = np.array([np.conj(_EIGHTH_TURNS), _EIGHTH_TURNS]).T
 _SIDES = np.array([1j, -1j])
 # Factors normalised to modulus [1/2, 1) multiply in blocks of this many
 # without leaving the normal float range (2^-256 is far above 2^-1022).
@@ -146,21 +146,18 @@ def _normalised(z):
 
 
 def _scaled_product(factors, pad):
-    """Product over axis 1 as (mantissa, exponent): product = mantissa *
+    """Product over axis 0 as (mantissa, exponent): product = mantissa *
     2**exponent.  Up to m = _BLOCK the mantissa rounds exactly like the
     plain product would without over- or underflow.  A factor where ``pad``
     is True counts as mantissa 1, exponent 0, so it changes no bit."""
     mantissas, exponents = _normalised(factors)
     mantissas, exponents = np.where(pad, 1.0, mantissas), np.where(pad, 0, exponents)
-    exponent = exponents.sum(axis=1)
-    while mantissas.shape[1] > _BLOCK:
-        blocks = [
-            mantissas[:, i : i + _BLOCK].prod(axis=1)
-            for i in range(0, mantissas.shape[1], _BLOCK)
-        ]
-        mantissas, exponents = _normalised(np.stack(blocks, axis=1))
-        exponent = exponent + exponents.sum(axis=1)
-    return mantissas.prod(axis=1), exponent
+    exponent = exponents.sum(axis=0)
+    while len(mantissas) > _BLOCK:
+        blocks = [mantissas[i : i + _BLOCK].prod(axis=0) for i in range(0, len(mantissas), _BLOCK)]
+        mantissas, exponents = _normalised(np.stack(blocks))
+        exponent = exponent + exponents.sum(axis=0)
+    return mantissas.prod(axis=0), exponent
 
 
 def mk_sum_scaled(unprimed, primed, parties=None):
@@ -175,9 +172,7 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     ``parties`` (default: the length of axis 0), broadcastable to the batch
     axes, gives each sum its own m: its first m entries on axis 0 are its
     parties, the rest padding that changes no bit where m and the padded
-    length fill the same number of ``_BLOCK``-party blocks and the batch
-    axes hold two or more entries (numpy then multiplies party by party;
-    one entry alone is reduced in another order).
+    length fill the same number of ``_BLOCK``-party blocks.
 
     The rounding error is a few m ulps of 2^((3-m)/2) prod_j (|a_j| + |b_j|),
     the largest |c_t| times the sum over all 2^m tuples of |prod_j f_j(t_j)|.
@@ -188,18 +183,17 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     b = np.asarray(primed, dtype=complex)
     if a.shape != b.shape or a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("need one unprimed and one primed factor per party")
-    m = np.full(a.shape[1:], a.shape[0] if parties is None else parties)
+    m = np.asarray(a.shape[0] if parties is None else parties)
     if m.min(initial=1) < 1 or m.max(initial=1) > a.shape[0]:
         raise ValueError("party counts must lie between 1 and the length of axis 0")
-    batch = (1,) * (a.ndim - 1)
-    pad = np.arange(a.shape[0]).reshape((-1,) + batch) >= m
-    # axis 0: prod (a_j + i b_j), prod (a_j - i b_j); axis 1: the parties
-    products, exponents = _scaled_product(a + _SIDES.reshape((2, 1) + batch) * b, pad)
-    top = exponents.max(axis=0)
+    pad = (np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1)) >= m)[..., None]
+    # axis 0: the parties; last axis: prod (a_j + i b_j), prod (a_j - i b_j)
+    products, exponents = _scaled_product(a[..., None] + _SIDES * b[..., None], pad)
+    top = exponents.max(axis=-1)
     # 2^((3-m)/2) e^{i beta} / 2 = 2^(-floor(m/2)) omega, omega a Gaussian integer
-    weights = _WEIGHTS[:, (m - 1) % 8]
-    aligned = products * np.ldexp(1.0, exponents - top)  # scales <= 1
-    return (weights * aligned).sum(axis=0), top - m // 2
+    weights = _WEIGHTS[(m - 1) % 8]
+    aligned = products * np.ldexp(1.0, exponents - top[..., None])  # scales <= 1
+    return (weights * aligned).sum(axis=-1), top - m // 2
 
 
 def mk_sum_tuplewise(by_primed_count):

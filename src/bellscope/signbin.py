@@ -241,7 +241,6 @@ def _pair_terms(parties, angles, d: int, r, s):
     m's parties, then padding.  cos(n phi_t) is the real part of prod_j
     e^{i n theta_j}, so all orders n at all m are one batch of MK sums."""
     m = np.asarray(parties)[:, None]
-    # orders 0 .. max(r - s): at least two, so numpy multiplies party by party
     unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
     mantissa, exponent = mk_sum_scaled(unprimed, primed, m)
     with np.errstate(divide="ignore"):
