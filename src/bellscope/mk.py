@@ -48,8 +48,7 @@ SettingTuple = tuple  # m-tuple of bool, True = primed
 # e^{i j pi/4} for j = 0..7, with the odd j multiplied by sqrt(2): Gaussian
 # integers, so every phase of the product form is exact.
 _EIGHTH_TURNS = (1 + 0j, 1 + 1j, 1j, -1 + 1j, -1 + 0j, -1 - 1j, -1j, 1 - 1j)
-# (conj(omega), omega) for omega = _EIGHTH_TURNS[j], in row j
-_WEIGHTS = np.array([np.conj(_EIGHTH_TURNS), _EIGHTH_TURNS]).T
+_OMEGAS = np.array(_EIGHTH_TURNS)
 _SIDES = np.array([1j, -1j])
 # Factors normalised to modulus [1/2, 1) multiply in blocks of this many
 # without leaving the normal float range (2^-256 is far above 2^-1022).
@@ -189,11 +188,11 @@ def mk_sum_scaled(unprimed, primed, parties=None):
     pad = (np.arange(a.shape[0]).reshape((-1,) + (1,) * (a.ndim - 1)) >= m)[..., None]
     # axis 0: the parties; last axis: prod (a_j + i b_j), prod (a_j - i b_j)
     products, exponents = _scaled_product(a[..., None] + _SIDES * b[..., None], pad)
-    top = exponents.max(axis=-1)
+    top = np.maximum(exponents[..., 0], exponents[..., 1])
     # 2^((3-m)/2) e^{i beta} / 2 = 2^(-floor(m/2)) omega, omega a Gaussian integer
-    weights = _WEIGHTS[(m - 1) % 8]
+    omega = _OMEGAS[(m - 1) % 8]
     aligned = products * np.ldexp(1.0, exponents - top[..., None])  # scales <= 1
-    return (weights * aligned).sum(axis=-1), top - m // 2
+    return np.conj(omega) * aligned[..., 0] + omega * aligned[..., 1], top - m // 2
 
 
 def mk_sum_tuplewise(by_primed_count):

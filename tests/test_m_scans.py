@@ -114,6 +114,18 @@ def test_padded_sums_keep_every_bit_within_one_block_count():
             assert np.array_equal(exponent[i], alone[1])
 
 
+def test_a_lone_sum_rounds_like_one_in_a_batch():
+    """The product sides are the kernel's last axis, so numpy multiplies
+    party by party for every batch shape, a single sum included."""
+    rng = np.random.default_rng(5)
+    for m in (3, 16, 300, 700):
+        a = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+        b = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        mantissa, exponent = mk.mk_sum_scaled(a, b)
+        for i in range(3):
+            assert mk.mk_sum_scaled(a[:, i], b[:, i]) == (mantissa[i], exponent[i])
+
+
 @pytest.mark.parametrize("parties", (0, 4, [1, 4]))
 def test_party_counts_must_fit_axis_0(parties):
     with pytest.raises(ValueError, match="party counts"):
