@@ -17,7 +17,6 @@ A balanced beam splitter maps amplitudes (a, b) -> ((a+b)/sqrt(2),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,25 +41,22 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)))
 
 
-@dataclass(frozen=True, eq=False)
 class CoherentSuperposition:
     """Weighted superposition of products of coherent states: term i has the
     complex weight ``weights[i]`` and the mode amplitudes ``amplitudes[i]``.
     Both are stored as read-only arrays.
     """
 
-    weights: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ("weights", "amplitudes")
 
-    def __post_init__(self):
-        for name, dtype in (("weights", complex), ("amplitudes", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        if self.amplitudes.ndim != 2 or 0 in self.amplitudes.shape:
+    def __init__(self, weights, amplitudes):
+        weights, amplitudes = np.array(weights, dtype=complex), np.array(amplitudes, dtype=float)
+        if amplitudes.ndim != 2 or 0 in amplitudes.shape:
             raise ValueError("amplitudes must be a terms x modes matrix, both >= 1")
-        if self.weights.shape != self.amplitudes.shape[:1]:
+        if weights.shape != amplitudes.shape[:1]:
             raise ValueError("need one weight per term")
+        weights.flags.writeable = amplitudes.flags.writeable = False
+        self.weights, self.amplitudes = weights, amplitudes
 
     @property
     def n_modes(self) -> int:

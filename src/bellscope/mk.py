@@ -36,14 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "SettingTuple",
     "quantum_bound",
     "mk_coefficient",
     "mk_sum_scaled",
     "mk_sum_tuplewise",
 ]
-
-SettingTuple = tuple  # m-tuple of bool, True = primed
 
 # e^{i j pi/4} for j = 0..7, with the odd j multiplied by sqrt(2): Gaussian
 # integers, so every phase of the product form is exact.

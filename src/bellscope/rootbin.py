@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,23 +71,20 @@ __all__ = [
 LABELINGS = ("x-unprimed", "p-unprimed")
 
 
-@dataclass(frozen=True)
 class RootBinningSpec:
     """Abstract root-binning inputs: the two overlaps, the state phase, and
     the party count.  V and W live in [0, 1] by Cauchy-Schwarz."""
 
-    V: float
-    W: float
-    theta: float
-    m: int
+    __slots__ = ("V", "W", "theta", "m")
 
-    def __post_init__(self):
-        if not (-1e-9 <= self.V <= 1.0 + 1e-9 and -1e-9 <= self.W <= 1.0 + 1e-9):
+    def __init__(self, V: float, W: float, theta: float, m: int):
+        if not (-1e-9 <= V <= 1.0 + 1e-9 and -1e-9 <= W <= 1.0 + 1e-9):
             raise ValueError("V and W must lie in [0, 1]")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("party count must be >= 1")
-        if not math.isfinite(self.theta):
+        if not math.isfinite(theta):
             raise ValueError("theta must be finite")
+        self.V, self.W, self.theta, self.m = V, W, theta, m
 
 
 def _scaled_power(x: float, m: int):

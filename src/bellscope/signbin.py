@@ -20,7 +20,7 @@ logs and signs form one d x d table per truncation d, built from O(d)
 lgamma values and combined with m in log space; each entry is
 exponentiated once, at the end.  phi is always the sum of the chosen angles
 over all parties.  The MK sums behind a Bell value are one batch over the
-orders r - s and over party counts, so a scan in m (``ghz_bell_factors``)
+odd orders r - s and over party counts, so a scan in m (``ghz_bell_factors``)
 is a few array passes, and one state is a batch of one.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,17 +57,15 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SLOTS_PER_BATCH = 1 << 12
 
 
-@dataclass(frozen=True)
 class FockCorrelatedState:
     """sum_r c_r |r>^(x m) with real coefficients and unit norm."""
 
-    m: int
-    coefficients: np.ndarray
+    __slots__ = ("m", "coefficients")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, coefficients):
+        if m < 1:
             raise ValueError("mode count must be >= 1")
-        coeffs = np.array(self.coefficients, dtype=float)
+        coeffs = np.array(coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(coeffs)):
@@ -77,7 +74,7 @@ class FockCorrelatedState:
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"coefficients not normalized: sum c_r^2 = {norm_sq!r}")
         coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        self.m, self.coefficients = m, coeffs
 
     @property
     def dimension(self) -> int:
@@ -89,23 +86,20 @@ class FockCorrelatedState:
         return cls(m, np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True, eq=False)
 class AngleSettings:
     """Per-party quadrature angles (theta_t, theta_t'), in radians, stored
     as two read-only float64 arrays of one length, one entry per party."""
 
-    theta: np.ndarray
-    theta_prime: np.ndarray
+    __slots__ = ("theta", "theta_prime")
 
-    def __post_init__(self):
-        for name in ("theta", "theta_prime"):
-            value = np.array(getattr(self, name), dtype=float)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        if self.theta.ndim != 1 or self.theta.shape != self.theta_prime.shape or not self.m:
+    def __init__(self, theta, theta_prime):
+        theta, theta_prime = np.array(theta, dtype=float), np.array(theta_prime, dtype=float)
+        if theta.ndim != 1 or theta.shape != theta_prime.shape or not theta.size:
             raise ValueError("theta and theta_prime must have equal nonzero length")
-        if not (np.isfinite(self.theta).all() and np.isfinite(self.theta_prime).all()):
+        if not (np.isfinite(theta).all() and np.isfinite(theta_prime).all()):
             raise ValueError("angles must be finite")
+        theta.flags.writeable = theta_prime.flags.writeable = False
+        self.theta, self.theta_prime = theta, theta_prime
 
     @property
     def m(self) -> int:
@@ -239,15 +233,17 @@ def _pair_terms(parties, angles, d: int, r, s):
     m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
     and theta', shape (2, largest m, len(parties)); column i holds the i-th
     m's parties, then padding.  cos(n phi_t) is the real part of prod_j
-    e^{i n theta_j}, so all orders n at all m are one batch of MK sums."""
+    e^{i n theta_j}, so the orders n at all m are one batch of MK sums.
+    Every pair with g != 0 has r - s odd, so the batch holds only the odd
+    orders n = 1, 3, ..., order n at index n // 2."""
     m = np.asarray(parties)[:, None]
-    unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(r.max() + 1.0)))
+    unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(1.0, r.max() + 1.0, 2.0)))
     mantissa, exponent = mk_sum_scaled(unprimed, primed, m)
     with np.errstate(divide="ignore"):
         log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
     log_g, sign_g = _g_log(m, [part.take(r * d + s) for part in _g_magnitude(d)])
-    order = r - s
-    return log_g + m * _LN2 + log_mk[:, order], sign_g * np.sign(mantissa.real)[:, order]
+    index = (r - s) // 2
+    return log_g + m * _LN2 + log_mk[:, index], sign_g * np.sign(mantissa.real)[:, index]
 
 
 def _exp_sum(logs, signs) -> float:

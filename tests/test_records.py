@@ -1,5 +1,6 @@
-"""The result records are named tuples, and importing the CLI loads no
-module only the test oracles need."""
+"""The result records are named tuples, the validated input records compare
+by identity, and importing the CLI loads no module only the test oracles or
+the record machinery need."""
 
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from bellscope.catprep import CoherentSuperposition
 from bellscope.mk import MKExpansion, expand_mk
-from bellscope.rootbin import CatPair, Psi3Report, cat_pair, psi3_bell_report
+from bellscope.rootbin import CatPair, Psi3Report, RootBinningSpec, cat_pair, psi3_bell_report
+from bellscope.signbin import AngleSettings, FockCorrelatedState
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,12 +50,36 @@ def test_records_from_the_package_unpack():
     assert report == Psi3Report(*report)
 
 
+# Two equal-valued instances of each validated input record.
+INPUTS = {
+    "FockCorrelatedState": lambda: FockCorrelatedState.ghz(3),
+    "AngleSettings": lambda: AngleSettings((0.0, 0.5), (1.0, 1.5)),
+    "RootBinningSpec": lambda: RootBinningSpec(1.0, 0.5, 0.0, 3),
+    "CoherentSuperposition": lambda: CoherentSuperposition([1.0, 1.0], [[0.5], [-0.5]]),
+}
+
+
+@pytest.mark.parametrize("build", INPUTS.values(), ids=INPUTS.keys())
+def test_input_records_compare_and_hash_by_identity(build):
+    """Equality of array-valued records would be ambiguous, so every input
+    record is equal only to itself, and hashable."""
+    first, second = build(), build()
+    assert first != second and not first == second
+    assert first == first and second == second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2
+    with pytest.raises(AttributeError):
+        first.unknown_field = 0
+
+
 def test_cli_import_leaves_fractions_unloaded():
-    """Only the exact expansion, which no command runs, uses ``fractions``."""
+    """Only the exact expansion, which no command runs, uses ``fractions``,
+    and no record under ``src/`` is a dataclass."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    code = "import sys, bellscope.cli; print([m for m in {!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bellscope.cli; print('fractions' in sys.modules)"],
+        [sys.executable, "-c", code.format(("fractions", "dataclasses"))],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
