@@ -8,11 +8,14 @@ failure.  ``bellscope --help`` lists the commands, ``bellscope <command>
 --help`` shows a command's options.  A plain command line (each option
 spelled out, ``--flag value``, no value starting with ``-``) is read from the
 option table with no argparse parser built; argparse takes every other line.
+Once ``main`` has run, what is alive at exit is frozen, not collected (that
+saves the exit-time heap sweep), so a file left open may never be closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import itertools
 import json
@@ -80,7 +83,12 @@ def parse_int_range(text: str, name: str = "range"):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    kind = type(value)
+    if kind is float:
+        return format(value, ".12g")
+    if kind is int:
+        return str(value)
+    if kind is bool or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -88,16 +96,15 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_sign_ghz(options):
@@ -134,7 +141,7 @@ def cmd_sign_optimize(options):
         "theta_prime": angles.theta_prime.tolist(),
         **convergence,
     }
-    rows = [(r, c) for r, c in enumerate(state.coefficients)]
+    rows = list(enumerate(state.coefficients.tolist()))
     return ("r", "c_r"), rows, headline
 
 
@@ -354,7 +361,17 @@ def _validate(options) -> None:
             raise ConfigError("--p values must lie in [0, 1]")
 
 
+_exit_hook_registered = False
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit status.  From the first call on,
+    an atexit hook freezes what is alive at exit, so it is not collected
+    (nor finalised) then: close your files."""
+    global _exit_hook_registered
+    if not _exit_hook_registered:  # one hook, however often main runs
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     # What is alive now (the package, numpy and the interpreter's modules)
     # outlives the run, so the collections during it need not scan it again;
     # a generation-1 collection of those objects cost about 1.5 ms per run.

@@ -1,12 +1,20 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
 from bellscope import cli, signbin
 from bellscope.numerics import IntegrationError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(tmp_path, *args):
@@ -300,3 +308,80 @@ class TestDeterminismAndErrors:
         assert not (tmp_path / "cat-vw.csv").exists()
         assert run(tmp_path, "cat-vw", "--alpha", "2") == 0
         assert "tolerances" not in read_json(tmp_path, "cat-vw")
+
+
+# One small run of each command, for the checks that must cover all seven.
+SMALL_RUNS = {
+    "sign-ghz": ("--m", "3"),
+    "sign-optimize": ("--m", "3", "--d", "11"),
+    "root-max": ("--m-max", "3"),
+    "cat-vw": ("--alpha", "1"),
+    "psi3-curve": ("--alpha", "1"),
+    "noise-sweep": ("--m", "3", "--p", "0:0.1:0.05"),
+    "prep-fidelity": ("--alpha", "1", "--x0", "1"),
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_no_file_left_to_the_collector(tmp_path, command):
+    """At exit the CLI freezes what is alive instead of collecting it, so a
+    file it left open would silently keep its unflushed data; in process a
+    collection finds such a file and warns."""
+    unraisable, hook = [], sys.unraisablehook
+    sys.unraisablehook = unraisable.append  # a warning raised in __del__ lands here
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert run(tmp_path, command, *SMALL_RUNS[command]) == 0
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [u.exc_value for u in unraisable] == []
+
+
+def python(*args):
+    """Run the interpreter on args with bellscope importable, stdout piped
+    and block-buffered (PYTHONUNBUFFERED unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+# The probe is registered before bellscope is imported, so (atexit runs its
+# handlers last in, first out) it runs after any hook bellscope registers.
+EXIT_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from bellscope import cli
+"""
+
+
+def test_exit_hook_freezes_once_and_output_is_flushed(tmp_path):
+    """After main has run, what is alive at exit is frozen (the final
+    collections skip it), two runs register one hook, and block-buffered
+    output printed by the last atexit handler still arrives."""
+    code = EXIT_PROBE + """\
+before = atexit._ncallbacks()
+for _ in range(2):
+    assert cli.main(["sign-ghz", "--m", "3", "--out", sys.argv[1]]) == 0
+print("hooks added:", atexit._ncallbacks() - before)
+"""
+    proc = python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["hooks added: 1", "frozen at exit: True"]
+
+
+def test_import_alone_freezes_nothing_at_exit():
+    proc = python("-c", EXIT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["frozen at exit: False"]
+
+
+@pytest.mark.parametrize(
+    "argv, status", ((("sign-ghz", "--m", "3"), 0), (("frobnicate",), 2), (("sign-ghz", "--m", "6000"), 3))
+)
+def test_python_m_exit_status(tmp_path, argv, status):
+    proc = python("-m", "bellscope.cli", *argv, "--out", str(tmp_path))
+    assert proc.returncode == status, proc.stderr
