@@ -310,7 +310,7 @@ class TestDeterminismAndErrors:
         assert "tolerances" not in read_json(tmp_path, "cat-vw")
 
 
-# One small run of each command, for the checks that must cover all seven.
+# One small run of each command.
 SMALL_RUNS = {
     "sign-ghz": ("--m", "3"),
     "sign-optimize": ("--m", "3", "--d", "11"),
@@ -322,10 +322,10 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", SMALL_RUNS)
+@pytest.mark.parametrize("command", cli.COMMANDS)
 def test_no_file_left_to_the_collector(tmp_path, command):
     """At exit the CLI freezes what is alive instead of collecting it, so a
-    file it left open would silently keep its unflushed data; in process a
+    file it left open would silently lose its unflushed data; in process a
     collection finds such a file and warns."""
     unraisable, hook = [], sys.unraisablehook
     sys.unraisablehook = unraisable.append  # a warning raised in __del__ lands here
@@ -340,13 +340,22 @@ def test_no_file_left_to_the_collector(tmp_path, command):
 
 
 def python(*args):
-    """Run the interpreter on args with bellscope importable, stdout piped
-    and block-buffered (PYTHONUNBUFFERED unset)."""
+    """Start the interpreter on args with bellscope importable and stdout
+    piped, hence block-buffered (PYTHONUNBUFFERED unset)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
     )
+
+
+def finish(proc):
+    """Exit status, stdout and stderr of a process from python()."""
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # only if it timed out
+    return proc.returncode, out, err
 
 
 # The probe is registered before bellscope is imported, so (atexit runs its
@@ -368,20 +377,24 @@ for _ in range(2):
     assert cli.main(["sign-ghz", "--m", "3", "--out", sys.argv[1]]) == 0
 print("hooks added:", atexit._ncallbacks() - before)
 """
-    proc = python("-c", code, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["hooks added: 1", "frozen at exit: True"]
+    status, out, err = finish(python("-c", code, str(tmp_path)))
+    assert status == 0, err
+    assert out.splitlines() == ["hooks added: 1", "frozen at exit: True"]
 
 
 def test_import_alone_freezes_nothing_at_exit():
-    proc = python("-c", EXIT_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["frozen at exit: False"]
+    status, out, err = finish(python("-c", EXIT_PROBE))
+    assert status == 0, err
+    assert out.splitlines() == ["frozen at exit: False"]
 
 
-@pytest.mark.parametrize(
-    "argv, status", ((("sign-ghz", "--m", "3"), 0), (("frobnicate",), 2), (("sign-ghz", "--m", "6000"), 3))
-)
-def test_python_m_exit_status(tmp_path, argv, status):
-    proc = python("-m", "bellscope.cli", *argv, "--out", str(tmp_path))
-    assert proc.returncode == status, proc.stderr
+def test_python_m_exit_status(tmp_path):
+    """Exit statuses 0, 2 and 3 through ``python -m``, the three runs at once."""
+    runs = {
+        status: python("-m", "bellscope.cli", *argv, "--out", str(tmp_path))
+        for argv, status in (
+            (("sign-ghz", "--m", "3"), 0), (("frobnicate",), 2), (("sign-ghz", "--m", "6000"), 3)
+        )
+    }
+    for status, proc in runs.items():
+        assert finish(proc)[0] == status
