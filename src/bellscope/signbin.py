@@ -16,8 +16,9 @@ eigenproblem) is assembled from the g coefficients
                       ([F(r,s) - F(s,r)] / (r - s))^m cos(phi (r - s)),
 
 whose prefactor and bracket span hundreds of orders of magnitude.  Their
-logs and signs form one d x d table per truncation d, built from O(d)
-lgamma values and combined with m in log space; each entry is
+logs and signs are gathered from O(d) lgamma values at just the pairs
+(r, s) a result reads, the even/odd block of the Bell matrix or a state's
+nonzero pairs, and combined with m in log space; each entry is
 exponentiated once, at the end.  phi is always the sum of the chosen angles
 over all parties.  The MK sums behind a Bell value are one batch over the
 odd orders r - s and over party counts, so a scan in m (``ghz_bell_factors``)
@@ -110,12 +111,11 @@ class AngleSettings:
         return np.array((self.theta, self.theta_prime))[..., None]
 
 
-def _g_parts(rows, cols):
-    """The parts of log |g_{r,s}| that do not depend on m, at every (r, s)
-    in rows x cols (sequences of degrees), as len(rows) x len(cols)
-    arrays: log(pi 2^(r+s) / (r! s!)), log |[F(r,s) - F(s,r)] / (r - s)|
-    and the sign of that bracket, which is 0 (and its log -inf) wherever
-    r - s is even.
+def _g_parts(r, s):
+    """The parts of log |g_{r,s}| that do not depend on m, at broadcastable
+    integer index arrays r and s of degrees: log(pi 2^(r+s) / (r! s!)),
+    log |[F(r,s) - F(s,r)] / (r - s)| and the sign of that bracket, which
+    is 0 (and its log -inf) wherever r - s is even.
 
     The Gamma poles kill one F term of every opposite-parity pair: F(r,s)
     survives for even r, -F(s,r) for odd r.  So the bracket is
@@ -124,45 +124,36 @@ def _g_parts(rows, cols):
     formula 1/Gamma(z) = Gamma(1 - z) sin(pi z)/pi has |sin(pi z)| = 1, so
     log |1/Gamma(z)| = lgamma(1 - z) - log pi, and 1/Gamma(z_k) has the
     sign (-1)^((k + 1) // 2).  Two lgamma calls per degree and one log call
-    per integer up to max |r - s| feed the broadcasts; every entry is
-    summed in a fixed order, so it does not depend on the others.
+    per integer up to the largest degree are gathered at r and s; each entry
+    is summed in a fixed order (so (r, s) and (s, r) can differ in the last
+    bit) that does not depend on the others.
     """
     log_pi, log_2 = math.log(math.pi), math.log(2.0)
-
-    def per_degree(ks):
-        """log k!, log |1/Gamma(z_k)| and the sign of 1/Gamma(z_k)."""
-        z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in ks]
-        return (
-            np.array([math.lgamma(k + 1) for k in ks]),
-            np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z]),
-            np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in ks]),
-        )
-
-    factorial_r, rgamma_r, sign_r = per_degree(rows)
-    factorial_s, rgamma_s, sign_s = per_degree(cols)
-    r, s = np.array(rows)[:, None], np.array(cols)
+    r, s = np.asarray(r), np.asarray(s)
+    ks = range(int(max(r.max(), s.max())) + 1)
+    z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in ks]
+    factorial = np.array([math.lgamma(k + 1) for k in ks])
+    rgamma = np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z])
+    gamma_sign = np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in ks])
+    log_inverse = np.array([0.0] + [math.log(1.0 / n) for n in ks[1:]])
     diff = r - s
-    far = max(max(rows) - min(cols), max(cols) - min(rows))
-    log_inverse = [0.0] + [math.log(1.0 / n) for n in range(1, far + 1)]
     odd = diff % 2 == 1
-    pref = ((log_pi + (r + s) * log_2) - factorial_r[:, None]) - factorial_s
-    log_b = np.where(
-        odd, (rgamma_r[:, None] + rgamma_s) + np.take(log_inverse, np.abs(diff)), -np.inf
-    )
-    row_sign = np.where(r % 2, -sign_r[:, None], sign_r[:, None])
-    sign = np.where(odd, row_sign * sign_s * np.sign(diff), 0.0)
+    pref = ((log_pi + (r + s) * log_2) - factorial[r]) - factorial[s]
+    log_b = np.where(odd, (rgamma[r] + rgamma[s]) + log_inverse[np.abs(diff)], -np.inf)
+    row_sign = np.where(r % 2, -gamma_sign[r], gamma_sign[r])
+    sign = np.where(odd, row_sign * gamma_sign[s] * np.sign(diff), 0.0)
     return pref, log_b, sign
 
 
 @lru_cache(maxsize=8)
 def _g_magnitude(d: int):
-    """``_g_parts`` for every r, s < d, as read-only d x d arrays.
+    """``_g_parts`` for every r, s < d, as read-only d x d arrays, for ``_g_sum``.
 
     Cached per d, not per (d, m): the m-free parts serve every m.  The
     cache misses count the tables built (``perfbench/tracing.py`` reads
     them as ``signbin.g_table.misses``).
     """
-    table = _g_parts(range(d), range(d))
+    table = _g_parts(np.arange(d)[:, None], np.arange(d))
     for part in table:
         part.flags.writeable = False
     return table
@@ -227,9 +218,9 @@ def default_optimizer_angles(m: int) -> AngleSettings:
     return chsh_angles() if m == 2 else ghz_like_angles(m)
 
 
-def _pair_terms(parties, angles, d: int, r, s):
+def _pair_terms(parties, angles, r, s):
     """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
-    (r[i], s[i]) with r, s < d, as (log |.|, sign) arrays with one row per
+    (r[i], s[i]) with r > s, as (log |.|, sign) arrays with one row per
     m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
     and theta', shape (2, largest m, len(parties)); column i holds the i-th
     m's parties, then padding.  cos(n phi_t) is the real part of prod_j
@@ -241,7 +232,7 @@ def _pair_terms(parties, angles, d: int, r, s):
     mantissa, exponent = mk_sum_scaled(unprimed, primed, m)
     with np.errstate(divide="ignore"):
         log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
-    log_g, sign_g = _g_log(m, [part.take(r * d + s) for part in _g_magnitude(d)])
+    log_g, sign_g = _g_log(m, _g_parts(r, s))
     index = (r - s) // 2
     return log_g + m * _LN2 + log_mk[:, index], sign_g * np.sign(mantissa.real)[:, index]
 
@@ -277,7 +268,7 @@ def _bell_expectations(c, parties, angles) -> list:
     r, s = _pairs(c)
     if r.size == 0:
         return [0.0] * len(parties)
-    logs, signs = _pair_terms(parties, angles, c.size, r, s)
+    logs, signs = _pair_terms(parties, angles, r, s)
     weights = 2.0 * c[r] * c[s]
     with np.errstate(divide="ignore"):  # a weight that underflows to 0 drops out
         log_weights = np.log(np.abs(weights))
@@ -318,26 +309,49 @@ def ghz_bell_factors(ms) -> list:
 
 
 def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
-    """Symmetric matrix whose quadratic form in the coefficient vector gives
-    <B_m>; entry (r, s) is 2^m g_{r,s} summed over the MK expansion.
+    """Symmetric d x d matrix whose quadratic form in the coefficient vector
+    gives <B_m>; entry (r, s) is 2^m g_{r,s} summed over the MK expansion.
 
     The diagonal is exactly zero and so is every same-parity pair, which
-    makes the matrix bipartite between even and odd Fock indices.  An entry
-    beyond the float range raises OverflowError.
+    makes the matrix bipartite between even and odd Fock indices.  Only its
+    block B = M[0::2, 1::2] is computed, each entry at (larger, smaller)
+    index; the rest is B.T and zeros.  An entry beyond the float range
+    raises OverflowError.
     """
     if d < 2:
         raise ValueError("truncation must be >= 2")
     if angles.m != m:
         raise ValueError("angles do not match the party count")
-    r, s = _pairs(np.ones(d))
-    logs, signs = (x[0] for x in _pair_terms([m], angles.column, d, r, s))
+    even, odd = np.arange(0, d, 2)[:, None], np.arange(1, d, 2)
+    r, s = np.maximum(even, odd).ravel(), np.minimum(even, odd).ravel()
+    logs, signs = (x[0].reshape(-1, odd.size) for x in _pair_terms([m], angles.column, r, s))
     if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
         raise OverflowError("Bell matrix entries exceed the float range")
-    values = signs * np.exp(np.where(signs != 0, logs, -np.inf))
     matrix = np.zeros((d, d))
-    matrix[r, s] = values
-    matrix[s, r] = values
+    matrix[0::2, 1::2] = signs * np.exp(np.where(signs != 0, logs, -np.inf))
+    matrix[1::2, 0::2] = matrix[0::2, 1::2].T
     return matrix
+
+
+def _clipped_norm_bound(block) -> float:
+    """An upper bound on sigma_max(max(B, 0)) for a p x q block B, no SVD.
+
+    For C = P.T P, P = max(B / max(B), 0), and any y > 0, lambda_max(C) <=
+    max_j (C y)_j / y_j (Collatz-Wielandt; Horn & Johnson, Matrix Analysis,
+    sec. 8.1); y = C^4 1, normalised to max 1 and floored at 2^-500, is near
+    the top eigenvector.  C y sums non-negative terms, so each entry is off
+    by about (p + q) eps relative plus about pq 2^-575 from underflow, while
+    lambda_max(C) >= 1: a margin of (p + q + 4) eps covers it.
+    """
+    top = block.max(initial=0.0)
+    if top == 0.0:  # also an empty block
+        return 0.0
+    b, y = np.maximum(block / top, 0.0), np.ones(block.shape[1])
+    for _ in range(4):
+        y = b.T @ (b @ y)
+        y = np.maximum(y / y.max(), 2.0**-500)
+    ratio = float(((b.T @ (b @ y)) / y).max())
+    return top * math.sqrt(ratio) * (1.0 + (sum(b.shape) + 4) * np.finfo(float).eps)
 
 
 def optimize_state(
@@ -356,9 +370,10 @@ def optimize_state(
     the non-negative orthant instead, by the power steps and support finish
     of ``max_eigenpair``, on each sign of the matrix that can win.  For
     non-negative unit x and y, x.T B y <= sigma_max(max(B, 0)), the largest
-    singular value of the clipped even/odd block, so that bound caps each
-    sign's optimum.  The sign with the larger bound is solved first (+ on a
-    tie), and the other only when its bound reaches the first one's value.
+    singular value of the clipped even/odd block, so ``_clipped_norm_bound``
+    caps each sign's optimum.  The sign with the larger bound is solved first
+    (+ on a tie), and the other only when its bound reaches the first one's
+    value: a sign skipped cannot win, so a looser bound only adds a solve.
     Of two solves the + sign wins unless the - sign is strictly larger.
 
     ``matrix`` is ``bell_matrix(m, d, angles)`` when the caller has it.
@@ -373,7 +388,7 @@ def optimize_state(
             v = twin
     else:
         block = matrix[0::2, 1::2]
-        bound = {s: np.linalg.norm(np.maximum(s * block, 0.0), 2) for s in (1, -1)}
+        bound = {s: _clipped_norm_bound(s * block) for s in (1, -1)}
         first = 1 if bound[1] >= bound[-1] else -1
         solved = {first: max_eigenpair(first * matrix, constraint=constraint)}
         if bound[-first] >= solved[first][0]:

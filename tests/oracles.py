@@ -28,7 +28,14 @@ from bellscope.catprep import (
     scs_state,
     tensor,
 )
-from bellscope.mk import _EIGHTH_TURNS, _SIDES, MKExpansion, _normalised, mk_sum_tuplewise
+from bellscope.mk import (
+    _EIGHTH_TURNS,
+    _SIDES,
+    MKExpansion,
+    _normalised,
+    mk_sum_scaled,
+    mk_sum_tuplewise,
+)
 from bellscope.numerics import (
     _GK_NODES,
     _GK_WG,
@@ -1147,6 +1154,68 @@ def bell_matrix_every_entry(m, d, angles):
     pairs = [(r, s) for r in range(1, d) for s in range(1 - (r % 2), r, 2)]
     values = bell_matrix_entries(m, angles, pairs)
     r, s = np.array(pairs).T
+    matrix = np.zeros((d, d))
+    matrix[r, s] = values
+    matrix[s, r] = values
+    return matrix
+
+
+# The Bell matrix as it was built before only its even/odd block was: every
+# pair r > s of opposite parity, its g entry taken from one d x d table whose
+# per-degree values are computed for the rows and for the columns apart, and
+# the entries scattered into both triangles.  ``bell_matrix`` must equal it
+# bit for bit, and raise the same OverflowError.
+
+
+def g_parts_outer(rows, cols):
+    """``signbin._g_parts`` on the outer grid rows x cols (sequences of
+    degrees), as len(rows) x len(cols) arrays."""
+    log_pi, log_2 = math.log(math.pi), math.log(2.0)
+
+    def per_degree(ks):
+        """log k!, log |1/Gamma(z_k)| and the sign of 1/Gamma(z_k)."""
+        z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in ks]
+        return (
+            np.array([math.lgamma(k + 1) for k in ks]),
+            np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z]),
+            np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in ks]),
+        )
+
+    factorial_r, rgamma_r, sign_r = per_degree(rows)
+    factorial_s, rgamma_s, sign_s = per_degree(cols)
+    r, s = np.array(rows)[:, None], np.array(cols)
+    diff = r - s
+    far = max(max(rows) - min(cols), max(cols) - min(rows))
+    log_inverse = [0.0] + [math.log(1.0 / n) for n in range(1, far + 1)]
+    odd = diff % 2 == 1
+    pref = ((log_pi + (r + s) * log_2) - factorial_r[:, None]) - factorial_s
+    log_b = np.where(
+        odd, (rgamma_r[:, None] + rgamma_s) + np.take(log_inverse, np.abs(diff)), -np.inf
+    )
+    row_sign = np.where(r % 2, -sign_r[:, None], sign_r[:, None])
+    sign = np.where(odd, row_sign * sign_s * np.sign(diff), 0.0)
+    return pref, log_b, sign
+
+
+def bell_matrix_scatter(m, d, angles):
+    """``signbin.bell_matrix(m, d, angles)`` from the pair list and the d x d
+    table of ``g_parts_outer``."""
+    k = np.arange(d)
+    diff = k[:, None] - k
+    r, s = np.nonzero((diff > 0) & (diff % 2 == 1))
+    parties = np.array([m])[:, None]
+    unprimed, primed = np.exp(1j * (angles.column[..., None] * np.arange(1.0, r.max() + 1.0, 2.0)))
+    mantissa, exponent = mk_sum_scaled(unprimed, primed, parties)
+    with np.errstate(divide="ignore"):
+        log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
+    table = g_parts_outer(range(d), range(d))
+    log_g, sign_g = _g_log(parties, [part.take(r * d + s) for part in table])
+    index = (r - s) // 2
+    logs = (log_g + parties * _LN2 + log_mk[:, index])[0]
+    signs = (sign_g * np.sign(mantissa.real)[:, index])[0]
+    if np.any(logs[signs != 0] > math.log(np.finfo(float).max)):
+        raise OverflowError("Bell matrix entries exceed the float range")
+    values = signs * np.exp(np.where(signs != 0, logs, -np.inf))
     matrix = np.zeros((d, d))
     matrix[r, s] = values
     matrix[s, r] = values

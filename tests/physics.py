@@ -113,9 +113,9 @@ def hermite_halfline_overlap(r: int, s: int) -> float:
     if r == s:
         log, factor = (r - 1) * math.log(2.0) + math.lgamma(r + 1), math.sqrt(math.pi)
     else:
-        _, log_b, sign = _g_parts([r], [s])
-        log = math.log(math.pi) + (r + s) * math.log(2.0) + float(log_b[0, 0])
-        factor = float(sign[0, 0])
+        _, log_b, sign = _g_parts(r, s)
+        log = math.log(math.pi) + (r + s) * math.log(2.0) + float(log_b)
+        factor = float(sign)
     if log <= _LOG_FLOAT_MAX:
         value = factor * math.exp(log)
         if math.isfinite(value):
@@ -129,8 +129,8 @@ def g_rs(r: int, s: int, phi: float, m: int) -> float:
         raise ValueError("need r > s >= 0")
     if m < 1:
         raise ValueError("mode count must be >= 1")
-    log_g, sign_g = _g_log(m, _g_parts([r], [s]))
-    return float(sign_g[0, 0]) * math.exp(log_g[0, 0]) * math.cos(phi * (r - s))
+    log_g, sign_g = _g_log(m, _g_parts(r, s))
+    return float(sign_g) * math.exp(log_g) * math.cos(phi * (r - s))
 
 
 def outcome_sign(outcome) -> int:

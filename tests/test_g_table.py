@@ -17,7 +17,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellscope.signbin import (
@@ -28,12 +28,14 @@ from bellscope.signbin import (
     bell_expectation_sign,
     bell_matrix,
     correlator_E,
+    default_optimizer_angles,
     ghz_like_angles,
 )
 from oracles import (
     bell_expectation_sign_entry,
     bell_matrix_entries,
     bell_matrix_every_entry,
+    bell_matrix_scatter,
     correlator_E_entry,
     g_magnitude_entry,
     g_rs_entry,
@@ -229,3 +231,34 @@ def test_d400_bell_matrix_equals_entry_oracle_on_samples():
     assert np.array_equal(matrix[s, r], expected)
     r, s = np.array(same).T
     assert not np.any(matrix[r, s]) and not np.any(matrix[s, r])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=401),
+    st.sampled_from((2, 3, 10, 1000)),
+    st.none() | st.integers(0, 2**32 - 1),
+)
+@example(401, 3, None)
+@example(2, 1000, None)
+@example(401, 6000, None)
+@example(3, 6000, None)
+@example(200, 6000, 1)
+def test_bell_matrix_block_equals_scatter_oracle(d, m, seed):
+    """The even/odd block build equals the pair-list scatter from the full
+    g table bit for bit, at odd d too, or raises the same OverflowError;
+    seed None takes the default optimizer angles, a seed random ones.  No
+    m <= 1000 overflows; at m = 6000 the default angles do (the largest
+    entry at m = 5873 is 1.66e308), so the examples there take that branch."""
+    if seed is None:
+        angles = default_optimizer_angles(m)
+    else:
+        rng = np.random.default_rng(seed)
+        angles = AngleSettings(*rng.uniform(-2 * math.pi, 2 * math.pi, (2, m)))
+    try:
+        expected = bell_matrix_scatter(m, d, angles)
+    except OverflowError as error:
+        with pytest.raises(OverflowError, match=f"^{error}$"):
+            bell_matrix(m, d, angles)
+    else:
+        assert np.array_equal(bell_matrix(m, d, angles), expected)

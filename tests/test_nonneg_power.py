@@ -17,22 +17,26 @@ new value must reach both oracles'.  On Bell matrices the value
 signs, and equal the power-step oracle's, coefficients included.
 
 The sign skip rests on x.T B y <= sigma_max(max(B, 0)) for non-negative
-unit x and y.  At the default angles that bound rules the losing sign out:
-at m = 3, d = 60 it is 0.143 there, against 2.2046 on the winning sign, so
-the losing sign, whose local optima the solvers disagree on, is not solved.
+unit x and y, and ``signbin._clipped_norm_bound`` must bound that norm from
+above on every block, empty and non-positive ones included.  At the default
+angles it rules the losing sign out: at m = 3, d = 60 the norm is 0.143
+there, against 2.2046 on the winning sign, so the losing sign, whose local
+optima the solvers disagree on, is not solved.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellscope import signbin
 from bellscope.numerics import _support_finish, max_eigenpair
 from bellscope.signbin import (
     AngleSettings,
+    _clipped_norm_bound,
     bell_matrix,
     default_optimizer_angles,
     optimize_state,
@@ -150,6 +154,41 @@ def test_clipped_norm_bounds_each_sign_and_the_skip_loses_nothing(matrix):
     assert lam == max(values.values())
 
 
+@st.composite
+def blocks(draw):
+    """A random p x q block, q = 0 allowed, scaled by 10^k for |k| <= 300,
+    with some rows and columns zeroed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = draw(st.integers(1, 40)), draw(st.integers(0, 40))
+    b = rng.standard_normal((p, q)) * 10.0 ** draw(st.integers(-300, 300))
+    zeroed = draw(st.sampled_from((0.0, 0.3)))
+    b[rng.random(p) < zeroed] = 0.0
+    b[:, rng.random(q) < zeroed] = 0.0
+    return b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blocks())
+@example(np.zeros((1, 0)))
+@example(np.zeros((3, 4)))
+@example(-np.ones((3, 2)))
+@example(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
+@example(np.array([[1e-300, 0.0], [0.0, 1e300]]))
+def test_clipped_norm_bound_is_an_upper_bound(block):
+    """The bound reaches numpy's 2-norm of max(+-B, 0) on each sign, with no
+    RuntimeWarning, also for empty, all-zero, non-positive blocks and zero
+    rows or columns; it is 0 where that norm is."""
+    for sign in (1, -1):
+        clipped = np.maximum(sign * block, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = _clipped_norm_bound(sign * block)
+        if not np.any(clipped):
+            assert bound == 0.0
+        else:
+            assert bound >= np.linalg.norm(clipped, 2)
+
+
 def counting_solver(monkeypatch):
     """Replace the solver ``optimize_state`` calls with one that records the
     matrix of every call."""
@@ -165,7 +204,7 @@ def counting_solver(monkeypatch):
 
 def test_losing_sign_is_not_solved(monkeypatch):
     calls = counting_solver(monkeypatch)
-    for m, d in ((2, 30), (3, 60)):
+    for m, d in ((2, 30), (3, 60), (3, 400)):
         angles = default_optimizer_angles(m)
         matrix = bell_matrix(m, d, angles)
         calls.clear()

@@ -45,6 +45,7 @@ TRACER_HELD = (
     (mk, "expand_mk"),
     (mk, "MKExpansion"),
     (signbin, "correlator_E"),
+    (signbin, "_g_magnitude"),
     (rootbin, "binned_product_probabilities"),
 )
 
