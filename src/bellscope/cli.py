@@ -88,11 +88,9 @@ def _fmt(value) -> str:
         return format(value, ".12g")
     if kind is int:
         return str(value)
-    if kind is bool or isinstance(value, np.bool_):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+    raise TypeError(f"CSV cell {value!r} is not a plain float, int or bool")
 
 
 def write_csv(path: Path, header, rows):
@@ -217,7 +215,7 @@ def cmd_prep_fidelity(options):
             x0_values = options.x0
         else:
             center = -math.sqrt(2.0) * alpha
-            x0_values = [center + dx for dx in np.linspace(-2.0, 2.0, 41)]
+            x0_values = [center + dx for dx in np.linspace(-2.0, 2.0, 41).tolist()]
         fidelity, density = catprep.generation_pipeline(alpha, x0_values, wiring="sum-first")
         rows += zip(itertools.repeat(alpha), x0_values, fidelity, density)
         x0, fid, dens = max(zip(x0_values, fidelity, density), key=lambda row: (row[1], row[2]))
@@ -241,42 +239,57 @@ COMMANDS = {
 
 
 LABELINGS = ("x-unprimed", "p-unprimed", "best")
+_TINY, _HUGE = math.ulp(0.0), sys.float_info.max  # the least float > 0, the largest finite
 # Each command's help line and its options but --out, in the order its help
-# lists them: (flag, add_argument keywords).  The full parser and the plain
-# reader of _parse both read this table; the reader knows the keywords type,
-# required, default, choices and help.
+# lists them: (flag, add_argument keywords, domain).  The full parser and the
+# plain reader of _parse both read this table; the reader knows the keywords
+# type, required, default, choices and help.  A domain (parse, low, high,
+# rule) holds every valid value v in low <= v <= high, after parse_range or
+# parse_int_range has turned a range option's text into values (parse None
+# for a scalar); rule is its message.  None: type and choices say it all.
 _OPTIONS = {
     "sign-ghz": ("GHZ state, sign binning, GHZ-like angles", (
-        ("--m", dict(type=int, required=True)),
+        ("--m", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
     )),
     "sign-optimize": ("optimal state at fixed angles", (
-        ("--m", dict(type=int, required=True)),
-        ("--d", dict(type=int, required=True)),
-        ("--constraint", dict(choices=("none", "nonneg"), default="none")),
+        ("--m", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
+        ("--d", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
+        ("--constraint", dict(choices=("none", "nonneg"), default="none"), None),
     )),
     "root-max": ("root binning at V = W = 1", (
-        ("--m-max", dict(type=int, required=True)),
-        ("--theta", dict(type=float, default=None)),
-        ("--labeling", dict(choices=LABELINGS, default="x-unprimed")),
+        ("--m-max", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
+        ("--theta", dict(type=float, default=None), (None, -_HUGE, _HUGE, "must be finite")),
+        ("--labeling", dict(choices=LABELINGS, default="x-unprimed"), None),
     )),
-    "cat-vw": ("overlaps V, W of the cat pair", (("--alpha", dict(required=True)),)),
+    "cat-vw": ("overlaps V, W of the cat pair", (
+        # below, mu = sqrt(2) alpha is subnormal and has lost digits
+        ("--alpha", dict(required=True), (parse_range, sys.float_info.min, math.inf,
+                                          f"values must be >= {sys.float_info.min!r}")),
+    )),
     "psi3-curve": ("three-mode candidate state Bell curve", (
-        ("--alpha", dict(required=True)),
-        ("--labeling", dict(choices=LABELINGS, default="best")),
-        ("--tol", dict(type=float, default=DEFAULT_TOL, help="quadrature tolerance")),
+        # memory grows as alpha^2 (9 MB at 30); the Bell factors are flat from 11.3 on
+        ("--alpha", dict(required=True), (parse_range, _TINY, 30.0, "values must lie in (0, 30]")),
+        ("--labeling", dict(choices=LABELINGS, default="best"), None),
+        ("--tol", dict(type=float, default=DEFAULT_TOL, help="quadrature tolerance"),
+         (None, _TINY, 1e-2, "must lie in (0, 1e-2]")),
     )),
     "noise-sweep": ("erasure-noise scaling for GHZ states", (
-        ("--m", dict(required=True)), ("--p", dict(required=True)),
+        ("--m", dict(required=True), (parse_int_range, 2, math.inf, "values must be >= 2")),
+        ("--p", dict(required=True), (parse_range, 0.0, 1.0, "values must lie in [0, 1]")),
     )),
     "prep-fidelity": ("conditional-generation fidelity", (
-        ("--alpha", dict(required=True)), ("--x0", dict(default=None)),
+        # Gram exponents a b - (a^2 + b^2)/2 lose ~alpha^2 eps: fidelity <= 1 + 1e-12 to 30
+        ("--alpha", dict(required=True), (parse_range, _TINY, 30.0, "values must lie in (0, 30]")),
+        # (x0 - sqrt(2) a)^2 overflows past 1e154; the density vanishes (exit 3) past 130
+        ("--x0", dict(default=None),
+         (parse_range, -1e100, 1e100, "values must lie in [-1e100, 1e100]")),
     )),
 }
-_OUT = ("--out", dict(default=".", help="output directory"))
+_OUT = ("--out", dict(default=".", help="output directory"), None)
 
 
 def _add_options(parser, name) -> None:
-    for flag, keywords in (*_OPTIONS[name][1], _OUT):
+    for flag, keywords, _ in (*_OPTIONS[name][1], _OUT):
         parser.add_argument(flag, **keywords)
 
 
@@ -313,7 +326,7 @@ def _parse_plain(argv):
     if not argv or argv[0] not in _OPTIONS or len(argv) % 2 == 0:
         return None
     table = (*_OPTIONS[argv[0]][1], _OUT)
-    keywords_of = dict(table)
+    keywords_of = {flag: keywords for flag, keywords, _ in table}
     given = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         keywords = keywords_of.get(flag)
@@ -327,7 +340,7 @@ def _parse_plain(argv):
             return None
         given[flag] = value  # a repeated flag keeps its last value, as in argparse
     options = argparse.Namespace(command=argv[0])
-    for flag, keywords in table:
+    for flag, keywords, _ in table:
         if flag not in given and keywords.get("required"):
             return None
         setattr(options, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
@@ -335,30 +348,17 @@ def _parse_plain(argv):
 
 
 def _validate(options) -> None:
-    cmd = options.command
-    if cmd == "psi3-curve" and not 0 < options.tol <= 1e-2:
-        raise ConfigError("--tol must lie in (0, 1e-2]")
-    if cmd in ("sign-ghz", "sign-optimize") and options.m < 2:
-        raise ConfigError("--m must be >= 2")
-    if cmd == "sign-optimize" and options.d < 2:
-        raise ConfigError("--d must be >= 2")
-    if cmd == "root-max" and options.m_max < 2:
-        raise ConfigError("--m-max must be >= 2")
-    if cmd == "root-max" and not math.isfinite(options.theta or 0.0):
-        raise ConfigError("--theta must be finite")
-    if cmd in ("cat-vw", "psi3-curve", "prep-fidelity"):
-        options.alpha = parse_range(options.alpha, "--alpha")
-        if any(a <= 0 for a in options.alpha):
-            raise ConfigError("--alpha values must be > 0")
-    if cmd == "prep-fidelity" and options.x0 is not None:
-        options.x0 = parse_range(options.x0, "--x0")
-    if cmd == "noise-sweep":
-        options.m = parse_int_range(options.m, "--m")
-        if any(m < 2 for m in options.m):
-            raise ConfigError("--m values must be >= 2")
-        options.p = parse_range(options.p, "--p")
-        if any(not 0.0 <= p <= 1.0 for p in options.p):
-            raise ConfigError("--p values must lie in [0, 1]")
+    """Check the command's options against their domains, in table order,
+    and replace each range option's text by its list of values."""
+    for flag, _, domain in _OPTIONS[options.command][1]:
+        dest = flag[2:].replace("-", "_")
+        value = getattr(options, dest)
+        if domain is not None and value is not None:
+            parse, low, high, rule = domain
+            values = [value] if parse is None else parse(value, flag)
+            if not all(low <= v <= high for v in values):
+                raise ConfigError(f"{flag} {rule}")
+            setattr(options, dest, value if parse is None else values)
 
 
 _exit_hook_registered = False

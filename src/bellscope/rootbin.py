@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -153,11 +154,15 @@ def cat_norms(alpha: float):
 
         c_+^2 = 1/[2(1 + e^{-2 a^2})],   c_-^2 = 1/[2(1 - e^{-2 a^2})],
 
-    the second through expm1, which keeps small amplitudes exact.
+    the second through expm1, which keeps small amplitudes exact.  Once a^2
+    is subnormal it has lost digits, and the a -> 0 limit (1/2, 1/(2a)) is
+    exact to the last bit.
     """
     if alpha <= 0:
         raise ValueError("amplitude must be > 0")
     a2 = alpha * alpha
+    if a2 < sys.float_info.min:
+        return 0.5, 0.5 / alpha
     return (
         1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * a2))),
         1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * a2)),
@@ -388,7 +393,10 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     Every mode carries +/-alpha, so one x and one p table per amplitude
     serve all modes.  The probabilities are one array over (amplitude,
     setting pattern, outcome), summed over outcomes left to right as the
-    builtin ``sum`` of Python 3.11 adds them.
+    builtin ``sum`` of Python 3.11 adds them.  At a loose ``tol`` a panel
+    can miss a narrow Gaussian and still look converged; the mass it drops
+    shows in the outcome sums, so a sum off 1 by more than ``tol`` (or the
+    quadrature's 1e-14 floor, times 100) is an ArithmeticError.
     """
     pairs = [cat_pair(alpha) for alpha in alphas]
     if not pairs:
@@ -408,6 +416,11 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     for o, sign in enumerate(signs):
         sums = sums + probs[..., o]
         correlators = correlators + sign * probs[..., o]
+    limit = max(tol, 1e-12)
+    missed = np.flatnonzero(~(np.abs(sums - 1.0).max(axis=-1) <= limit))  # nan is missed too
+    if missed.size:
+        alpha = pairs[missed[0]].alpha
+        raise ArithmeticError(f"psi3 probabilities at alpha = {alpha!r} do not sum to 1 within {limit!r}")
     # The tuple-by-tuple MK sum, one pass over the amplitude axis, keeps the
     # rounding of the reference curve where one labeling cancels to noise.
     bell_x, bell_p = (np.abs(mk_sum_tuplewise(c)).tolist() for c in (correlators.T[::-1], correlators.T))

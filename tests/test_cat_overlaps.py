@@ -8,6 +8,7 @@ from the first lobe, a Dawson integral, below.
 
 import json
 import math
+import sys
 import time
 import tracemalloc
 
@@ -152,3 +153,33 @@ def test_psi3_curve_past_the_root_spacing_overflow(tmp_path):
         lines = (tmp_path / alpha / "psi3-curve.csv").read_text(encoding="utf-8").splitlines()
         rows.append(lines[1].split(",")[1:4])
     assert rows[1] == rows[0] == ["0", "0", "0"]
+
+
+# alpha^2 is subnormal from 1.49e-154 down; the CLI's cat-vw stops at the
+# least normal float, below which mu = sqrt(2) alpha loses digits as well.
+SUBNORMAL_SQUARES = (1.49e-154, 1e-158, 1e-160, 1e-161, 1e-163, 1e-200, 1e-300, sys.float_info.min)
+
+
+@pytest.mark.parametrize("alpha", (1.5e-154, *SUBNORMAL_SQUARES))
+def test_subnormal_square_takes_the_limit(alpha):
+    """c_- = 1/(2 alpha) once alpha^2 has lost digits, so V = W stay at
+    sqrt(2/pi), the 1e-9 golden row's digits, all the way down."""
+    with mpmath.workdps(40):
+        assert rel(cat_norms(alpha)[1], mp_cat_norms(alpha)[1]) <= 2 * EPS
+    v, w = overlaps_VW(cat_pair(alpha))
+    v_ref, w_ref = mp_overlaps(alpha)
+    assert rel(v, v_ref) <= 4 * EPS and rel(w, w_ref) <= 4 * EPS
+    assert format(v, ".12g") == format(w, ".12g") == "0.797884560803"
+
+
+def test_cli_down_to_the_least_normal_amplitude(tmp_path):
+    """cat-vw prints the golden digits to its bound and refuses below it;
+    prep-fidelity, which needs only c_+, runs at 1e-163 too."""
+    alphas = ("1e-163", repr(sys.float_info.min))
+    for alpha in alphas:
+        assert cli.main(["cat-vw", "--alpha", alpha, "--out", str(tmp_path / alpha)]) == 0
+        row = (tmp_path / alpha / "cat-vw.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert row.split(",")[1:] == ["0.797884560803"] * 2
+    below = repr(math.nextafter(sys.float_info.min, 0.0))
+    assert cli.main(["cat-vw", "--alpha", below, "--out", str(tmp_path)]) == 2
+    assert cli.main(["prep-fidelity", "--alpha", "1e-163", "--out", str(tmp_path)]) == 0

@@ -157,13 +157,13 @@ def test_a_plain_run_builds_no_parser(tmp_path, monkeypatch):
 
 def test_plain_reader_knows_every_table_keyword():
     for _, options in cli._OPTIONS.values():
-        for _, keywords in (*options, cli._OUT):
+        for _, keywords, _ in (*options, cli._OUT):
             assert set(keywords) <= {"type", "required", "default", "choices", "help"}
             # argparse would convert a string default with the type
             assert not ("type" in keywords and isinstance(keywords.get("default"), str))
 
 
-FLAGS = sorted({flag for _, options in cli._OPTIONS.values() for flag, _ in options} | {"--out"})
+FLAGS = sorted({flag for _, options in cli._OPTIONS.values() for flag, *_ in options} | {"--out"})
 # values each flag's table entry accepts: its choices, or by its type
 GOOD = {
     int: ("2", "3", "16"),
@@ -189,9 +189,9 @@ def command_lines(draw):
     rnd = draw(st.randoms(use_true_random=True))
     command = rnd.choice((*cli.COMMANDS, "frobnicate", None))
     table = (*cli._OPTIONS.get(command, ("", ()))[1], cli._OUT)
-    own = [flag for flag, _ in table]
+    own = [flag for flag, *_ in table]
     words = []
-    for flag, keywords in table:
+    for flag, keywords, _ in table:
         good = keywords.get("choices") or GOOD[keywords.get("type", str)]
         value = rnd.choice((*good, *good, None, rnd.choice(OTHER)))
         if value is not None:

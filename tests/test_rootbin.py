@@ -372,6 +372,15 @@ class TestPsi3:
             assert total == pytest.approx(1.0, abs=1e-8)
         assert report.min_probability >= -1e-9
 
+    def test_bell_p_scales_as_alpha_cubed_near_0(self):
+        """A metamorphic check: doubling a small amplitude multiplies the
+        p-unprimed Bell factor by 8 (4.0636 alpha^3), while the x-unprimed
+        one stays at rounding noise."""
+        reports = psi3_bell_report([1e-3, 2e-3, 1e-2, 2e-2])
+        ratios = [r.bell_p_unprimed / r.alpha ** 3 for r in reports]
+        assert max(ratios) / min(ratios) - 1.0 < 1e-6
+        assert max(r.bell_x_unprimed for r in reports) < 1e-15
+
     def test_small_amplitude_no_violation(self):
         assert direct_bell_psi3(0.5) < 2.0
 
