@@ -204,14 +204,10 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 def _stationarity_residual(m, v, lam):
     grad = m @ v - lam * v
-    active = v <= 1e-10
-    res = np.where(active, np.maximum(grad, 0.0), grad)
+    res = np.where(v <= 1e-10, np.maximum(grad, 0.0), grad)
     return float(np.linalg.norm(res))
 
 
-# The alternating power steps stop once no component of any start's y moves
-# by more than _POWER_TOL in a step, or after _POWER_STEPS steps.  Every
-# _FINISH_EVERY steps the best start's support is tried for an exact finish.
 _POWER_TOL = 1e-14
 _POWER_STEPS = 1000
 _FINISH_EVERY = 10
@@ -225,23 +221,38 @@ def _start_values(b, y):
     return x, np.einsum("ik,ik->k", x, by)
 
 
+def _top_pair(b):
+    """Top singular pair (u, s, v) of a non-empty block B: v from eigh of
+    B.T B (B B.T if B is wide; Golub & Van Loan, sec. 8.6), s = |B v|, u =
+    B v / s, after scaling B by a power of two to max |entry| in [1/2, 1) so
+    no square over- or underflows.  A zero block gives s = 0, unit u, v."""
+    if b.shape[0] < b.shape[1]:
+        return _top_pair(b.T)[::-1]
+    exp = math.frexp(np.abs(b).max())[1]
+    b = np.ldexp(b, -exp)
+    v = np.linalg.eigh(b.T @ b)[1][:, -1]
+    u = b @ v
+    s = float(np.linalg.norm(u))
+    return (u / s if s else np.eye(1, u.size)[0]), math.ldexp(s, exp), v
+
+
 def _support_finish(b, x, y, values):
-    """The top singular pair of B on the best start's support (x > 0, y > 0),
-    zero-padded, with its singular value; None unless it is strictly positive
-    on the support, no gradient off the support is positive (KKT) and the
-    value reaches every start's."""
+    """B's top singular pair on the best start's p x q support (x > 0,
+    y > 0), zero-padded, with its value; None unless it is > 0 there, no
+    gradient off it is positive (KKT), and the value reaches every start's
+    within (p + q) eps relative, a slack for ``_top_pair``'s rounding."""
     best = int(np.argmax(values))
     rows, cols = x[:, best] > 0.0, y[:, best] > 0.0
-    u, s, vt = np.linalg.svd(b[np.ix_(rows, cols)], full_matrices=False)
-    sign = 1.0 if u[0, 0] > 0.0 else -1.0
-    x_top, y_top = sign * u[:, 0], sign * vt[0]
-    if x_top.min() <= 0.0 or y_top.min() <= 0.0 or s[0] < values.max():
+    u, s, v = _top_pair(b[np.ix_(rows, cols)])
+    u, v = (u, v) if u[0] > 0.0 else (-u, -v)
+    slack = 1.0 - (u.size + v.size) * np.finfo(float).eps
+    if u.min() <= 0.0 or v.min() <= 0.0 or s < values.max() * slack:
         return None
     x_full, y_full = np.zeros(b.shape[0]), np.zeros(b.shape[1])
-    x_full[rows], y_full[cols] = x_top, y_top
+    x_full[rows], y_full[cols] = u, v
     if np.any((b @ y_full)[~rows] > 0.0) or np.any((b.T @ x_full)[~cols] > 0.0):
         return None
-    return x_full, y_full, float(s[0])
+    return x_full, y_full, s
 
 
 def _max_quadform_nonneg(m):
@@ -254,7 +265,7 @@ def _max_quadform_nonneg(m):
         # y starts, one per column: the uniform vector, the clipped +/- top
         # right singular vector, and (B.T e_i)_+ for every even index i; a
         # start with (B y)_+ = 0 cannot reach a positive value
-        top = np.linalg.svd(b)[2][0]
+        top = _top_pair(b)[2]
         y = np.maximum(np.column_stack([np.ones(b.shape[1]), top, -top, b.T]), 0.0)
         y = y[:, np.any(b @ y > 0.0, axis=0)]
         y /= np.linalg.norm(y, axis=0)
@@ -280,9 +291,7 @@ def _max_quadform_nonneg(m):
         v /= math.sqrt(2.0)
     res = _stationarity_residual(m, v, lam)
     if res > 1e-8:
-        raise ArithmeticError(
-            f"constrained maximizer not stationary (residual {res:.3e})"
-        )
+        raise ArithmeticError(f"constrained maximizer not stationary (residual {res:.3e})")
     return lam, v
 
 
@@ -291,30 +300,21 @@ def max_eigenpair(matrix, constraint=None):
     that couples only even with odd indices, M = [[0, B], [B.T, 0]] with
     B = M[0::2, 1::2], as every Bell matrix does; any other raises ValueError.
 
-    Its spectrum is +/- the singular values of B plus zeros, so one thin SVD
-    of B gives the top pair: the largest singular value s and v = (x, y) /
-    sqrt(2) from its singular vectors, interleaved (Golub & Van Loan, sec.
-    8.6; M needs dimension >= 2).  v has its first non-negligible component
+    Its spectrum is +/- the singular values of B plus zeros, so B's top
+    singular pair (``_top_pair``) gives s and v = (x, y) / sqrt(2),
+    interleaved (M needs dimension >= 2), its first non-negligible component
     positive; an eigen residual above 1e-10 max(1, s) raises ArithmeticError.
 
-    With ``constraint="nonnegative"`` v.T M v is maximized over unit vectors
-    with all components >= 0 instead: max x.T B y over non-negative unit x
-    and y.  Alternating non-negative power steps x <- (B y)_+ / |.|,
-    y <- (B.T x)_+ / |.| (non-negative PCA; Montanari & Richard, IEEE Trans.
-    IT 62, 2016) never decrease x.T B y; they run from fixed starts and the
-    best one wins.  Every 10 steps the support of the best start (x > 0,
-    y > 0) is tried for a finish: on it the maximizer is the top singular
-    pair of B[Sx, Sy], from one SVD.  That pair, zero-padded, is taken and
-    the steps stop when it is strictly positive on the support, no gradient
-    off the support is positive ((B y)_i <= 0 and (B.T x)_j <= 0 there: the
-    KKT conditions), and its singular value reaches every start's current
-    value.  The last rule is a heuristic, not a certificate: the best
-    start's support always admits that value, but a start still climbing
-    could later end higher, and no finish rules that out.  Otherwise the
-    steps go on until no component of any start's y moves by more than
-    1e-14, or for at most 1,000 steps.  Either way the value is a feasible
-    (hence certified) lower bound; a stationarity (KKT) residual above 1e-8
-    raises ArithmeticError.
+    With ``constraint="nonnegative"`` v.T M v is maximized over non-negative
+    unit vectors instead: max x.T B y over non-negative unit x and y, by
+    alternating power steps x <- (B y)_+ / |.|, y <- (B.T x)_+ / |.|
+    (non-negative PCA; Montanari & Richard, IEEE Trans. IT 62, 2016), which
+    never decrease x.T B y, from fixed starts; the best wins.  Every 10
+    steps ``_support_finish`` may end them with the top singular pair of B
+    on the best start's support (a heuristic: a start still climbing could
+    later end higher); else they stop once no component of any start's y
+    moves by more than 1e-14, or after 1,000 steps.  The value is a feasible
+    lower bound; a KKT residual above 1e-8 raises ArithmeticError.
     """
     m = _check_bipartite(matrix)
     if constraint == "nonnegative":
@@ -323,10 +323,9 @@ def max_eigenpair(matrix, constraint=None):
         raise ValueError(f"unknown constraint: {constraint!r}")
     if m.shape[0] < 2:
         raise ValueError("the unconstrained solve needs dimension >= 2")
-    x, s, yt = np.linalg.svd(m[0::2, 1::2], full_matrices=False)
-    lam = float(s[0])
+    x, lam, y = _top_pair(m[0::2, 1::2])
     v = np.empty(m.shape[0])
-    v[0::2], v[1::2] = x[:, 0], yt[0]
+    v[0::2], v[1::2] = x, y
     v = _canonical_sign(v / math.sqrt(2.0))
     residual = float(np.linalg.norm(m @ v - lam * v))
     if residual > 1e-10 * max(1.0, lam):

@@ -1,10 +1,12 @@
-"""The unconstrained ``max_eigenpair``, one thin SVD of the even/odd block B
-of M = [[0, B], [B.T, 0]], against full eigensolves of M.
+"""The unconstrained ``max_eigenpair``, the top singular pair of the even/odd
+block B of M = [[0, B], [B.T, 0]] from ``numerics._top_pair`` (the top
+eigenvector of B's smaller Gram matrix, B.T B or B B.T), against full
+eigensolves of M; and that kernel against ``np.linalg.svd``, the oracle.
 
-Both solvers are backward stable: each returns the exact answer for a
-matrix within about n eps |M| of M (n the dimension, eps the machine
-epsilon, |M| the spectral norm).  So the two largest eigenvalues agree
-within 2 n eps |M|; the worst seen over 780 random bipartite matrices,
+Both solvers are backward stable for the top pair: each returns the exact
+answer for a matrix within about n eps |M| of M (n the dimension, eps the
+machine epsilon, |M| the spectral norm).  So the two largest eigenvalues
+agree within 2 n eps |M|; the worst seen over 780 random bipartite matrices,
 n = 2..40, was 1.09 n eps |M|.  By Davis-Kahan each unit eigenvector turns
 by at most its perturbation over the spectral gap, so on Bell matrices the
 optimal-state coefficients agree within 4 d eps |M| / gap, with gap the
@@ -13,15 +15,21 @@ distance from the largest eigenvalue to the next one; the worst seen over
 angles) was 1.54 d eps |M| / gap.  The parity twin is an O(1) move, so
 agreement within that bound also means ``optimize_state`` picked the same
 twin as the two-eigh optimizer it replaced (``oracles.two_eigh_optimum``).
+
+The kernel scales B by a power of two before it squares it: unscaled, the
+Gram matrix of entries near 1e160 or 1e300 overflows (eigh fails to
+converge) and that of entries near 1e-160 or 1e-300 underflows (sigma off
+by 1e-5 or entirely).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellscope.numerics import max_eigenpair
+from bellscope.numerics import _top_pair, max_eigenpair
 from bellscope.signbin import (
     AngleSettings,
     bell_matrix,
@@ -71,3 +79,62 @@ def test_optimize_state_matches_two_eigh(m, d, drawn):
     w = np.linalg.eigvalsh(bell_matrix(m, d, angles))
     bound = 4 * d * EPS * max(abs(w[0]), abs(w[-1])) / (w[-1] - w[-2])
     assert np.abs(np.asarray(state.coefficients) - c_oracle).max() <= bound
+
+
+def check_top_pair(b):
+    """``_top_pair`` against ``np.linalg.svd``: sigma within (p + q) eps
+    relative, unit vectors, and residuals |B v - s u|, |B.T u - s v| at the
+    (p + q) eps sigma level (on B / sigma, so that no norm over- or
+    underflows)."""
+    u, s, v = _top_pair(b)
+    p, q = b.shape
+    tol = (p + q) * EPS
+    sigma = np.linalg.svd(b, compute_uv=False)[0]
+    assert abs(s - sigma) <= tol * sigma
+    assert u.shape == (p,) and v.shape == (q,)
+    assert abs(np.linalg.norm(u) - 1.0) <= tol and abs(np.linalg.norm(v) - 1.0) <= tol
+    if sigma:
+        a, t = b / sigma, s / sigma
+        assert np.linalg.norm(a @ v - t * u) <= tol
+        assert np.linalg.norm(a.T @ u - t * v) <= tol
+    return s
+
+
+@pytest.mark.parametrize("shape", ((1, 1), (3, 3), (4, 3), (3, 4)))
+def test_top_pair_of_a_zero_block(shape):
+    assert check_top_pair(np.zeros(shape)) == 0.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_top_pair_of_a_repeated_top_value(n):
+    assert abs(check_top_pair(np.eye(n)) - 1.0) <= 2 * n * EPS
+
+
+@pytest.mark.parametrize("shape", ((5, 1), (1, 5), (6, 4), (4, 6)))
+def test_top_pair_of_a_rank_one_block(shape):
+    rng = np.random.default_rng(sum(shape))
+    left, right = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    s = check_top_pair(np.outer(left, right))
+    assert abs(s - np.linalg.norm(left) * np.linalg.norm(right)) <= 4 * sum(shape) * EPS * s
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e150, 1e-150, 1e160, 1e-160, 1e300, 1e-300))
+@pytest.mark.parametrize("shape", ((7, 4), (4, 7), (6, 6)))
+def test_top_pair_at_extreme_scales(shape, scale):
+    b = np.random.default_rng(7).standard_normal(shape) * scale
+    assert np.isfinite(check_top_pair(b))
+
+
+@PROPERTY
+@given(p=st.integers(1, 40), q=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_top_pair_of_random_blocks(p, q, seed):
+    """Both orientations: the Gram matrix is taken on the shorter side."""
+    check_top_pair(np.random.default_rng(seed).standard_normal((p, q)))
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 9))
+def test_zero_bipartite_matrix(n):
+    """lam = 0 with a unit vector; the residual certificate raises nothing."""
+    lam, v = max_eigenpair(np.zeros((n, n)))
+    assert lam == 0.0
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-15

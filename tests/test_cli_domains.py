@@ -74,7 +74,8 @@ def test_every_number_option_has_a_domain():
         (("root-max", "--m-max", "3", "--theta", "inf"), "--theta must be finite"),
         (("noise-sweep", "--m", "1:3:1", "--p", "0"), "--m values must be >= 2"),
         (("noise-sweep", "--m", "3", "--p", "0:1.5:0.5"), "--p values must lie in [0, 1]"),
-        (("sign-optimize", "--m", "3", "--d", "1"), "--d must be >= 2"),
+        (("sign-optimize", "--m", "3", "--d", "1"), "--d must lie in [2, 2000]"),
+        (("sign-optimize", "--m", "3", "--d", "2001"), "--d must lie in [2, 2000]"),
     ),
 )
 def test_outside_the_domain_exits_2(tmp_path, argv, message):

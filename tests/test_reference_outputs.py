@@ -8,9 +8,9 @@ The tolerances are the ones ``perfbench/reference.py`` states: integer
 columns exact, Bell-factor columns relative 1e-9, every other column
 (inputs, state coefficients) relative 1e-9 plus absolute 1e-12.  Under
 them the two unconstrained ``sign-optimize`` CSVs may move in their last
-printed digits, since a thin SVD of the even/odd block and a full
-eigensolve round differently; the non-negative ones and the other six are
-expected unchanged.
+printed digits, since the top pair of the even/odd block from its Gram
+matrix and a full eigensolve round differently; the non-negative ones and
+the other six are expected unchanged.
 """
 
 import sys
