@@ -150,8 +150,9 @@ def generation_pipeline(alpha: float, x0_values, wiring: str = "sum-first") -> P
     -alpha) makes the conditional state approach the target as alpha grows.
 
     Only the weights depend on x0 (w_i <x0|a_i0>), so the Gram matrices are
-    built once.  Both states must have norm 1 within 1e-8; a density below
-    1e-300 is an ArithmeticError naming the first such x0, not a garbage state.
+    built once.  Both states are built here, so one off norm 1 by more than
+    1e-8 is an ArithmeticError, as is a density below 1e-300 (naming the
+    first such x0, not a garbage state); a bad ``wiring`` is a ValueError.
     """
     if wiring not in PREP_NETWORKS:
         raise ValueError(f"unknown wiring {wiring!r}")
@@ -180,7 +181,7 @@ def generation_pipeline(alpha: float, x0_values, wiring: str = "sum-first") -> P
     weights = (weights[:first].view(float) / np.sqrt(density[:first, None])).view(complex)
     norms = [target.norm_squared(), *squared_norms(weights).tolist()] if first else []
     if any(abs(norm - 1.0) > 1e-8 for norm in norms):
-        raise ValueError("fidelity expects normalized states")
+        raise ArithmeticError("fidelity expects normalized states")
     if vanishing.size:
         raise ArithmeticError(
             f"conditional state at x0 = {x0_values[first]!r} has vanishing density"

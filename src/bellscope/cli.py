@@ -4,8 +4,10 @@ Every command writes <command>.csv and <command>.json into --out.  CSV files
 are deterministic byte-for-byte for a given configuration (fixed iteration
 order, 12 significant digits, no timestamps); wall time lives only in the
 JSON summary.  Exit status: 0 success, 2 configuration error, 3 numerical
-failure.  ``bellscope --help`` lists the commands, ``bellscope <command>
---help`` shows a command's options.  A plain command line (each option
+failure: the package raises ArithmeticError for every numerical failure
+(``numerics.IntegrationError`` is one), and this module only maps it to 3.
+``bellscope --help`` lists the commands, ``bellscope <command> --help``
+shows a command's options.  A plain command line (each option
 spelled out, ``--flag value``, no value starting with ``-``) is read from the
 option table with no argparse parser built; argparse takes every other line.
 Once ``main`` has run, what is alive at exit is frozen, not collected (that
@@ -24,10 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import catprep, erasure, mk, rootbin, signbin
-from .numerics import IntegrationError
 
 DEFAULT_TOL = 1e-9
 # Ranges become lists of floats before any command runs, so their size is capped.
@@ -215,7 +214,7 @@ def cmd_prep_fidelity(options):
             x0_values = options.x0
         else:
             center = -math.sqrt(2.0) * alpha
-            x0_values = [center + dx for dx in np.linspace(-2.0, 2.0, 41).tolist()]
+            x0_values = [center + (-2.0 + 0.1 * k) for k in range(41)]  # np.linspace(-2, 2, 41)
         fidelity, density = catprep.generation_pipeline(alpha, x0_values, wiring="sum-first")
         rows += zip(itertools.repeat(alpha), x0_values, fidelity, density)
         x0, fid, dens = max(zip(x0_values, fidelity, density), key=lambda row: (row[1], row[2]))
@@ -249,10 +248,13 @@ _TINY, _HUGE = math.ulp(0.0), sys.float_info.max  # the least float > 0, the lar
 # for a scalar); rule is its message.  None: type and choices say it all.
 _OPTIONS = {
     "sign-ghz": ("GHZ state, sign binning, GHZ-like angles", (
-        ("--m", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
+        # past 5873 the Bell value leaves the float range (exit 3); arrays grow as m
+        ("--m", dict(type=int, required=True), (None, 2, 6000, "must lie in [2, 6000]")),
     )),
     "sign-optimize": ("optimal state at fixed angles", (
-        ("--m", dict(type=int, required=True), (None, 2, math.inf, "must be >= 2")),
+        # past 5873 the Bell matrix leaves the float range at every d; memory grows
+        # as m d: 0.87 GB at 6000, d 2000
+        ("--m", dict(type=int, required=True), (None, 2, 6000, "must lie in [2, 6000]")),
         # time grows as d^3, memory as d^2: at 2000, nonneg, 2.1 s and 186 MB on 2 cores
         ("--d", dict(type=int, required=True), (None, 2, 2000, "must lie in [2, 2000]")),
         ("--constraint", dict(choices=("none", "nonneg"), default="none"), None),
@@ -275,7 +277,8 @@ _OPTIONS = {
          (None, _TINY, 1e-2, "must lie in (0, 1e-2]")),
     )),
     "noise-sweep": ("erasure-noise scaling for GHZ states", (
-        ("--m", dict(required=True), (parse_int_range, 2, math.inf, "values must be >= 2")),
+        # as for sign-ghz
+        ("--m", dict(required=True), (parse_int_range, 2, 6000, "values must lie in [2, 6000]")),
         ("--p", dict(required=True), (parse_range, 0.0, 1.0, "values must lie in [0, 1]")),
     )),
     "prep-fidelity": ("conditional-generation fidelity", (
@@ -398,7 +401,7 @@ def _run(argv) -> int:
     started = time.perf_counter()
     try:
         header, rows, headline = COMMANDS[options.command](options)
-    except (IntegrationError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"bellscope: numerical failure: {exc}", file=sys.stderr)
         return 3
     wall_time = time.perf_counter() - started

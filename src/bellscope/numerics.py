@@ -21,8 +21,9 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+class IntegrationError(ArithmeticError):
+    """Adaptive quadrature could not reach the requested tolerance.  An
+    ArithmeticError, the package's one numerical-failure type."""
 
     def __init__(self, message, achieved_error=None):
         super().__init__(message)
@@ -213,24 +214,41 @@ _POWER_STEPS = 1000
 _FINISH_EVERY = 10
 
 
+def _scaled(b):
+    """B scaled exactly by a power of two to max |entry| in [1/2, 1), so no
+    square of an entry over- or underflows, and the exponent that undoes it."""
+    exp = math.frexp(np.abs(b).max(initial=0.0))[1]
+    return np.ldexp(b, -exp), exp
+
+
+def _unit_columns(y):
+    """Each column of y over its 2-norm, taken after scaling the column
+    exactly by a power of two to max |entry| in [1/2, 1): the bits of
+    y / |y| wherever no square under- or overflows.  A zero column stays 0."""
+    y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=0))[1])
+    norms = np.linalg.norm(y, axis=0)
+    return y / np.where(norms > 0.0, norms, 1.0)
+
+
 def _start_values(b, y):
     """x = (B y)_+ / |.| for every start (column of y), and x.T B y."""
     by = b @ y
-    x = np.maximum(by, 0.0)
-    x /= np.linalg.norm(x, axis=0)
+    x = _unit_columns(np.maximum(by, 0.0))
     return x, np.einsum("ik,ik->k", x, by)
 
 
 def _top_pair(b):
     """Top singular pair (u, s, v) of a non-empty block B: v from eigh of
     B.T B (B B.T if B is wide; Golub & Van Loan, sec. 8.6), s = |B v|, u =
-    B v / s, after scaling B by a power of two to max |entry| in [1/2, 1) so
-    no square over- or underflows.  A zero block gives s = 0, unit u, v."""
+    B v / s, on ``_scaled`` B.  A zero block gives s = 0, unit u, v.  An
+    eigensolve that fails to converge raises ArithmeticError."""
     if b.shape[0] < b.shape[1]:
         return _top_pair(b.T)[::-1]
-    exp = math.frexp(np.abs(b).max())[1]
-    b = np.ldexp(b, -exp)
-    v = np.linalg.eigh(b.T @ b)[1][:, -1]
+    b, exp = _scaled(b)
+    try:
+        v = np.linalg.eigh(b.T @ b)[1][:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(*exc.args) from exc
     u = b @ v
     s = float(np.linalg.norm(u))
     return (u / s if s else np.eye(1, u.size)[0]), math.ldexp(s, exp), v
@@ -256,7 +274,7 @@ def _support_finish(b, x, y, values):
 
 
 def _max_quadform_nonneg(m):
-    b = m[0::2, 1::2]
+    b, exp = _scaled(m[0::2, 1::2])
     v = np.zeros(m.shape[0])
     if not np.any(b > 0.0):
         # every feasible x.T B y is <= 0, and a unit vector on one parity gives 0
@@ -267,28 +285,35 @@ def _max_quadform_nonneg(m):
         # start with (B y)_+ = 0 cannot reach a positive value
         top = _top_pair(b)[2]
         y = np.maximum(np.column_stack([np.ones(b.shape[1]), top, -top, b.T]), 0.0)
-        y = y[:, np.any(b @ y > 0.0, axis=0)]
-        y /= np.linalg.norm(y, axis=0)
+        y = _unit_columns(y[:, np.any(b @ y > 0.0, axis=0)])
         finish = None
-        for k in range(1, _POWER_STEPS + 1):
-            # (B y)_+ is positively homogeneous in y, so x needs no norm here
-            y_next = np.maximum(b.T @ np.maximum(b @ y, 0.0), 0.0)
-            y_next /= np.linalg.norm(y_next, axis=0)
-            step = np.abs(y_next - y).max()
-            y = y_next
-            if step <= _POWER_TOL:
-                break
-            if k % _FINISH_EVERY == 0:
-                x, values = _start_values(b, y)
-                finish = _support_finish(b, x, y, values)
-                if finish is not None:
+        # A step column whose squares all underflow has norm 0, and the step
+        # comes out nan or inf; only then is the step normalised again, by
+        # _unit_columns, so in range no step pays for that check.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(1, _POWER_STEPS + 1):
+                # (B y)_+ is positively homogeneous in y, so x needs no norm here
+                y_raw = np.maximum(b.T @ np.maximum(b @ y, 0.0), 0.0)
+                y_next = y_raw / np.linalg.norm(y_raw, axis=0)
+                step = np.abs(y_next - y).max()
+                if not step <= 1.0:  # nan or inf; unit columns >= 0 differ by <= 1
+                    y_next = _unit_columns(y_raw)
+                    step = np.abs(y_next - y).max()
+                y = y_next
+                if step <= _POWER_TOL:
                     break
+                if k % _FINISH_EVERY == 0:
+                    x, values = _start_values(b, y)
+                    finish = _support_finish(b, x, y, values)
+                    if finish is not None:
+                        break
         if finish is None:
             x, values = _start_values(b, y)
             best = int(np.argmax(values))
             finish = x[:, best], y[:, best], float(values[best])
         v[0::2], v[1::2], lam = finish
         v /= math.sqrt(2.0)
+        lam = math.ldexp(lam, exp)
     res = _stationarity_residual(m, v, lam)
     if res > 1e-8:
         raise ArithmeticError(f"constrained maximizer not stationary (residual {res:.3e})")
@@ -313,8 +338,12 @@ def max_eigenpair(matrix, constraint=None):
     steps ``_support_finish`` may end them with the top singular pair of B
     on the best start's support (a heuristic: a start still climbing could
     later end higher); else they stop once no component of any start's y
-    moves by more than 1e-14, or after 1,000 steps.  The value is a feasible
-    lower bound; a KKT residual above 1e-8 raises ArithmeticError.
+    moves by more than 1e-14, or after 1,000 steps.  The steps run on
+    ``_scaled`` B, so no square over- or underflows at any scale of M (the
+    same bits wherever none did), and the value is scaled back.  The value is
+    a feasible lower bound; a KKT residual above 1e-8, on M itself, raises
+    ArithmeticError, as does an eigensolve that does not converge (numpy's
+    LinAlgError, turned into one in ``_top_pair``).
     """
     m = _check_bipartite(matrix)
     if constraint == "nonnegative":

@@ -336,7 +336,7 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
 def _clipped_norm_bound(block) -> float:
     """An upper bound on sigma_max(max(B, 0)) for a p x q block B, no SVD.
 
-    For C = P.T P, P = max(B / max(B), 0), and any y > 0, lambda_max(C) <=
+    For C = P.T P, P = max(B, 0) / max(B), and any y > 0, lambda_max(C) <=
     max_j (C y)_j / y_j (Collatz-Wielandt; Horn & Johnson, Matrix Analysis,
     sec. 8.1); y = C^4 1, normalised to max 1 and floored at 2^-500, is near
     the top eigenvector.  C y sums non-negative terms, so each entry is off
@@ -346,7 +346,8 @@ def _clipped_norm_bound(block) -> float:
     top = block.max(initial=0.0)
     if top == 0.0:  # also an empty block
         return 0.0
-    b, y = np.maximum(block / top, 0.0), np.ones(block.shape[1])
+    # clipped before the division, so a huge negative entry cannot overflow
+    b, y = np.maximum(block, 0.0) / top, np.ones(block.shape[1])
     for _ in range(4):
         y = b.T @ (b @ y)
         y = np.maximum(y / y.max(), 2.0**-500)

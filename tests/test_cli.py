@@ -8,6 +8,7 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellscope import cli, signbin
@@ -230,6 +231,32 @@ class TestDeterminismAndErrors:
         monkeypatch.setattr(cli.rootbin, "overlaps_VW", explode)
         assert run(tmp_path, "cat-vw", "--alpha", "1.0") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_every_numerical_failure_is_an_arithmetic_error(self):
+        """The CLI maps ArithmeticError alone to exit 3, so it names neither
+        numpy nor the quadrature's error type."""
+        assert issubclass(IntegrationError, ArithmeticError)
+        assert not hasattr(cli, "np") and not hasattr(cli, "IntegrationError")
+
+    def test_eigensolve_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        for constraint in ("none", "nonneg"):
+            argv = ("sign-optimize", "--m", "3", "--d", "20", "--constraint", constraint)
+            assert run(tmp_path, *argv) == 3
+            err = capsys.readouterr().err
+            assert err == "bellscope: numerical failure: Eigenvalues did not converge\n"
+        assert not (tmp_path / "sign-optimize.csv").exists()
+
+    def test_lost_prep_normalisation_exits_3(self, tmp_path, monkeypatch, capsys):
+        target = cli.catprep.psi3_prime_state(1.0)
+        heavy = cli.catprep.CoherentSuperposition(2.0 * target.weights, target.amplitudes)
+        monkeypatch.setattr(cli.catprep, "psi3_prime_state", lambda alpha: heavy)
+        assert run(tmp_path, "prep-fidelity", "--alpha", "1") == 3
+        err = capsys.readouterr().err
+        assert err == "bellscope: numerical failure: fidelity expects normalized states\n"
 
     @pytest.mark.parametrize(
         "x0, named",

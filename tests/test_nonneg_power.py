@@ -174,6 +174,7 @@ def blocks(draw):
 @example(-np.ones((3, 2)))
 @example(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
 @example(np.array([[1e-300, 0.0], [0.0, 1e300]]))
+@example(np.array([[1e-300, -1e300]]))  # block / max(B) would overflow
 def test_clipped_norm_bound_is_an_upper_bound(block):
     """The bound reaches numpy's 2-norm of max(+-B, 0) on each sign, with no
     RuntimeWarning, also for empty, all-zero, non-positive blocks and zero
@@ -187,6 +188,34 @@ def test_clipped_norm_bound_is_an_upper_bound(block):
             assert bound == 0.0
         else:
             assert bound >= np.linalg.norm(clipped, 2)
+
+
+@PROPERTY
+@given(matrix=random_matrix, k=st.sampled_from((-600, -60)))  # 2^k M, k > 0, fails KKT: 1e-8 is absolute
+def test_nonneg_solve_is_exact_under_powers_of_two(matrix, k):
+    """The steps run on the block scaled exactly by a power of two, so 2^k M
+    gives 2^k times the value and the same vector, bit for bit, and at
+    2^-600 no square of a step underflows (it did before the scaling)."""
+    lam, v = max_eigenpair(matrix, constraint="nonnegative")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled_lam, scaled_v = max_eigenpair(np.ldexp(matrix, k), constraint="nonnegative")
+    assert scaled_lam == math.ldexp(lam, k)
+    assert np.array_equal(scaled_v, v)
+
+
+def test_step_whose_squares_underflow_is_normalised_again():
+    """With B = diag(1, 2^-300) the start on the second row has value
+    2^-300, and its first step's entries, near 2^-600, have squares below
+    the least float: the plain norm of that column is 0.  The column is
+    normalised again instead of turning into nan, with no RuntimeWarning,
+    and the start on the first row wins."""
+    matrix = bipartite([[1.0, 0.0], [0.0, 2.0**-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam, v = max_eigenpair(matrix, constraint="nonnegative")
+    assert lam == 1.0
+    assert np.array_equal(v, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
 
 
 def counting_solver(monkeypatch):
