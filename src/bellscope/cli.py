@@ -252,10 +252,11 @@ _OPTIONS = {
         ("--m", dict(type=int, required=True), (None, 2, 6000, "must lie in [2, 6000]")),
     )),
     "sign-optimize": ("optimal state at fixed angles", (
-        # past 5873 the Bell matrix leaves the float range at every d; memory grows
-        # as m d: 0.87 GB at 6000, d 2000
+        # past 5873 the Bell matrix leaves the float range at every d; its MK sums
+        # run in chunks: 38 MB at 6000, d 2000
         ("--m", dict(type=int, required=True), (None, 2, 6000, "must lie in [2, 6000]")),
-        # time grows as d^3, memory as d^2: at 2000, nonneg, 2.1 s and 186 MB on 2 cores
+        # time grows as d^3, memory as d^2: at 2000, nonneg, on 2 cores, m = 2 takes
+        # 3.0-4.1 s and 129 MB, m = 3 1.2-1.3 s and 120 MB
         ("--d", dict(type=int, required=True), (None, 2, 2000, "must lie in [2, 2000]")),
         ("--constraint", dict(choices=("none", "nonneg"), default="none"), None),
     )),

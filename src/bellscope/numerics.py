@@ -1,6 +1,6 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature over finite
 segments, many integrals in lockstep on array state (one row of panels per
-integral), and even/odd bipartite eigenproblems.
+integral), and even/odd bipartite eigenproblems, solved from their block.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -203,10 +203,16 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _stationarity_residual(m, v, lam):
-    grad = m @ v - lam * v
-    res = np.where(v <= 1e-10, np.maximum(grad, 0.0), grad)
-    return float(np.linalg.norm(res))
+def _residual(b, v, lam, nonnegative=False):
+    """|M v - lam v| for M = [[0, B], [B.T, 0]], M v read from B as (B y,
+    B.T x) for v = (x, y) interleaved; nonnegative: the KKT residual, which
+    drops the gradient that pushes a zero entry below zero."""
+    grad = -lam * v
+    grad[0::2] += b @ v[1::2]
+    grad[1::2] += b.T @ v[0::2]
+    if nonnegative:
+        grad = np.where(v <= 1e-10, np.maximum(grad, 0.0), grad)
+    return float(np.linalg.norm(grad))
 
 
 _POWER_TOL = 1e-14
@@ -273,9 +279,9 @@ def _support_finish(b, x, y, values):
     return x_full, y_full, s
 
 
-def _max_quadform_nonneg(m):
-    b, exp = _scaled(m[0::2, 1::2])
-    v = np.zeros(m.shape[0])
+def _max_quadform_nonneg(block):
+    b, exp = _scaled(block)
+    v = np.zeros(sum(b.shape))
     if not np.any(b > 0.0):
         # every feasible x.T B y is <= 0, and a unit vector on one parity gives 0
         v[0], lam = 1.0, 0.0
@@ -314,9 +320,27 @@ def _max_quadform_nonneg(m):
         v[0::2], v[1::2], lam = finish
         v /= math.sqrt(2.0)
         lam = math.ldexp(lam, exp)
-    res = _stationarity_residual(m, v, lam)
+    res = _residual(block, v, lam, nonnegative=True)
     if res > 1e-8:
         raise ArithmeticError(f"constrained maximizer not stationary (residual {res:.3e})")
+    return lam, v
+
+
+def _solve_block(b, constraint=None):
+    """``max_eigenpair`` from B = M[0::2, 1::2] alone: no check, no M."""
+    if constraint == "nonnegative":
+        return _max_quadform_nonneg(b)
+    if constraint is not None:
+        raise ValueError(f"unknown constraint: {constraint!r}")
+    if not b.shape[1]:
+        raise ValueError("the unconstrained solve needs dimension >= 2")
+    x, lam, y = _top_pair(b)
+    v = np.empty(sum(b.shape))
+    v[0::2], v[1::2] = x, y
+    v = _canonical_sign(v / math.sqrt(2.0))
+    residual = _residual(b, v, lam)
+    if residual > 1e-10 * max(1.0, lam):
+        raise ArithmeticError(f"eigenpair residual too large: {residual:.3e}")
     return lam, v
 
 
@@ -324,11 +348,13 @@ def max_eigenpair(matrix, constraint=None):
     """Largest eigenvalue and unit eigenvector of a real symmetric matrix
     that couples only even with odd indices, M = [[0, B], [B.T, 0]] with
     B = M[0::2, 1::2], as every Bell matrix does; any other raises ValueError.
+    Then ``_solve_block`` solves B alone, as the optimizer does.
 
-    Its spectrum is +/- the singular values of B plus zeros, so B's top
+    The spectrum is +/- the singular values of B plus zeros, so B's top
     singular pair (``_top_pair``) gives s and v = (x, y) / sqrt(2),
     interleaved (M needs dimension >= 2), its first non-negligible component
-    positive; an eigen residual above 1e-10 max(1, s) raises ArithmeticError.
+    positive; an eigen residual |M v - s v|, M v read from B as (B y, B.T x),
+    above 1e-10 max(1, s) raises ArithmeticError.
 
     With ``constraint="nonnegative"`` v.T M v is maximized over non-negative
     unit vectors instead: max x.T B y over non-negative unit x and y, by
@@ -345,18 +371,4 @@ def max_eigenpair(matrix, constraint=None):
     ArithmeticError, as does an eigensolve that does not converge (numpy's
     LinAlgError, turned into one in ``_top_pair``).
     """
-    m = _check_bipartite(matrix)
-    if constraint == "nonnegative":
-        return _max_quadform_nonneg(m)
-    if constraint is not None:
-        raise ValueError(f"unknown constraint: {constraint!r}")
-    if m.shape[0] < 2:
-        raise ValueError("the unconstrained solve needs dimension >= 2")
-    x, lam, y = _top_pair(m[0::2, 1::2])
-    v = np.empty(m.shape[0])
-    v[0::2], v[1::2] = x, y
-    v = _canonical_sign(v / math.sqrt(2.0))
-    residual = float(np.linalg.norm(m @ v - lam * v))
-    if residual > 1e-10 * max(1.0, lam):
-        raise ArithmeticError(f"eigenpair residual too large: {residual:.3e}")
-    return lam, v
+    return _solve_block(_check_bipartite(matrix)[0::2, 1::2], constraint)

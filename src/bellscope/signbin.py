@@ -16,13 +16,13 @@ eigenproblem) is assembled from the g coefficients
                       ([F(r,s) - F(s,r)] / (r - s))^m cos(phi (r - s)),
 
 whose prefactor and bracket span hundreds of orders of magnitude.  Their
-logs and signs are gathered from O(d) lgamma values at just the pairs
-(r, s) a result reads, the even/odd block of the Bell matrix or a state's
-nonzero pairs, and combined with m in log space; each entry is
-exponentiated once, at the end.  phi is always the sum of the chosen angles
-over all parties.  The MK sums behind a Bell value are one batch over the
-odd orders r - s and over party counts, so a scan in m (``ghz_bell_factors``)
-is a few array passes, and one state is a batch of one.
+logs and signs come from O(d) lgamma values, gathered at a state's nonzero
+pairs (r, s), or, for the even/odd block of the Bell matrix, which the
+optimizer solves without forming the matrix, summed as a row part, a column
+part and a Toeplitz part in r - s; each entry is exponentiated once, at the
+end.  phi is always the sum of the chosen angles over all parties.  The MK
+sums behind a Bell value are one batch over the odd orders r - s and over
+party counts, so a scan in m (``ghz_bell_factors``) is a few array passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mk import _BLOCK, mk_sum_scaled
-from .numerics import _canonical_sign, max_eigenpair
+from .numerics import _canonical_sign, _solve_block
 
 __all__ = [
     "FockCorrelatedState",
@@ -56,6 +56,9 @@ _LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # Padded party slots in one batch of MK sums: arrays of a few hundred kB.
 _SLOTS_PER_BATCH = 1 << 12
+# Party-order slots per chunk of a Bell block's MK sums (~130 B each at the
+# peak): the fastest of 2^12..2^16 at m = 300..6000, d = 2000.
+_SLOTS_PER_CHUNK = 1 << 15
 
 
 class FockCorrelatedState:
@@ -111,6 +114,17 @@ class AngleSettings:
         return np.array((self.theta, self.theta_prime))[..., None]
 
 
+def _degree_tables(n: int):
+    """log k!, log |1/Gamma(z_k)| and its sign (``_g_parts``), log(1/k) (0 at 0), k < n."""
+    log_pi = math.log(math.pi)
+    z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in range(n)]
+    factorial = np.array([math.lgamma(k + 1) for k in range(n)])
+    rgamma = np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z])
+    gamma_sign = np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in range(n)])
+    log_inverse = np.array([0.0] + [math.log(1.0 / k) for k in range(1, n)])
+    return factorial, rgamma, gamma_sign, log_inverse
+
+
 def _g_parts(r, s):
     """The parts of log |g_{r,s}| that do not depend on m, at broadcastable
     integer index arrays r and s of degrees: log(pi 2^(r+s) / (r! s!)),
@@ -123,22 +137,15 @@ def _g_parts(r, s):
     even k and -k/2 for odd k.  At a negative half-integer z the reflection
     formula 1/Gamma(z) = Gamma(1 - z) sin(pi z)/pi has |sin(pi z)| = 1, so
     log |1/Gamma(z)| = lgamma(1 - z) - log pi, and 1/Gamma(z_k) has the
-    sign (-1)^((k + 1) // 2).  Two lgamma calls per degree and one log call
-    per integer up to the largest degree are gathered at r and s; each entry
-    is summed in a fixed order (so (r, s) and (s, r) can differ in the last
-    bit) that does not depend on the others.
+    sign (-1)^((k + 1) // 2).  ``_degree_tables`` are gathered at r and s;
+    each entry is summed in a fixed order (so (r, s) and (s, r) can differ in
+    the last bit) that does not depend on the others.
     """
-    log_pi, log_2 = math.log(math.pi), math.log(2.0)
     r, s = np.asarray(r), np.asarray(s)
-    ks = range(int(max(r.max(), s.max())) + 1)
-    z = [-k / 2.0 if k % 2 else (1.0 - k) / 2.0 for k in ks]
-    factorial = np.array([math.lgamma(k + 1) for k in ks])
-    rgamma = np.array([-math.lgamma(x) if x > 0 else math.lgamma(1.0 - x) - log_pi for x in z])
-    gamma_sign = np.array([-1.0 if (k + 1) // 2 % 2 else 1.0 for k in ks])
-    log_inverse = np.array([0.0] + [math.log(1.0 / n) for n in ks[1:]])
+    factorial, rgamma, gamma_sign, log_inverse = _degree_tables(int(max(r.max(), s.max())) + 1)
     diff = r - s
     odd = diff % 2 == 1
-    pref = ((log_pi + (r + s) * log_2) - factorial[r]) - factorial[s]
+    pref = ((math.log(math.pi) + (r + s) * _LN2) - factorial[r]) - factorial[s]
     log_b = np.where(odd, (rgamma[r] + rgamma[s]) + log_inverse[np.abs(diff)], -np.inf)
     row_sign = np.where(r % 2, -gamma_sign[r], gamma_sign[r])
     sign = np.where(odd, row_sign * gamma_sign[s] * np.sign(diff), 0.0)
@@ -218,23 +225,21 @@ def default_optimizer_angles(m: int) -> AngleSettings:
     return chsh_angles() if m == 2 else ghz_like_angles(m)
 
 
-def _pair_terms(parties, angles, r, s):
-    """2^m g_{r,s}(phi) summed over the MK expansion for each Fock pair
-    (r[i], s[i]) with r > s, as (log |.|, sign) arrays with one row per
-    m of ``parties``: nothing is exponentiated yet.  ``angles`` stacks theta
-    and theta', shape (2, largest m, len(parties)); column i holds the i-th
-    m's parties, then padding.  cos(n phi_t) is the real part of prod_j
-    e^{i n theta_j}, so the orders n at all m are one batch of MK sums.
-    Every pair with g != 0 has r - s odd, so the batch holds only the odd
-    orders n = 1, 3, ..., order n at index n // 2."""
-    m = np.asarray(parties)[:, None]
-    unprimed, primed = np.exp(1j * (angles[..., None] * np.arange(1.0, r.max() + 1.0, 2.0)))
-    mantissa, exponent = mk_sum_scaled(unprimed, primed, m)
-    with np.errstate(divide="ignore"):
-        log_mk = np.log(np.abs(mantissa.real)) + exponent * _LN2
-    log_g, sign_g = _g_log(m, _g_parts(r, s))
-    index = (r - s) // 2
-    return log_g + m * _LN2 + log_mk[:, index], sign_g * np.sign(mantissa.real)[:, index]
+def _mk_logs(parties, angles, orders):
+    """(log |.|, sign) of the MK sums of cos(n phi_t) = Re prod_j e^{i n theta_j},
+    a row per m of ``parties``, a column per order n.  ``angles`` stacks theta
+    and theta', shape (2, largest m, len(parties)), column i the i-th m's
+    parties, then padding.  The orders run in chunks of ``_SLOTS_PER_CHUNK``
+    slots, one order at least: each is its own column, so no bit moves."""
+    size = max(1, _SLOTS_PER_CHUNK // angles[0].size)
+    logs, signs = [], []
+    for start in range(0, orders.size, size):
+        unprimed, primed = np.exp(1j * (angles[..., None] * orders[start : start + size]))
+        mantissa, exponent = mk_sum_scaled(unprimed, primed, np.asarray(parties)[:, None])
+        with np.errstate(divide="ignore"):
+            logs.append(np.log(np.abs(mantissa.real)) + exponent * _LN2)
+        signs.append(np.sign(mantissa.real))
+    return np.hstack(logs), np.hstack(signs)
 
 
 def _exp_sum(logs, signs) -> float:
@@ -259,16 +264,21 @@ def _exp_sum(logs, signs) -> float:
 
 def _bell_expectations(c, parties, angles) -> list:
     """<B_m> with its sign for the state sum_r c_r |r>^(x m) under sign
-    binning, for each m of ``parties`` (angles as in ``_pair_terms``).
+    binning, for each m of ``parties`` (angles as in ``_mk_logs``).
 
     The correlator is the Fourier sum 2^m sum_{r>s} 2 c_r c_s g_{r,s}(phi),
-    so the MK sum is taken once per order r - s and m.  All factors meet in
-    log space, so any m whose value fits a float is evaluated correctly.
+    so the MK sum is taken once per odd order r - s (g = 0 at even ones) and
+    m.  All factors meet in log space, so any m whose value fits a float is
+    evaluated correctly.
     """
     r, s = _pairs(c)
     if r.size == 0:
         return [0.0] * len(parties)
-    logs, signs = _pair_terms(parties, angles, r, s)
+    m = np.asarray(parties)[:, None]
+    log_mk, sign_mk = _mk_logs(parties, angles, np.arange(1.0, r.max() + 1.0, 2.0))
+    log_g, sign_g = _g_log(m, _g_parts(r, s))
+    index = (r - s) // 2
+    logs, signs = log_g + m * _LN2 + log_mk[:, index], sign_g * sign_mk[:, index]
     weights = 2.0 * c[r] * c[s]
     with np.errstate(divide="ignore"):  # a weight that underflows to 0 drops out
         log_weights = np.log(np.abs(weights))
@@ -292,20 +302,60 @@ def ghz_bell_factors(ms) -> list:
     for each m of the iterable ms, the same floats, from batches of MK sums:
     runs of consecutive m that fill one number of ``mk._BLOCK`` blocks (so
     padding keeps every bit), at most ``_SLOTS_PER_BATCH`` padded party
-    slots each.  An empty ms gives an empty list."""
+    slots each.  An empty ms gives an empty list.  The value grows with m, so
+    the batches run from the largest m down, to the first that fits once one
+    fails: the OverflowError the order of ms meets first, sooner."""
     ms = list(ms)
     if min(ms, default=2) < 2:
         raise ValueError("angle family defined for m >= 2")
-    c, values = FockCorrelatedState.ghz(2).coefficients, []
+    c, batches = FockCorrelatedState.ghz(2).coefficients, []
     for _, run in itertools.groupby(ms, key=lambda m: -(-m // _BLOCK)):
         run = list(run)
         size = max(1, _SLOTS_PER_BATCH // max(run))
-        for batch in (run[i : i + size] for i in range(0, len(run), size)):
-            # column i: ghz_like_angles(batch[i]).theta, run on to the largest m
-            m = np.array(batch)
-            theta = np.where(m % 2, math.pi, -math.pi) * np.arange(max(batch))[:, None] / (2.0 * m)
-            values += _bell_expectations(c, batch, np.array((theta, theta + math.pi / 2.0)))
-    return [abs(v) for v in values]
+        batches += (run[i : i + size] for i in range(0, len(run), size))
+    # failed: the first failing batch in the order of ms (only it keeps its traceback)
+    values, failed = {}, (len(batches), None)
+    for k in sorted(range(len(batches)), key=lambda k: -max(batches[k])):
+        # column i: ghz_like_angles(batches[k][i]).theta, run on to the largest m
+        m = np.array(batches[k])
+        theta = np.where(m % 2, math.pi, -math.pi) * np.arange(m.max())[:, None] / (2.0 * m)
+        try:
+            values[k] = _bell_expectations(c, batches[k], np.array((theta, theta + math.pi / 2.0)))
+        except OverflowError as error:
+            if k < failed[0]:
+                failed = k, error
+        else:
+            if failed[1]:
+                break
+    if failed[1]:
+        raise failed[1]
+    return [abs(v) for k in range(len(batches)) for v in values[k]]
+
+
+def _bell_block(m: int, d: int, angles: AngleSettings) -> np.ndarray:
+    """B = ``bell_matrix(m, d, angles)[0::2, 1::2]`` from O(d) logs: with
+    r = 2i, s = 2j + 1, log |B_ij| is (m/2)(k log 2 - log k!) + m log
+    |1/Gamma(z_k)| at k = r plus the same at k = s plus a Toeplitz part in
+    i - j, m (log(pi)/2 + log 2 - log |r - s|) + log |MK sum|; the sign is a
+    row, a column and a lag sign, sign(r - s), by ``_g_log``'s m % 2 rule,
+    times the MK sum's.  An entry beyond the float range raises OverflowError."""
+    if d < 2:
+        raise ValueError("truncation must be >= 2")
+    if angles.m != m:
+        raise ValueError("angles do not match the party count")
+    factorial, rgamma, gamma_sign, log_inverse = _degree_tables(d)
+    log_half, sign_half = _g_log(m, (np.arange(d) * _LN2 - factorial, rgamma, gamma_sign))
+    lag = np.arange(1 - d // 2, (d + 1) // 2)  # i - j
+    n = np.abs(2 * lag - 1)  # |r - s|
+    log_mk, sign_mk = (x[0, n // 2] for x in _mk_logs([m], angles.column, np.arange(1.0, d, 2.0)))
+    log_lag, sign_lag = _g_log(m, (math.log(math.pi), log_inverse[n], np.where(lag > 0, 1.0, -1.0)))
+    lag_parts = np.array((log_lag + m * _LN2 + log_mk, sign_lag * sign_mk))
+    # (log, sign) at i - j: reversed windows of the lag vectors, a view
+    toeplitz = np.lib.stride_tricks.sliding_window_view(lag_parts, d // 2, axis=1)[..., ::-1]
+    logs = log_half[0::2, None] + log_half[1::2] + toeplitz[0]
+    if logs.max() > _LOG_FLOAT_MAX:  # a zero MK sum has log -inf
+        raise OverflowError("Bell matrix entries exceed the float range")
+    return np.exp(logs) * (sign_half[0::2, None] * sign_half[1::2]) * toeplitz[1]
 
 
 def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
@@ -313,23 +363,15 @@ def bell_matrix(m: int, d: int, angles: AngleSettings) -> np.ndarray:
     gives <B_m>; entry (r, s) is 2^m g_{r,s} summed over the MK expansion.
 
     The diagonal is exactly zero and so is every same-parity pair, which
-    makes the matrix bipartite between even and odd Fock indices.  Only its
-    block B = M[0::2, 1::2] is computed, each entry at (larger, smaller)
-    index; the rest is B.T and zeros.  An entry beyond the float range
+    makes the matrix bipartite between even and odd Fock indices.  Its
+    block B = M[0::2, 1::2] is ``_bell_block``, which the optimizer takes
+    alone; the rest is B.T and zeros.  An entry beyond the float range
     raises OverflowError.
     """
-    if d < 2:
-        raise ValueError("truncation must be >= 2")
-    if angles.m != m:
-        raise ValueError("angles do not match the party count")
-    even, odd = np.arange(0, d, 2)[:, None], np.arange(1, d, 2)
-    r, s = np.maximum(even, odd).ravel(), np.minimum(even, odd).ravel()
-    logs, signs = (x[0].reshape(-1, odd.size) for x in _pair_terms([m], angles.column, r, s))
-    if np.any(logs[signs != 0] > _LOG_FLOAT_MAX):
-        raise OverflowError("Bell matrix entries exceed the float range")
+    block = _bell_block(m, d, angles)
     matrix = np.zeros((d, d))
-    matrix[0::2, 1::2] = signs * np.exp(np.where(signs != 0, logs, -np.inf))
-    matrix[1::2, 0::2] = matrix[0::2, 1::2].T
+    matrix[0::2, 1::2] = block
+    matrix[1::2, 0::2] = block.T
     return matrix
 
 
@@ -356,44 +398,43 @@ def _clipped_norm_bound(block) -> float:
 
 
 def optimize_state(
-    m: int, d: int, angles: AngleSettings, constraint=None, matrix=None
+    m: int, d: int, angles: AngleSettings, constraint=None, block=None
 ):
     """State maximizing |<B_m>| at fixed angles over truncation d.
 
-    Unconstrained this is the top eigenpair of the Bell matrix, from one
-    block solve of ``max_eigenpair``.  The matrix couples only opposite
-    parities, so its spectrum is symmetric: the top eigenvector of -M is
-    that of M with its odd components negated, the parity twin, and both
-    reach the same |<B_m>|.  Of the two the one with the larger component
-    sum is reported (ties keep the eigenvector).
+    Unconstrained this is the top eigenpair of the Bell matrix, from the
+    solve of ``max_eigenpair`` on its even/odd block B.  The matrix couples
+    only opposite parities, so its spectrum is symmetric: the top
+    eigenvector of -M is that of M with its odd components negated, the
+    parity twin, and both reach the same |<B_m>|.  Of the two the one with
+    the larger component sum is reported (ties keep the eigenvector).
 
     With ``constraint="nonnegative"`` the quadratic form is maximized over
     the non-negative orthant instead, by the power steps and support finish
-    of ``max_eigenpair``, on each sign of the matrix that can win.  For
-    non-negative unit x and y, x.T B y <= sigma_max(max(B, 0)), the largest
-    singular value of the clipped even/odd block, so ``_clipped_norm_bound``
-    caps each sign's optimum.  The sign with the larger bound is solved first
-    (+ on a tie), and the other only when its bound reaches the first one's
-    value: a sign skipped cannot win, so a looser bound only adds a solve.
-    Of two solves the + sign wins unless the - sign is strictly larger.
+    of ``max_eigenpair``, on each sign of B that can win.  For non-negative
+    unit x and y, x.T B y <= sigma_max(max(B, 0)), the largest singular
+    value of the clipped block, so ``_clipped_norm_bound`` caps each sign's
+    optimum.  The sign with the larger bound is solved first (+ on a tie),
+    and the other only when its bound reaches the first one's value: a sign
+    skipped cannot win, so a looser bound only adds a solve.  Of two solves
+    the + sign wins unless the - sign is strictly larger.
 
-    ``matrix`` is ``bell_matrix(m, d, angles)`` when the caller has it.
-    Returns (bell value, FockCorrelatedState).
+    ``block`` is ``_bell_block(m, d, angles)`` when the caller has it; no
+    d x d matrix is built.  Returns (bell value, FockCorrelatedState).
     """
-    if matrix is None:
-        matrix = bell_matrix(m, d, angles)
+    if block is None:
+        block = _bell_block(m, d, angles)
     if constraint is None:
-        lam, v = max_eigenpair(matrix)
+        lam, v = _solve_block(block)
         twin = _canonical_sign(np.where(np.arange(d) % 2, -v, v))
         if float(np.sum(twin)) > float(np.sum(v)) + 1e-12:
             v = twin
     else:
-        block = matrix[0::2, 1::2]
         bound = {s: _clipped_norm_bound(s * block) for s in (1, -1)}
         first = 1 if bound[1] >= bound[-1] else -1
-        solved = {first: max_eigenpair(first * matrix, constraint=constraint)}
+        solved = {first: _solve_block(first * block, constraint)}
         if bound[-first] >= solved[first][0]:
-            solved[-first] = max_eigenpair(-first * matrix, constraint=constraint)
+            solved[-first] = _solve_block(-first * block, constraint)
         # a tie goes to the + sign
         lam, v = max(solved.items(), key=lambda item: (item[1][0], item[0]))[1]
     v = v / np.linalg.norm(v)
@@ -417,12 +458,12 @@ def converged_optimum(
 ) -> ConvergedOptimum:
     """Optimum at truncation d plus a convergence flag: the gain from the
     previous truncation (d - d_step) must stay below ``threshold``.  Its
-    Bell matrix is the leading block of the one at d."""
+    Bell block is the leading block of the one at d."""
     lo = d - d_step
     if lo < 2:
         raise ValueError(f"previous truncation d - d_step = {lo} must be >= 2")
-    matrix = bell_matrix(m, d, angles)
-    bell_lo, _ = optimize_state(m, lo, angles, constraint, matrix[:lo, :lo].copy())
-    bell_hi, state = optimize_state(m, d, angles, constraint, matrix)
+    block = _bell_block(m, d, angles)
+    bell_lo, _ = optimize_state(m, lo, angles, constraint, block[: (lo + 1) // 2, : lo // 2].copy())
+    bell_hi, state = optimize_state(m, d, angles, constraint, block)
     delta = bell_hi - bell_lo
     return ConvergedOptimum(bell_hi, state, delta < threshold, delta)

@@ -954,8 +954,9 @@ def phi_sum(angles, setting_tuple):
 # The g coefficients one entry at a time, in signed-log arithmetic: the code
 # that the array g table of ``bellscope.signbin`` replaced, kept frozen.  The
 # table must equal it bit for bit wherever the program keeps its order of
-# operations (``bell_matrix``, ``bell_expectation_sign``, ``g_rs``,
-# ``hermite_halfline_overlap``).
+# operations (``bell_expectation_sign``, ``g_rs``,
+# ``hermite_halfline_overlap``); ``bell_matrix``, which regroups the sum,
+# must meet it within the band of ``tests/test_g_table.py``.
 
 
 @dataclass(frozen=True)
@@ -1163,8 +1164,9 @@ def bell_matrix_every_entry(m, d, angles):
 # The Bell matrix as it was built before only its even/odd block was: every
 # pair r > s of opposite parity, its g entry taken from one d x d table whose
 # per-degree values are computed for the rows and for the columns apart, and
-# the entries scattered into both triangles.  ``bell_matrix`` must equal it
-# bit for bit, and raise the same OverflowError.
+# the entries scattered into both triangles.  ``bell_matrix`` must meet it
+# within the band of ``tests/test_g_table.py``, and raise the same
+# OverflowError.
 
 
 def g_parts_outer(rows, cols):

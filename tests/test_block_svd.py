@@ -29,14 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellscope.numerics import _top_pair, max_eigenpair
+from bellscope.numerics import _residual, _top_pair, max_eigenpair
 from bellscope.signbin import (
     AngleSettings,
     bell_matrix,
     default_optimizer_angles,
     optimize_state,
 )
-from oracles import bipartite, two_eigh_optimum
+from oracles import bipartite, stationarity_residual, two_eigh_optimum
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
@@ -138,3 +138,40 @@ def test_zero_bipartite_matrix(n):
     lam, v = max_eigenpair(np.zeros((n, n)))
     assert lam == 0.0
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+
+@st.composite
+def blocks_and_vectors(draw):
+    """A random block or a Bell block (odd d included), with a vector of
+    the matrix's dimension."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=40))
+        b = rng.standard_normal(((n + 1) // 2, n // 2))
+    else:
+        m, n = draw(st.sampled_from((2, 3, 10))), draw(st.integers(min_value=2, max_value=61))
+        b = bell_matrix(m, n, default_optimizer_angles(m))[0::2, 1::2]
+    return b, rng.standard_normal(n)
+
+
+@PROPERTY
+@given(blocks_and_vectors())
+def test_block_residuals_agree_with_full_matrix_residuals(problem):
+    """The eigen and KKT residuals read from the block (``_residual``, M v as
+    (B y, B.T x)) against the same residuals on the full matrix, at the
+    solver's answers and at a random pair: within rounding.  Each entry of
+    either product M v is off by at most n eps (|M| |v|)_i, and a norm by
+    at most n eps of itself."""
+    b, v = problem
+    matrix = bipartite(b)
+    n = v.size
+    pairs = [max_eigenpair(matrix, constraint="nonnegative"), (float(v @ matrix @ v), v)]
+    if n >= 2:
+        pairs.append(max_eigenpair(matrix))
+    for lam, x in pairs:
+        slack = 2 * n * EPS * (np.linalg.norm(np.abs(matrix) @ np.abs(x)) + abs(lam) * np.linalg.norm(x))
+        for nonnegative in (False, True):
+            block_res = _residual(b, x, lam, nonnegative)
+            grad = matrix @ x - lam * x
+            full_res = stationarity_residual(matrix, x, lam) if nonnegative else np.linalg.norm(grad)
+            assert abs(block_res - full_res) <= slack + 2 * n * EPS * max(block_res, full_res)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellscope import cli, signbin
+from bellscope import cli, numerics, signbin
 from bellscope.numerics import IntegrationError
 
 
@@ -100,6 +100,20 @@ class TestCommands:
         headline = read_json(tmp_path, "sign-optimize")["headline"]
         assert "converged" not in headline and "convergence_delta" not in headline
         assert len(read_csv(tmp_path, "sign-optimize").splitlines()) == 12
+
+    @pytest.mark.parametrize("d", ("11", "30", "31"))
+    @pytest.mark.parametrize("constraint", ("none", "nonneg"))
+    def test_sign_optimize_solves_the_block_alone(self, tmp_path, monkeypatch, constraint, d):
+        """No d x d Bell matrix is built and no full-matrix check runs, at
+        even and odd d, with and without the d - 10 convergence solve."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign-optimize formed a d x d matrix")
+
+        monkeypatch.setattr(numerics, "_check_bipartite", refuse)
+        monkeypatch.setattr(signbin, "bell_matrix", refuse)
+        assert run(tmp_path, "sign-optimize", "--m", "3", "--d", d, "--constraint", constraint) == 0
+        assert len(read_csv(tmp_path, "sign-optimize").splitlines()) == int(d) + 1
 
     def test_sign_optimize_json_angles_are_the_ghz_like_floats(self, tmp_path):
         """The JSON angle lists hold plain floats equal, bit for bit, to the
@@ -413,6 +427,30 @@ def test_import_alone_freezes_nothing_at_exit():
     status, out, err = finish(python("-c", EXIT_PROBE))
     assert status == 0, err
     assert out.splitlines() == ["frozen at exit: False"]
+
+
+PEAK = """\
+import resource, sys
+from bellscope import cli
+status = cli.main(sys.argv[1:])
+print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_bell_block_memory_does_not_grow_with_m(tmp_path):
+    """The MK sums of a Bell block run in chunks of orders: at m = 6000 and
+    d = 400 the peak resident size stays within 32 MB of a d = 12 run's
+    (3 MB above it on x86-64 Linux; 163 MB above it when all 200 orders ran
+    at once), and the run still exits 3 at the float-range check."""
+    runs = [
+        python("-c", PEAK, "sign-optimize", "--m", m, "--d", d, "--out", str(tmp_path))
+        for m, d in (("3", "12"), ("6000", "400"))
+    ]
+    (base_status, base_out, _), (status, out, err) = map(finish, runs)
+    assert base_status == status == 0, err
+    assert base_out.split()[0] == "0" and out.split()[0] == "3"
+    kib = 1 if sys.platform.startswith("linux") else 1024  # ru_maxrss is in bytes on macOS
+    assert (int(out.split()[1]) - int(base_out.split()[1])) / kib <= 32 * 1024
 
 
 def test_python_m_exit_status(tmp_path):

@@ -60,12 +60,57 @@ def test_batches_share_a_block_count_and_stay_bounded(monkeypatch):
     monkeypatch.setattr(signbin, "_bell_expectations", spy)
     ms = [*range(2, 1101), 3000]
     signbin.ghz_bell_factors(ms)
-    assert [m for parties, _ in batches for m in parties] == ms
+    # the batches run from the largest m down; put back in the order of ms they are ms
+    assert [max(p) for p, _ in batches] == sorted((max(p) for p, _ in batches), reverse=True)
+    in_order = sorted(batches, key=lambda batch: ms.index(batch[0][0]))
+    assert [m for parties, _ in in_order for m in parties] == ms
     for parties, shape in batches:
         assert shape == (2, max(parties), len(parties))
         assert len({-(-m // mk._BLOCK) for m in parties}) == 1
         assert len(parties) == 1 or shape[1] * shape[2] <= signbin._SLOTS_PER_BATCH
     assert ([3000], (2, 3000, 1)) in batches
+
+
+def first_overflow(ms):
+    """The OverflowError of the per-m oracle run over ms in order."""
+    for m in ms:
+        try:
+            ghz_bell_factor_per_m(m)
+        except OverflowError as error:
+            return str(error)
+    return None
+
+
+def test_a_scan_past_the_float_range_fails_before_the_smaller_m(monkeypatch):
+    """The batches run from m = 6000 down and stop at the first one that
+    fits, m = 5873, so no batch of a smaller m runs before the
+    OverflowError; its message is that of m = 5874, the first failure in
+    the order of ms, as CI pins for ``noise-sweep --m 5872:5876:1``."""
+    batches = []
+    batched = signbin._bell_expectations
+
+    def spy(c, parties, angles):
+        batches.append(list(parties))
+        return batched(c, parties, angles)
+
+    monkeypatch.setattr(signbin, "_bell_expectations", spy)
+    with pytest.raises(OverflowError) as error:
+        signbin.ghz_bell_factors(range(2, 6001))
+    assert min(m for parties in batches for m in parties) == 5873
+    assert str(error.value) == first_overflow([5874]) == "Bell value e^709.821 exceeds the float range"
+
+
+@pytest.mark.parametrize(
+    "ms", ([5872, 5873, 5874, 5875, 5876], [5880, 5874, 3], [3, 6000, 5874, 5873], [5873, 300])
+)
+def test_the_first_failure_in_the_order_of_ms_is_raised(ms):
+    expected = first_overflow(ms)
+    if expected is None:
+        assert signbin.ghz_bell_factors(ms) == [ghz_bell_factor_per_m(m) for m in ms]
+    else:
+        with pytest.raises(OverflowError) as error:
+            signbin.ghz_bell_factors(ms)
+        assert str(error.value) == expected
 
 
 def test_ghz_bell_factors_reject_one_party():

@@ -1,6 +1,7 @@
 """The non-negative optimum: the power steps and support finish of
 ``max_eigenpair(..., constraint="nonnegative")``, and the sign skip of
-``optimize_state``, against two oracles in ``oracles.py``.
+``optimize_state``, which passes each sign of the even/odd block to the
+block solve ``numerics._solve_block``, against two oracles in ``oracles.py``.
 
 ``projected_ascent_optimum`` is the package's first solver: projected ascent
 with a support polish from 35 starts, 32 of them random.
@@ -33,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellscope import signbin
-from bellscope.numerics import _support_finish, max_eigenpair
+from bellscope.numerics import _solve_block, _support_finish, max_eigenpair
 from bellscope.signbin import (
     AngleSettings,
     _clipped_norm_bound,
@@ -79,23 +80,24 @@ def solve(matrix):
 
 
 def reported(m, d, matrix):
-    """The value ``optimize_state`` reports for a Bell matrix, after checking
-    its state as a solution on the sign of the matrix that produced it."""
+    """The value ``optimize_state`` reports for a Bell matrix, given its
+    even/odd block, after checking its state as a solution on the sign of
+    the matrix that produced it."""
     solved = []
 
     def recorded(signed, constraint=None):
-        lam, v = max_eigenpair(signed, constraint=constraint)
+        lam, v = _solve_block(signed, constraint)
         solved.append((signed, lam, v))
         return lam, v
 
-    with mock.patch.object(signbin, "max_eigenpair", recorded):
-        lam, state = optimize_state(m, d, None, "nonnegative", matrix)
+    with mock.patch.object(signbin, "_solve_block", recorded):
+        lam, state = optimize_state(m, d, None, "nonnegative", matrix[0::2, 1::2])
     signed = next(
         signed
         for signed, value, v in solved
         if value == lam and np.array_equal(v / np.linalg.norm(v), state.coefficients)
     )
-    check(signed, lam, state.coefficients)
+    check(bipartite(signed), lam, state.coefficients)
     return lam
 
 
@@ -136,7 +138,7 @@ def test_random_bipartite_reaches_power_steps_oracle(matrix):
 @given(m=st.sampled_from((2, 3, 4)), d=st.integers(min_value=2, max_value=60))
 def test_bell_optimum_equals_power_steps_oracle(m, d):
     matrix = bell_matrix(m, d, default_optimizer_angles(m))
-    lam, state = optimize_state(m, d, None, "nonnegative", matrix)
+    lam, state = optimize_state(m, d, None, "nonnegative", matrix[0::2, 1::2])
     oracle_lam, oracle_v = both_signs_nonneg_optimum(matrix)
     assert abs(lam - oracle_lam) <= 1e-12 * abs(oracle_lam)
     # the benchmark's band for coefficient columns
@@ -150,7 +152,7 @@ def test_clipped_norm_bounds_each_sign_and_the_skip_loses_nothing(matrix):
     for s, value in values.items():
         bound = clipped_norm(matrix, s)
         assert value <= bound + 1e-12 * (1.0 + bound)
-    lam, _ = optimize_state(1, matrix.shape[0], None, "nonnegative", matrix)
+    lam, _ = optimize_state(1, matrix.shape[0], None, "nonnegative", matrix[0::2, 1::2])
     assert lam == max(values.values())
 
 
@@ -219,15 +221,15 @@ def test_step_whose_squares_underflow_is_normalised_again():
 
 
 def counting_solver(monkeypatch):
-    """Replace the solver ``optimize_state`` calls with one that records the
-    matrix of every call."""
+    """Replace the block solve ``optimize_state`` calls with one that
+    records the block of every call."""
     calls = []
 
-    def counted(matrix, constraint=None):
-        calls.append(matrix)
-        return max_eigenpair(matrix, constraint=constraint)
+    def counted(block, constraint=None):
+        calls.append(block)
+        return _solve_block(block, constraint)
 
-    monkeypatch.setattr(signbin, "max_eigenpair", counted)
+    monkeypatch.setattr(signbin, "_solve_block", counted)
     return calls
 
 
@@ -237,9 +239,9 @@ def test_losing_sign_is_not_solved(monkeypatch):
         angles = default_optimizer_angles(m)
         matrix = bell_matrix(m, d, angles)
         calls.clear()
-        lam, _ = optimize_state(m, d, angles, "nonnegative", matrix)
+        lam, _ = optimize_state(m, d, angles, "nonnegative", matrix[0::2, 1::2])
         assert len(calls) == 1
-        sign = 1 if np.array_equal(calls[0], matrix) else -1
+        sign = 1 if np.array_equal(calls[0], matrix[0::2, 1::2]) else -1
         assert clipped_norm(matrix, -sign) < lam
         assert abs(lam - both_signs_nonneg_optimum(matrix)[0]) <= 1e-12 * lam
 
@@ -252,9 +254,10 @@ def test_tie_solves_both_signs_and_keeps_plus(monkeypatch):
     assert lam_pos == lam_neg == 1.0
     assert not np.array_equal(v_pos, v_neg)
     calls = counting_solver(monkeypatch)
-    lam, state = optimize_state(2, 4, None, "nonnegative", matrix)
+    block = matrix[0::2, 1::2]
+    lam, state = optimize_state(2, 4, None, "nonnegative", block)
     assert len(calls) == 2
-    assert np.array_equal(calls[0], matrix) and np.array_equal(calls[1], -matrix)
+    assert np.array_equal(calls[0], block) and np.array_equal(calls[1], -block)
     assert lam == 1.0
     assert np.array_equal(state.coefficients, v_pos / np.linalg.norm(v_pos))
 
