@@ -36,9 +36,10 @@ __all__ = [
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(E), E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2]: the overlaps of
-    the coherent products in the rows of ``a`` with those in the rows of ``b``."""
-    return np.exp(a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)))
+    """exp(E), E_ij = -sum_t (a_it - b_jt)^2 / 2, the overlaps of the coherent
+    products in the rows of ``a`` with those of ``b``: 0 where rows are equal,
+    where a b - (a^2 + b^2)/2 would cancel only to about a^2 eps."""
+    return np.exp(-0.5 * np.square(a[:, None, :] - b).sum(axis=2))
 
 
 class CoherentSuperposition:
@@ -64,8 +65,7 @@ class CoherentSuperposition:
 
     def inner_product(self, other: "CoherentSuperposition") -> complex:
         """<self|other> = w^H exp(E) w' for the Gram matrix of exponents
-        E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2], one exponential per
-        pair of terms."""
+        E_ij = -sum_t (a_it - b_jt)^2 / 2, one exponential per pair of terms."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode counts differ")
         return complex(

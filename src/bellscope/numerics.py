@@ -1,6 +1,6 @@
-"""Shared numerical kernels: adaptive Gauss-Kronrod quadrature over finite
-segments, many integrals in lockstep on array state (one row of panels per
-integral), and even/odd bipartite eigenproblems, solved from their block.
+"""Shared numerical kernels: adaptive Gauss-Kronrod quadrature of many
+integrals in lockstep, fed flat segment rows, on array state (one row of
+panels per integral), and even/odd bipartite eigenproblems, from their block.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -86,28 +86,28 @@ def _compact(rows, keep):
 def integrate_batch(families, tol=1e-10, max_intervals=4096):
     """Adaptive Gauss-Kronrod quadrature of many integrals in lockstep.
 
-    ``families`` holds (f, segment_lists) pairs, one integral per list of
-    finite segments (pairs, or an (n, 2) array); ``f(x, owner)`` gets a flat
-    array of abscissas and the index of each one's integral (complex results
-    are fine).  Each integral keeps its own panels, running sums and
-    stopping rule (QUADPACK's greedy scheme): its worst panel, the first
-    inserted among equals, is bisected until the summed error estimate is
-    below ``tol`` or below the machine-precision floor of the running sum.
-    A family's state is arrays with one row per unconverged integral, its
-    panels in insertion order, so that ``argmax`` picks every row's worst
-    panel at once; a round pops those, updates the sums elementwise, calls
-    the integrand once for both halves of each and appends them to the rows.
-    Returns one list of results per family.  The first integral (by round,
-    then position) to run out of subdivisions raises ``IntegrationError``
-    with its error estimate.
+    ``families`` holds (f, segments, owner, n): finite segments (a, b) as
+    rows, each owned by one of n integrals, owners grouped in order (else
+    ValueError); ``f(x, owner)`` gets a flat array of abscissas and the index
+    of each one's integral (complex results are fine).  Each integral keeps
+    its own panels, running sums and stopping rule (QUADPACK's greedy
+    scheme): its worst panel, the first inserted among equals, is bisected
+    until the summed error estimate is below ``tol`` or below the
+    machine-precision floor of the running sum.  A family's state is arrays
+    with one row per unconverged integral, its panels in insertion order, so
+    that ``argmax`` picks every row's worst panel at once; a round pops
+    those, updates the sums elementwise, calls the integrand once for both
+    halves of each and appends them to the rows.  Returns one list of
+    results per family.  The first integral (by round, then position) to run
+    out of subdivisions raises ``IntegrationError`` with its error estimate.
     """
     results, states = [], []
-    for f, segment_lists in families:
-        counts = [len(s) for s in segment_lists]
-        owner = np.repeat(np.arange(len(counts)), counts)
-        a, b = np.concatenate([np.empty((0, 2)), *filter(len, segment_lists)]).T
+    for f, segments, owner, n in families:
+        (a, b), owner = np.asarray(segments, dtype=float).reshape(-1, 2).T, np.asarray(owner, dtype=int)
+        if owner.size and not (0 <= owner[0] and owner[-1] < n and np.all(owner[1:] >= owner[:-1])):
+            raise ValueError("segment owners must be grouped by integral, in order")
         a, b, owner = a[b != a], b[b != a], owner[b != a]
-        counts = np.bincount(owner, minlength=len(counts))
+        counts = np.bincount(owner, minlength=n)
         results.append((np.zeros(counts.size), counts))
         if not owner.size:
             continue
@@ -178,7 +178,8 @@ def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
     called once for all segments, then once per bisection of the worst
     panel, until the summed error estimate is below ``tol`` or the
     machine-precision floor of the running sum, whichever is larger."""
-    return integrate_batch([(lambda x, _owner: f(x), [segments])], tol, max_intervals)[0][0]
+    family = (lambda x, _owner: f(x), segments, [0] * len(segments), 1)
+    return integrate_batch([family], tol, max_intervals)[0][0]
 
 
 def _check_bipartite(matrix) -> np.ndarray:

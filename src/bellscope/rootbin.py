@@ -31,12 +31,13 @@ the first sign change at pi/(2 mu) add less than e^{-(pi/(2 mu))^2}.
 
 The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
-three-mode coherent-superposition candidate state.  Every per-mode integral
-of a run of consecutive amplitudes (capped in p pieces) is a member of one
-lockstep quadrature (``numerics.integrate_batch``) fed from arrays, and one
-array kernel forms the joint probabilities of every (amplitude, setting
-pattern, term pair, outcome), looping only over modes.  Both round every
-value as the one-amplitude, one-outcome scalar loops did.
+three-mode coherent-superposition candidate state.  One array pass cuts the
+x and p pieces of a run of consecutive amplitudes (capped in padded p
+pieces), and every per-mode integral of the run is a member of one lockstep
+quadrature (``numerics.integrate_batch``) fed those flat rows; one array
+kernel forms the joint probabilities of every (amplitude, setting pattern,
+term pair, outcome), looping only over modes.  Both round every value as
+the one-amplitude, one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -206,27 +207,48 @@ class CatPair(NamedTuple):
     def mu(self) -> float:
         return math.sqrt(2.0) * self.alpha
 
-    @property
-    def window(self) -> float:
-        return 8.0 + 2.0 * self.mu
-
     def x_segments(self):
         """Rows (a, b, sign of f*g) for the two pieces of the x window."""
-        window = self.window
-        return np.array([(-window, 0.0, -1.0), (0.0, window, 1.0)])
+        return _pieces(np.array([self.alpha]), np.array([False]))[0]
 
     def p_segments(self):
-        """Rows (a, b, sign of f~*h~) for the pieces of the p window between
-        the roots k pi/(2 mu), each signed like -sin(2 mu p) at its midpoint."""
-        mu, window = self.mu, self.window
+        """Rows (a, b, sign of f~*h~) for the p window's pieces between the roots k pi/(2 mu)."""
+        return _pieces(np.array([self.alpha]), np.array([True]))[0]
+
+
+def _ragged(counts):
+    """Runs of counts[i] consecutive items: each item's run and its place in it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
+
+
+def _p_partition(alphas, on_p=True):
+    """mu, window, p root spacing (inf below mu ~ 1e-308), int(window / spacing) or 0 off p."""
+    mu = math.sqrt(2.0) * alphas
+    window = 8.0 + 2.0 * mu
+    with np.errstate(over="ignore"):
         spacing = math.pi / (2.0 * mu)
-        k_max = int(window / spacing)
-        # 0 is a root on its own: once spacing overflows to inf, 0 * spacing is nan
-        positive = np.arange(1, k_max + 1) * spacing
-        roots = np.concatenate((-positive[::-1], [0.0], positive))
-        edges = np.concatenate(([-window], roots[np.abs(roots) < window], [window]))
-        a, b = edges[:-1], edges[1:]
-        return np.array([a, b, np.where(np.sin(2.0 * mu * (0.5 * (a + b))) <= 0.0, 1.0, -1.0)]).T
+    return mu, window, spacing, np.where(on_p, window / spacing, 0.0).astype(int)
+
+
+def _pieces(alphas, on_p):
+    """Rows (a, b, sign) of the p (where ``on_p``) or x pieces of the cat pair
+    at each of ``alphas``, and each row's index into them, in one array pass:
+    the roots k pi/(2 mu) cut p and 0 cuts x; signs follow -sin(2 mu p) or x."""
+    mu, window, spacing, k_max = _p_partition(alphas, on_p)
+    owner, k = _ragged(2 * k_max + 3)
+    k -= k_max[owner] + 1  # the window's edges at k = +/-(k_max + 1)
+    # 0 is a root on its own: once spacing overflows to inf, 0 * spacing is nan
+    edges = np.multiply(k, spacing[owner], out=np.zeros(k.size), where=k != 0)
+    outer = np.abs(k) > k_max[owner]
+    edges[outer] = np.sign(k[outer]) * window[owner[outer]]
+    keep = outer | (np.abs(edges) < window[owner])
+    edges, owner = edges[keep], owner[keep]
+    inner = owner[1:] == owner[:-1]  # the edges of one amplitude bound its pieces
+    a, b, owner = edges[:-1][inner], edges[1:][inner], owner[1:][inner]
+    mid = 0.5 * (a + b)
+    product = np.where(on_p[owner], -np.sin(2.0 * mu[owner] * mid), mid)
+    return np.array([a, b, np.where(product >= 0.0, 1.0, -1.0)]).T, owner
 
 
 def cat_pair(alpha: float) -> CatPair:
@@ -257,46 +279,41 @@ def psi3_prime_terms(alpha: float):
     )
 
 
-def _mode_tables(requests, tol):
+def _mode_tables(pieces, owner, on_p, amplitudes, sizes, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
-    domains for each (pair, setting, amplitudes): complex T[i, j, side] over
-    the sorted distinct amplitudes, side 0 for plus, all from one lockstep
-    batch over the pairs' segment rows (a, b, sign +/-1).  <x|a><x|b> =
-    pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}, mu = sqrt(2) a, is symmetric
-    in (a, b); <p|a><p|b>* = pi^{-1/2} e^{-p^2} e^{-i sqrt(2) (a-b) p}
-    depends on a - b, conjugated by a swap.  Both hold bit for bit, so each
-    distinct integral is computed once; one gather builds the tables."""
-    for _, setting, _ in requests:
-        if setting not in ("x", "p"):
-            raise ValueError(f"setting must be 'x' or 'p', got {setting!r}")
-    segments = [pair.x_segments() if s == "x" else pair.p_segments() for pair, s, _ in requests]
-    # each request's plus pieces, then its minus pieces, cut from one array
-    rows = np.concatenate([np.empty((0, 3)), *segments])
-    side = 2 * np.repeat(np.arange(len(segments)), [len(s) for s in segments]) + (rows[:, 2] < 0)
-    cuts = np.cumsum(np.bincount(side, minlength=2 * len(segments)))[:-1]
-    sides = np.split(rows[np.argsort(side, kind="stable"), :2], cuts)
-    integrals, cells, sizes = {"x": {}, "p": {}}, [], []
-    for r, (_, setting, amplitudes) in enumerate(requests):
-        amps = sorted(set(amplitudes))
-        sizes.append(len(amps))
-        for a, b in itertools.product(amps, repeat=2):
-            key = (r, min(a, b), max(a, b)) if setting == "x" else (r, abs(a - b))
-            index = integrals[setting].setdefault(key, len(integrals[setting]))
-            cells.append((2 * index, setting == "p", setting == "p" and a < b))
-    segment_lists = {s: [x for r, *_ in keys for x in sides[2 * r:2 * r + 2]] for s, keys in integrals.items()}
-    mu = math.sqrt(2.0) * np.array([k[1:] for k in integrals["x"] for _ in "+-"], dtype=float).reshape(-1, 2)
-    delta = math.sqrt(2.0) * np.array([k[1] for k in integrals["p"] for _ in "+-"], dtype=float)
+    domains, one lockstep batch: complex T[i, j, side] (side 0 for plus) of
+    each request r, on p if on_p[r], over its sizes[r] sorted ``amplitudes``
+    and the rows (a, b, sign) of ``pieces`` owned by r, as (cells, 2), r by r,
+    (i, j) row-major.  <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}
+    is symmetric in (a, b), mu = sqrt(2) a; <p|a><p|b>* = pi^{-1/2} e^{-p^2}
+    e^{-i sqrt(2) (a-b) p} is conjugated by a swap, bit for bit, so each
+    distinct integral is computed once, in order of first use."""
+    cell_r, cell = _ragged(sizes * sizes)  # cell = i n + j
+    a, b = amplitudes[(np.cumsum(sizes) - sizes)[cell_r] + np.divmod(cell, sizes[cell_r])]
+    cell_p = on_p[cell_r]
+    # each cell's integral: (r, min(a, b), max(a, b)) on x, (r, |a - b|, |a - b|) on p
+    key = np.column_stack([cell_r, np.where(cell_p, np.abs(a - b), [np.minimum(a, b), np.maximum(a, b)]).T])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    first, seen = np.sort(first), np.argsort(np.argsort(first))[inverse.ravel()]
+    on = cell_p[first]
+    index = np.where(on, np.cumsum(on), np.cumsum(~on)) - 1  # in its family
+    group = 2 * owner + (pieces[:, 2] < 0)  # r's plus pieces, then its minus
+    rows = pieces[np.argsort(group, kind="stable"), :2]
+    count = np.bincount(group, minlength=2 * sizes.size)
+    families = []
+    for family in (~on, on):
+        lists = (2 * cell_r[first[family]][:, None] + [0, 1]).ravel()
+        integral, place = _ragged(count[lists])
+        families.append((rows[(np.cumsum(count) - count)[lists][integral] + place], integral, lists.size))
+    mu, delta = (math.sqrt(2.0) * np.repeat(key[first[family], 1:], 2, axis=0) for family in (~on, on))
     values = integrate_batch([
         (lambda x, i: (math.pi ** -0.5) * np.exp(-0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2),
-         segment_lists["x"]),
-        (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i] * p),
-         segment_lists["p"]),
+         *families[0]),
+        (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i, 0] * p), *families[1]),
     ], tol=max(tol / 2.0, 1e-14))
-    position, on_p, swapped = np.array(cells, dtype=int).reshape(-1, 3).T
     flat = np.array(values[0] + values[1], dtype=complex)
-    table = flat[(position + on_p * len(values[0]))[:, None] + [0, 1]]
-    table = np.where(swapped[:, None] == 1, table.conj(), table)
-    return [t.reshape(n, n, 2) for t, n in zip(np.split(table, np.cumsum(np.square(sizes))[:-1]), sizes)]
+    table = flat[(2 * index[seen] + cell_p * len(values[0]))[:, None] + [0, 1]]
+    return np.where((cell_p & (a < b))[:, None], table.conj(), table)
 
 
 def _outcome_probabilities(factors, amplitude_index, tables):
@@ -339,10 +356,13 @@ def binned_product_probabilities(terms, settings, pair, tol=1e-9):
     m = len(settings)
     if any(len(amps) != m for _w, amps in terms):
         raise ValueError("term amplitude vectors must match the settings length")
+    if not set(settings) <= {"x", "p"}:
+        raise ValueError(f"each setting must be 'x' or 'p', got {settings!r}")
     amplitudes = [sorted(set([amps[t] for _w, amps in terms])) for t in range(m)]
-    tables = _mode_tables(
-        [(pair, setting, amplitudes[t]) for t, setting in enumerate(settings)], tol
-    )
+    on_p, sizes = np.array([s == "p" for s in settings]), np.array([len(a) for a in amplitudes])
+    flat = _mode_tables(*_pieces(np.full(m, pair.alpha), on_p), on_p,
+                        np.array(sum(amplitudes, []), dtype=float), sizes, tol)
+    tables = [flat[end - n * n:end].reshape(n, n, 2) for end, n in zip(np.cumsum(sizes * sizes), sizes)]
     factors = np.array([w_i * complex(w_j).conjugate() for w_i, _ in terms for w_j, _ in terms])
     factors = (factors.real[:, None], factors.imag[:, None])
     index = [[amplitudes[t].index(a) for t, a in enumerate(amps)] for _w, amps in terms]
@@ -365,22 +385,19 @@ class Psi3Report(NamedTuple):
         return max(self.bell_x_unprimed, self.bell_p_unprimed)
 
 
-# A lockstep batch holds all its initial panels at once, and an amplitude's p
-# pieces grow as alpha^2 (5,016 at 30), so a run of amplitudes stops here.
+# A batch pads each integral's panels to its family's widest; p pieces grow as alpha^2 (5,016 at 30).
 _P_PIECES_PER_BATCH = 8192
 
 
-def _runs(pairs):
-    """Consecutive runs of ``pairs``, p pieces counted as ``CatPair.p_segments`` makes them."""
-    runs, pieces = [], math.inf
-    for pair in pairs:
-        count = 2 * int(pair.window / (math.pi / (2.0 * pair.mu))) + 2
-        if pieces + count > _P_PIECES_PER_BATCH:
-            runs.append([])
-            pieces = 0
-        runs[-1].append(pair)
-        pieces += count
-    return runs
+def _runs(alphas):
+    """Bounds (start, stop) of consecutive runs of ``alphas``: one amplitude,
+    or length times widest p partition (<= 2 k_max + 2) <= _P_PIECES_PER_BATCH."""
+    bounds, widest = [0], 0
+    for stop, width in enumerate((2 * _p_partition(alphas)[3] + 2).tolist(), 1):
+        widest = max(widest, width)
+        if widest * (stop - bounds[-1]) > _P_PIECES_PER_BATCH and stop - 1 > bounds[-1]:
+            bounds, widest = bounds + [stop - 1], width
+    return list(zip(bounds, bounds[1:] + [len(alphas)]))
 
 
 def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
@@ -401,10 +418,12 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     pairs = [cat_pair(alpha) for alpha in alphas]
     if not pairs:
         return []
-    tables = np.concatenate([
-        _mode_tables([(pair, s, (-pair.alpha, pair.alpha)) for pair in run for s in "xp"], tol)
-        for run in _runs(pairs)
-    ]).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
+    grid, tables = np.array([pair.alpha for pair in pairs]), []
+    for start, stop in _runs(grid):  # an x and a p table per amplitude, over (-alpha, alpha)
+        run, on_p = np.repeat(grid[start:stop], 2), np.arange(2 * (stop - start)) % 2 == 1
+        amplitudes = np.array([-run, run]).T.ravel()
+        tables.append(_mode_tables(*_pieces(run, on_p), on_p, amplitudes, np.full(run.size, 2), tol))
+    tables = np.concatenate(tables).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
     # mode t of setting pattern n_x (= how many parties measure X) is X for t < n_x
     per_mode = [tables[:, [int(t >= n_x) for n_x in range(4)]] for t in range(3)]
     weights = np.array([psi3_prime_terms(pair.alpha)[0][0] for pair in pairs])

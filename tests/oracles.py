@@ -613,6 +613,23 @@ def quadrature_overlaps_VW(pair, tol=1e-9):
     return v, w
 
 
+def cat_segments_alone(alpha, on_p):
+    """The pieces of ``CatPair`` at one amplitude, p (``on_p``) or x, in the
+    scalar build that ``rootbin._pieces`` replaced: rows (a, b, sign)."""
+    mu = math.sqrt(2.0) * alpha
+    window = 8.0 + 2.0 * mu
+    if not on_p:
+        return np.array([(-window, 0.0, -1.0), (0.0, window, 1.0)])
+    spacing = math.pi / (2.0 * mu)
+    k_max = int(window / spacing)
+    # 0 is a root on its own: once spacing overflows to inf, 0 * spacing is nan
+    positive = np.arange(1, k_max + 1) * spacing
+    roots = np.concatenate((-positive[::-1], [0.0], positive))
+    edges = np.concatenate(([-window], roots[np.abs(roots) < window], [window]))
+    a, b = edges[:-1], edges[1:]
+    return np.array([a, b, np.where(np.sin(2.0 * mu * (0.5 * (a + b))) <= 0.0, 1.0, -1.0)]).T
+
+
 def callable_cat_pair(alpha):
     """The cat pair as wavefunctions with their root lists:
 
@@ -786,13 +803,12 @@ class TupleSuperposition:
 
     def inner_product(self, other: "TupleSuperposition") -> complex:
         """<self|other> = w^H exp(E) w' for the Gram matrix of exponents
-        E_ij = sum_t [a_it b_jt - (a_it^2 + b_jt^2)/2], one exponential per
-        pair of terms."""
+        E_ij = -sum_t (a_it - b_jt)^2 / 2, one exponential per pair of terms."""
         if other.n_modes != self.n_modes:
             raise ValueError("mode counts differ")
         w_a, a = _tuple_as_arrays(self.terms)
         w_b, b = _tuple_as_arrays(other.terms)
-        exponent = a @ b.T - 0.5 * ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1))
+        exponent = -0.5 * np.square(a[:, None, :] - b).sum(axis=2)
         return complex(w_a.conj() @ np.exp(exponent) @ w_b)
 
     def norm_squared(self) -> float:

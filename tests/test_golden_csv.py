@@ -68,6 +68,7 @@ PINNED = (
     (REFERENCE / "psi3-curve-a0.5-3.csv", ("psi3-curve", "--alpha", "0.5:3.0:0.05")),
     (GOLDEN / "psi3-curve-a0.05-12-0.25.csv", ("psi3-curve", "--alpha", "0.05:12:0.25")),
     (GOLDEN / "psi3-curve-a1e-9.csv", ("psi3-curve", "--alpha", "1e-9")),
+    (GOLDEN / "psi3-curve-a5e-324.csv", ("psi3-curve", "--alpha", "5e-324")),
     (GOLDEN / "psi3-curve-a30.csv", ("psi3-curve", "--alpha", "30")),
     (GOLDEN / "psi3-curve-a0.5-3-tol1e-6.csv", ("psi3-curve", "--alpha", "0.5:3.0:0.05", "--tol", "1e-6")),
     (REFERENCE / "prep-fidelity-a1-4.csv", ("prep-fidelity", "--alpha", "1:4:1")),

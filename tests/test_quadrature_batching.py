@@ -17,6 +17,7 @@ checks that one fact on its own.
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ family = st.tuples(
 )
 
 
+def flat(segment_lists):
+    """(segments, owner, n): one (a, b) row per segment of the n lists, and
+    each row's list, the layout ``integrate_batch`` takes."""
+    owner = [i for i, segments in enumerate(segment_lists) for _ in segments]
+    rows = [row for segments in segment_lists for row in segments]
+    return np.array(rows, dtype=float).reshape(-1, 2), np.array(owner, dtype=int), len(segment_lists)
+
+
 def family_integrand(kind, members):
     """f(x, owner) of a family: each integral's (p, q) broadcast per node."""
     p = np.array([m[0] for m in members])
@@ -157,7 +166,7 @@ def test_batch_matches_each_integral_one_panel_at_a_time(families, tol, max_inte
                 first_failure = min(first_failure or (key, single), (key, single))
     try:
         results = integrate_batch(
-            [(family_integrand(kind, members), [m[2] for m in members])
+            [(family_integrand(kind, members), *flat([m[2] for m in members]))
              for kind, members in families],
             tol=tol, max_intervals=max_intervals,
         )
@@ -214,7 +223,7 @@ def assert_batch_matches_alone(families, tol, max_intervals):
                 first_failure = min(first_failure or (key, single), (key, single))
     try:
         results = integrate_batch(
-            [(owner_dispatch([f for f, _ in members]), [s for _, s in members])
+            [(owner_dispatch([f for f, _ in members]), *flat([s for _, s in members]))
              for members in families],
             tol=tol, max_intervals=max_intervals,
         )
@@ -319,15 +328,52 @@ def test_hypot_rounds_like_complex_abs():
 
 
 def test_psi3_curve_exits_3_when_the_batch_fails(tmp_path, monkeypatch, capsys):
-    """Two intervals per integral are too few at alpha = 0.5: the batch
-    raises IntegrationError, and the CLI reports a numerical failure."""
-    monkeypatch.setattr(
-        rootbin, "integrate_batch",
-        functools.partial(numerics.integrate_batch, max_intervals=2),
-    )
+    """Two intervals per integral are too few at alpha = 0.5: the batch that
+    ``_mode_tables`` runs raises IntegrationError with the error estimate of
+    its first failing integral, as before the tables came from flat arrays,
+    and the CLI reports a numerical failure."""
+    errors = []
+
+    def batch(*args, **kwargs):
+        try:
+            return numerics.integrate_batch(*args, **kwargs, max_intervals=2)
+        except IntegrationError as exc:
+            errors.append(exc.achieved_error)
+            raise
+
+    monkeypatch.setattr(rootbin, "integrate_batch", batch)
     assert cli.main(["psi3-curve", "--alpha", "0.5", "--out", str(tmp_path)]) == 3
-    assert "numerical failure: no convergence after 2 intervals" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "bellscope: numerical failure: no convergence after 2 intervals "
+        "(error estimate 2.789e-08, tol 5.000e-10)\n"
+    )
+    assert errors == [2.7889423134211608e-08]
     assert not (tmp_path / "psi3-curve.csv").exists()
+
+
+def test_smallest_amplitude_warns_nothing(tmp_path):
+    """At alpha = 5e-324 the root spacing pi/(2 mu) overflows to inf, where
+    0 * spacing would be nan: the array pass that cuts the partitions guards
+    both, so the run warns nothing with every warning an error.  Its bytes
+    are pinned in tests/test_golden_csv.py."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["psi3-curve", "--alpha", "5e-324", "--out", str(tmp_path)]) == 0
+        assert rootbin._runs(np.array([5e-324])) == [(0, 1)]
+
+
+def test_ungrouped_owner_raises():
+    """A family's segment rows come grouped by integral, in order; rows of
+    an integral split by another's, or an owner out of range, are a
+    ValueError before any integrand call."""
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    rows = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+    for owner, n in (([0, 1, 0], 2), ([1, 1, 0], 2), ([0, 0, 2], 2), ([-1, 0, 0], 2)):
+        with pytest.raises(ValueError, match="grouped by integral"):
+            integrate_batch([(f, rows, owner, n)])
+    assert integrate_batch([(lambda x, owner: x, rows, [0, 0, 2], 4)])[0] == pytest.approx([2.0, 0.0, 2.5, 0.0])
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
@@ -402,26 +448,49 @@ def test_psi3_grid_equals_every_entry_integrated():
         assert report.min_probability == direct.min_probability
 
 
+def p_widths(alphas):
+    """Each amplitude's p pieces, as ``_pieces`` cuts them."""
+    return np.bincount(rootbin._pieces(alphas, np.ones(alphas.size, dtype=bool))[1], minlength=alphas.size)
+
+
+def assert_runs_bound_the_padding(alphas):
+    """The runs of a grid cover it in order, and a run of more than one
+    amplitude times its widest p partition is at most _P_PIECES_PER_BATCH:
+    every integral of a family is padded to the widest row of panels."""
+    runs = rootbin._runs(alphas)
+    assert [i for start, stop in runs for i in range(start, stop)] == list(range(alphas.size))
+    widths = p_widths(alphas)
+    for start, stop in runs:
+        assert stop - start == 1 or (stop - start) * widths[start:stop].max() <= rootbin._P_PIECES_PER_BATCH
+    return runs
+
+
 def test_psi3_grid_runs_bound_the_batch_and_move_no_result(monkeypatch):
-    """A grid is cut into consecutive runs of at most _P_PIECES_PER_BATCH p
-    pieces (an amplitude with more is alone), which bounds the memory of
+    """A grid is cut into consecutive runs that bound the padded panels of
     each lockstep batch; the benchmark grid is one run, and cutting every
     amplitude into its own run moves no field of any report."""
-    grid = [cat_pair(a) for a in (1.0, 30.0, 2.0, 12.0, 20.0, 25.0, 21.0, 0.5)]
-    runs = rootbin._runs(grid)
-    assert [pair for run in runs for pair in run] == grid
-    assert len(runs) > 2
-    for run in runs:
-        pieces = sum(len(pair.p_segments()) for pair in run)
-        assert len(run) == 1 or pieces <= rootbin._P_PIECES_PER_BATCH
-    benchmark = [cat_pair(a) for a in cli.parse_range("0.5:3.0:0.05")]
-    assert len(rootbin._runs(benchmark)) == 1
+    assert len(assert_runs_bound_the_padding(np.array([1.0, 30.0, 2.0, 12.0, 20.0, 25.0, 21.0, 0.5]))) > 2
+    benchmark = np.array(cli.parse_range("0.5:3.0:0.05"))
+    assert rootbin._runs(benchmark) == [(0, benchmark.size)]
 
     alphas = [0.7, 1e-9, 3.0, 0.05, 2.2, 0.7]
     whole = psi3_bell_report(alphas)
     monkeypatch.setattr(rootbin, "_P_PIECES_PER_BATCH", 1)
-    assert [len(run) for run in rootbin._runs([cat_pair(a) for a in alphas])] == [1] * 6
+    assert rootbin._runs(np.array(alphas)) == [(i, i + 1) for i in range(6)]
     assert psi3_bell_report(alphas) == whole
+
+
+def test_tiny_amplitudes_and_a_wide_one_share_no_run():
+    """1,500 tiny amplitudes (2 p pieces each) and alpha = 30 (5,016): in
+    total p pieces, 8,018 as the count bounds them, they would fit one run, whose padded panels
+    (6,004 p integrals, each row as wide as 30's widest) would take about
+    0.6 GB.  Counted padded, 30 runs alone, after the tiny ones or before
+    them.  Only the run bounds are checked; nothing is integrated."""
+    tiny = [1e-3] * 1500
+    widths = p_widths(np.array(tiny + [30.0]))
+    assert widths[0] == 2 and widths[-1] == 5016
+    assert assert_runs_bound_the_padding(np.array(tiny + [30.0])) == [(0, 1500), (1500, 1501)]
+    assert assert_runs_bound_the_padding(np.array([30.0] + tiny)) == [(0, 1), (1, 1501)]
 
 
 @pytest.mark.parametrize("alphas", ("30", "0.05:12:0.25"))

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from bellscope import cli
 from bellscope.rootbin import (
     RootBinningSpec,
     _mode_tables,
+    _pieces,
     bell_factor_root,
     binned_product_probabilities,
     cat_pair,
@@ -19,6 +21,7 @@ from oracles import (
     ParityFunctionPair,
     binned_product_correlator,
     callable_cat_pair,
+    cat_segments_alone,
     cat_state_terms,
     integrate_1d,
     quadrature_overlaps_VW,
@@ -214,10 +217,29 @@ class TestCatPair:
                 assert sign == (1 if -math.sin(mu * (a + b)) >= 0.0 else -1)
         for alpha in (0.5, 3.0, 6.85, 12.0):
             pair, oracle = cat_pair(alpha), callable_cat_pair(alpha)
-            for setting in "xp":
-                assert _mode_tables([(pair, setting, (-alpha, alpha))], 1e-9)[0].tolist() == (
-                    _mode_tables([(oracle, setting, (-alpha, alpha))], 1e-9)[0].tolist()
-                )
+            for on_p in (False, True):
+                tables = [
+                    _mode_tables(rows, np.zeros(len(rows), dtype=int), np.array([on_p]),
+                                 np.array([-alpha, alpha]), np.array([2]), 1e-9).tolist()
+                    for rows in ((p.p_segments() if on_p else p.x_segments()) for p in (pair, oracle))
+                ]
+                assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("grid", (
+        "0.5:3.0:0.05", "0.05:12:0.25", "1e-9", "30", "5e-324", "24.4", "0.05:12:0.05",
+    ))
+    def test_batched_pieces_equal_each_amplitude_alone(self, grid):
+        """One ``_pieces`` pass over a golden grid, x and p requests
+        interleaved, equals bit for bit the amplitude-by-amplitude partitions:
+        ``CatPair``'s one-amplitude case and the scalar build it replaced."""
+        alphas = np.repeat(cli.parse_range(grid), 2)
+        on_p = np.arange(alphas.size) % 2 == 1
+        rows, owner = _pieces(alphas, on_p)
+        assert np.all(owner[1:] >= owner[:-1])
+        for r, (alpha, p) in enumerate(zip(alphas.tolist(), on_p.tolist())):
+            pair = cat_pair(alpha)
+            alone = pair.p_segments() if p else pair.x_segments()
+            assert rows[owner == r].tolist() == alone.tolist() == cat_segments_alone(alpha, p).tolist()
 
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
