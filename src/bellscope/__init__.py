@@ -8,16 +8,11 @@ from .mk import (
     mk_coefficient,
     quantum_bound,
 )
-from .numerics import (
-    IntegrationError,
-    integrate_segments,
-    max_eigenpair,
-)
+from .numerics import IntegrationError
 from .signbin import (
     AngleSettings,
     FockCorrelatedState,
     bell_factor_sign,
-    bell_matrix,
     chsh_angles,
     converged_optimum,
     default_optimizer_angles,
@@ -29,7 +24,6 @@ from .rootbin import (
     RootBinningSpec,
     bell_factor_root,
     cat_norms,
-    cat_pair,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,

@@ -161,10 +161,7 @@ def cmd_root_max(options):
 
 
 def cmd_cat_vw(options):
-    rows = [
-        (alpha, *rootbin.overlaps_VW(rootbin.cat_pair(alpha)))
-        for alpha in options.alpha
-    ]
+    rows = [(alpha, *rootbin.overlaps_VW(alpha)) for alpha in options.alpha]
     last = rows[-1]
     headline = {"alpha_max": last[0], "V": last[1], "W": last[2]}
     return ("alpha", "V", "W"), rows, headline
@@ -283,7 +280,7 @@ _OPTIONS = {
         ("--p", dict(required=True), (parse_range, 0.0, 1.0, "values must lie in [0, 1]")),
     )),
     "prep-fidelity": ("conditional-generation fidelity", (
-        # Gram exponents a b - (a^2 + b^2)/2 lose ~alpha^2 eps: fidelity <= 1 + 1e-12 to 30
+        # Gram exponents -sum (a - b)^2 / 2 cancel nothing: over 300 amplitudes to 30 the best fidelity is 1.0
         ("--alpha", dict(required=True), (parse_range, _TINY, 30.0, "values must lie in (0, 30]")),
         # (x0 - sqrt(2) a)^2 overflows past 1e154; the density vanishes (exit 3) past 130
         ("--x0", dict(default=None),

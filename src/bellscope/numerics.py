@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "IntegrationError",
     "integrate_batch",
-    "integrate_segments",
-    "max_eigenpair",
 ]
 
 

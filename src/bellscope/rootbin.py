@@ -16,9 +16,11 @@ and the Bell factor follows from the Mermin-Klyshko expansion.  V = W = 1
 with theta = (1-m) pi/4 saturates the quantum bound 2^((m+1)/2).
 
 The pair this module builds is the cat pair, the even and odd
-superpositions of |alpha> and |-alpha>.  It is data, not functions: with
-mu = sqrt(2) alpha, f*g has the sign of x and f~*h~ that of -sin(2 mu p),
-and both overlaps have closed forms, with 2 c_+ c_- from ``cat_norms``:
+superpositions of |alpha> and |-alpha>.  It is data, not functions: an
+amplitude alpha, finite and > 0.  With mu = sqrt(2) alpha, f*g has the sign
+of x and f~*h~ that of -sin(2 mu p), each binned on |x|, |p| < 8 + 2 mu (the
+Gaussian tails beyond are negligible), and both overlaps have closed forms,
+with 2 c_+ c_- from ``cat_norms``:
 
     V = 2 c_+ c_- erf(mu)                                  (A&S 7.1),
     W = 2 c_+ c_- pi^{-1/2} int e^{-p^2} |sin 2 mu p| dp
@@ -54,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mk import _EIGHTH_TURNS, mk_sum_tuplewise
+from .mk import _EIGHTH_TURNS, mk_class_sum
 from .numerics import integrate_batch
 
 __all__ = [
@@ -64,7 +66,6 @@ __all__ = [
     "bell_factor_root",
     "optimal_phase",
     "cat_norms",
-    "cat_pair",
     "psi3_prime_terms",
     "Psi3Report",
     "psi3_bell_report",
@@ -189,33 +190,6 @@ def _cat_overlaps(mu: float, scale: float):
     return v, scale * (2.0 / math.sqrt(math.pi)) * dawson
 
 
-class CatPair(NamedTuple):
-    """The cat pair at amplitude alpha as root-binning data:
-
-        f(x) = c_+ [ <x|alpha> + <x|-alpha> ]
-        g(x) = c_- [ <x|alpha> - <x|-alpha> ]
-
-    with c_+/- from ``cat_norms``.  f*g changes sign only at x = 0;
-    f~*h~ ~ -e^{-p^2} sin(2 mu p) at every multiple of pi/(2 mu).  Both
-    partitions span (-window, window), window = 8 + 2 mu, beyond which the
-    Gaussian tails are negligible.  Build it with ``cat_pair``.
-    """
-
-    alpha: float
-
-    @property
-    def mu(self) -> float:
-        return math.sqrt(2.0) * self.alpha
-
-    def x_segments(self):
-        """Rows (a, b, sign of f*g) for the two pieces of the x window."""
-        return _pieces(np.array([self.alpha]), np.array([False]))[0]
-
-    def p_segments(self):
-        """Rows (a, b, sign of f~*h~) for the p window's pieces between the roots k pi/(2 mu)."""
-        return _pieces(np.array([self.alpha]), np.array([True]))[0]
-
-
 def _ragged(counts):
     """Runs of counts[i] consecutive items: each item's run and its place in it."""
     run = np.repeat(np.arange(len(counts)), counts)
@@ -251,18 +225,13 @@ def _pieces(alphas, on_p):
     return np.array([a, b, np.where(product >= 0.0, 1.0, -1.0)]).T, owner
 
 
-def cat_pair(alpha: float) -> CatPair:
-    """The even/odd cat pair at a finite amplitude alpha > 0."""
+def overlaps_VW(alpha: float):
+    """V = int |f g| dx and W = int |f~ h~| dp of the cat pair at a finite
+    amplitude alpha > 0, from the closed forms in the module docstring."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("amplitude must be finite and > 0")
-    return CatPair(alpha)
-
-
-def overlaps_VW(pair: CatPair):
-    """V = int |f g| dx and W = int |f~ h~| dp of the cat pair, from the
-    closed forms in the module docstring."""
-    c_plus, c_minus = cat_norms(pair.alpha)
-    return _cat_overlaps(pair.mu, 2.0 * c_plus * c_minus)
+    c_plus, c_minus = cat_norms(alpha)
+    return _cat_overlaps(math.sqrt(2.0) * alpha, 2.0 * c_plus * c_minus)
 
 
 _PSI3_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -273,10 +242,14 @@ def psi3_prime_terms(alpha: float):
     |a,a,a>, |a,-a,-a>, |-a,a,-a>, |-a,-a,a> with c'^2 = 1/[4(1+3e^{-4a^2})]."""
     if alpha <= 0:
         raise ValueError("amplitude must be > 0")
-    weight = 1.0 / (2.0 * math.sqrt(1.0 + 3.0 * math.exp(-4.0 * alpha * alpha)))
+    weight = _psi3_weight(alpha)
     return tuple(
         (weight, tuple(s * alpha for s in signs)) for signs in _PSI3_SIGNS
     )
+
+
+def _psi3_weight(alpha):
+    return 1.0 / (2.0 * math.sqrt(1.0 + 3.0 * math.exp(-4.0 * alpha * alpha)))
 
 
 def _mode_tables(pieces, owner, on_p, amplitudes, sizes, tol):
@@ -345,10 +318,10 @@ def _outcome_probabilities(factors, amplitude_index, tables):
 
 # Only the tests call this; it stays here because perfbench/tracing.py wraps
 # ``rootbin.binned_product_probabilities`` by name.
-def binned_product_probabilities(terms, settings, pair, tol=1e-9):
+def binned_product_probabilities(terms, settings, alpha, tol=1e-9):
     """Joint probabilities of all 2^m binned outcomes for a superposition of
     products of coherent states, measured along ``settings`` ('x'/'p' per
-    mode) and binned by the pair's root partitions.
+    mode) and binned by the root partitions of the cat pair at ``alpha``.
 
     Every domain integral factorizes into per-mode one-dimensional integrals
     of Gaussian cross terms over the root intervals.
@@ -360,7 +333,7 @@ def binned_product_probabilities(terms, settings, pair, tol=1e-9):
         raise ValueError(f"each setting must be 'x' or 'p', got {settings!r}")
     amplitudes = [sorted(set([amps[t] for _w, amps in terms])) for t in range(m)]
     on_p, sizes = np.array([s == "p" for s in settings]), np.array([len(a) for a in amplitudes])
-    flat = _mode_tables(*_pieces(np.full(m, pair.alpha), on_p), on_p,
+    flat = _mode_tables(*_pieces(np.full(m, alpha), on_p), on_p,
                         np.array(sum(amplitudes, []), dtype=float), sizes, tol)
     tables = [flat[end - n * n:end].reshape(n, n, 2) for end, n in zip(np.cumsum(sizes * sizes), sizes)]
     factors = np.array([w_i * complex(w_j).conjugate() for w_i, _ in terms for w_j, _ in terms])
@@ -403,7 +376,7 @@ def _runs(alphas):
 def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     """Bell factor of the three-mode coherent-superposition state by direct
     domain integration of its binned joint probabilities: one ``Psi3Report``
-    per amplitude of ``alphas``, in order.
+    per amplitude of ``alphas`` (each finite and > 0), in order.
 
     The state is permutation symmetric, so each correlator depends only on
     how many parties measured X; the four values cover both labelings.
@@ -415,18 +388,20 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     shows in the outcome sums, so a sum off 1 by more than ``tol`` (or the
     quadrature's 1e-14 floor, times 100) is an ArithmeticError.
     """
-    pairs = [cat_pair(alpha) for alpha in alphas]
-    if not pairs:
+    alphas = list(alphas)
+    if not all(0.0 < alpha < math.inf for alpha in alphas):
+        raise ValueError("amplitude must be finite and > 0")
+    if not alphas:
         return []
-    grid, tables = np.array([pair.alpha for pair in pairs]), []
+    grid, tables = np.array(alphas), []
     for start, stop in _runs(grid):  # an x and a p table per amplitude, over (-alpha, alpha)
         run, on_p = np.repeat(grid[start:stop], 2), np.arange(2 * (stop - start)) % 2 == 1
         amplitudes = np.array([-run, run]).T.ravel()
         tables.append(_mode_tables(*_pieces(run, on_p), on_p, amplitudes, np.full(run.size, 2), tol))
-    tables = np.concatenate(tables).reshape(len(pairs), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
+    tables = np.concatenate(tables).reshape(len(alphas), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
     # mode t of setting pattern n_x (= how many parties measure X) is X for t < n_x
     per_mode = [tables[:, [int(t >= n_x) for n_x in range(4)]] for t in range(3)]
-    weights = np.array([psi3_prime_terms(pair.alpha)[0][0] for pair in pairs])
+    weights = np.array([_psi3_weight(alpha) for alpha in alphas])
     factors = ((weights * weights)[:, None, None, None], 0.0)  # all terms weigh the same
     index = [[int(s > 0) for s in signs] for signs in _PSI3_SIGNS]  # into (-alpha, alpha)
     probs = _outcome_probabilities(factors, index, per_mode)  # (alpha, n_x, outcome)
@@ -438,14 +413,14 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     limit = max(tol, 1e-12)
     missed = np.flatnonzero(~(np.abs(sums - 1.0).max(axis=-1) <= limit))  # nan is missed too
     if missed.size:
-        alpha = pairs[missed[0]].alpha
+        alpha = alphas[missed[0]]
         raise ArithmeticError(f"psi3 probabilities at alpha = {alpha!r} do not sum to 1 within {limit!r}")
-    # The tuple-by-tuple MK sum, one pass over the amplitude axis, keeps the
-    # rounding of the reference curve where one labeling cancels to noise.
-    bell_x, bell_p = (np.abs(mk_sum_tuplewise(c)).tolist() for c in (correlators.T[::-1], correlators.T))
+    # The class sum keeps the tuple-order rounding that the reference curve
+    # pins where one labeling cancels to noise; one pass over the amplitude axis.
+    bell_x, bell_p = (np.abs(mk_class_sum(c)).tolist() for c in (correlators.T[::-1], correlators.T))
     return [
-        Psi3Report(pair.alpha, x, p, dict(enumerate(c)), dict(enumerate(s)), min(map(min, rows)))
-        for pair, x, p, rows, s, c in zip(
-            pairs, bell_x, bell_p, probs.tolist(), sums.tolist(), correlators.tolist()
+        Psi3Report(alpha, x, p, dict(enumerate(c)), dict(enumerate(s)), min(map(min, rows)))
+        for alpha, x, p, rows, s, c in zip(
+            alphas, bell_x, bell_p, probs.tolist(), sums.tolist(), correlators.tolist()
         )
     ]

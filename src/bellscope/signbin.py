@@ -46,7 +46,6 @@ __all__ = [
     "bell_expectation_sign",
     "bell_factor_sign",
     "ghz_bell_factors",
-    "bell_matrix",
     "optimize_state",
     "ConvergedOptimum",
     "converged_optimum",

@@ -33,8 +33,8 @@ from bellscope.mk import (
     _SIDES,
     MKExpansion,
     _normalised,
+    expand_mk,
     mk_sum_scaled,
-    mk_sum_tuplewise,
 )
 from bellscope.numerics import (
     _GK_NODES,
@@ -48,7 +48,6 @@ from bellscope.rootbin import (
     Psi3Report,
     binned_product_probabilities,
     cat_norms,
-    cat_pair,
     psi3_prime_terms,
 )
 from bellscope.signbin import (
@@ -484,17 +483,15 @@ def _coherent_cross_p(a, b):
     return cross
 
 
-def binned_probabilities_every_entry(terms, settings, pair, tol=1e-9):
+def binned_probabilities_every_entry(terms, settings, alpha, tol=1e-9):
     """``binned_product_probabilities`` with no shared work: every mode gets
     its own table, and every (a, b) entry of it its own pair of
-    one-panel-at-a-time quadratures."""
+    one-panel-at-a-time quadratures over the pieces of ``cat_segments_alone``."""
     per_call = max(tol / 2.0, 1e-14)
     tables = []
     for t, setting in enumerate(settings):
-        if setting == "x":
-            segments, make_cross = pair.x_segments(), _coherent_cross_x
-        else:
-            segments, make_cross = pair.p_segments(), _coherent_cross_p
+        segments = cat_segments_alone(alpha, setting == "p")
+        make_cross = _coherent_cross_p if setting == "p" else _coherent_cross_x
         plus = [(a, b) for a, b, s in segments.tolist() if s > 0]
         minus = [(a, b) for a, b, s in segments.tolist() if s < 0]
         amplitudes = sorted({amps[t] for _w, amps in terms})
@@ -521,15 +518,25 @@ def binned_probabilities_every_entry(terms, settings, pair, tol=1e-9):
     return probabilities
 
 
+def mk_sum_tuple_by_tuple(by_primed_count):
+    """sum_t c_t E(k(t)) for E given by the primed count k, as
+    ``by_primed_count[k]`` (floats or arrays), added one setting tuple at a
+    time in the lexicographic order of ``expand_mk``'s terms."""
+    total = 0.0
+    for t, c in expand_mk(len(by_primed_count) - 1).terms.items():
+        total += float(c) * by_primed_count[sum(t)]
+    return total
+
+
 def psi3_report_every_entry(alpha, tol=1e-9):
-    """``psi3_bell_report`` built on ``binned_probabilities_every_entry``."""
-    pair = cat_pair(alpha)
+    """``psi3_bell_report`` built on ``binned_probabilities_every_entry``,
+    its MK sums on ``mk_sum_tuple_by_tuple``."""
     terms = psi3_prime_terms(alpha)
     correlators, probability_sums = {}, {}
     min_probability = math.inf
     for n_x in range(4):
         settings = "x" * n_x + "p" * (3 - n_x)
-        probs = binned_probabilities_every_entry(terms, settings, pair, tol)
+        probs = binned_probabilities_every_entry(terms, settings, alpha, tol)
         # Left to right from 0.0, as the builtin sum adds floats up to
         # Python 3.11 (3.12 compensates it); spelled out so that the
         # comparison does not depend on the interpreter.
@@ -540,8 +547,8 @@ def psi3_report_every_entry(alpha, tol=1e-9):
         ), 0.0)
     return Psi3Report(
         alpha=alpha,
-        bell_x_unprimed=abs(mk_sum_tuplewise([correlators[3 - k] for k in range(4)])),
-        bell_p_unprimed=abs(mk_sum_tuplewise([correlators[k] for k in range(4)])),
+        bell_x_unprimed=abs(mk_sum_tuple_by_tuple([correlators[3 - k] for k in range(4)])),
+        bell_p_unprimed=abs(mk_sum_tuple_by_tuple([correlators[k] for k in range(4)])),
         correlators=correlators,
         probability_sums=probability_sums,
         min_probability=min_probability,
@@ -551,7 +558,7 @@ def psi3_report_every_entry(alpha, tol=1e-9):
 @dataclass(frozen=True)
 class ParityFunctionPair:
     """Even f / odd g with their Fourier-side partners and sign-root lists:
-    the oracle for the package's closed-form ``CatPair``.
+    the oracle for the package's closed-form cat pair.
 
     ``x_roots`` are the points where f*g changes sign, ``p_roots`` where
     f~*h~ does; both sorted strictly increasing.  The windows bound the
@@ -588,7 +595,7 @@ class ParityFunctionPair:
 def _signed_segments(product_fn, roots, window):
     """Partition (-window, window) at the roots and attach the sign of the
     product on each piece, evaluated at the midpoints in one call: rows
-    (a, b, sign), as ``CatPair`` gives them."""
+    (a, b, sign), as ``rootbin._pieces`` gives them."""
     edges = [-window]
     edges.extend(r for r in roots if -window < r < window)
     edges.append(window)
@@ -614,7 +621,7 @@ def quadrature_overlaps_VW(pair, tol=1e-9):
 
 
 def cat_segments_alone(alpha, on_p):
-    """The pieces of ``CatPair`` at one amplitude, p (``on_p``) or x, in the
+    """The pieces of the cat pair at one amplitude, p (``on_p``) or x, in the
     scalar build that ``rootbin._pieces`` replaced: rows (a, b, sign)."""
     mu = math.sqrt(2.0) * alpha
     window = 8.0 + 2.0 * mu
@@ -693,9 +700,9 @@ def cat_state_terms(alpha, m, theta=0.0):
     return tuple(terms)
 
 
-def binned_product_correlator(terms, settings, pair, tol=1e-9):
+def binned_product_correlator(terms, settings, alpha, tol=1e-9):
     """Full correlator sum_d sign(d) P_d for the binned product state."""
-    probabilities = binned_product_probabilities(terms, settings, pair, tol)
+    probabilities = binned_product_probabilities(terms, settings, alpha, tol)
     total = 0.0
     for outcome, p in probabilities.items():
         sign = 1

@@ -16,7 +16,6 @@ from bellscope.mk import expand_mk
 from bellscope.rootbin import (
     RootBinningSpec,
     bell_factor_root,
-    cat_pair,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,
@@ -201,7 +200,7 @@ def test_criterion_05_root_binning_maximal_violation():
 
 
 def test_criterion_06_cat_state_overlaps():
-    v6, w6 = overlaps_VW(cat_pair(6.0))
+    v6, w6 = overlaps_VW(6.0)
     # the two-party and three-party reference numbers are quoted for the
     # large-amplitude overlaps V = 1, W = 0.64
     bell_2 = max_theta_bell(1.0, 0.64, 2, "best")

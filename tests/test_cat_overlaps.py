@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellscope import cli
-from bellscope.rootbin import _cat_overlaps, cat_norms, cat_pair, overlaps_VW
+from bellscope.rootbin import _cat_overlaps, cat_norms, overlaps_VW
 from oracles import callable_cat_pair, quadrature_overlaps_VW
 
 EPS = 2.0 ** -52
@@ -66,7 +66,7 @@ MP_ALPHAS = (
 
 @pytest.mark.parametrize("alpha", MP_ALPHAS)
 def test_closed_form_against_mpmath(alpha):
-    v, w = overlaps_VW(cat_pair(alpha))
+    v, w = overlaps_VW(alpha)
     v_ref, w_ref = mp_overlaps(alpha)
     assert rel(v, v_ref) <= 4 * EPS
     assert rel(w, w_ref) <= 4 * EPS
@@ -90,13 +90,13 @@ def test_w_against_mpmath_quadrature(alpha):
         edges = [k * spacing for k in range(int(12 / spacing) + 2)]
         half = mpmath.quad(lambda p: mpmath.exp(-p * p) * abs(mpmath.sin(2 * mu * p)), edges)
         w_ref = 2 * c_plus * c_minus * 2 * half / mpmath.sqrt(mpmath.pi)
-        assert rel(overlaps_VW(cat_pair(alpha))[1], w_ref) <= 4 * EPS
+        assert rel(overlaps_VW(alpha)[1], w_ref) <= 4 * EPS
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(min_value=0.05, max_value=12.0))
 def test_closed_form_against_quadrature(alpha):
-    v, w = overlaps_VW(cat_pair(alpha))
+    v, w = overlaps_VW(alpha)
     v_quad, w_quad = quadrature_overlaps_VW(callable_cat_pair(alpha), TOL)
     assert v == pytest.approx(v_quad, rel=0, abs=TOL)
     assert w == pytest.approx(w_quad, rel=0, abs=TOL)
@@ -115,7 +115,7 @@ def test_large_amplitude_allocates_no_root_list():
     grows as alpha^2 (462,687 roots at alpha = 300)."""
     tracemalloc.start()
     try:
-        overlaps_VW(cat_pair(300.0))
+        overlaps_VW(300.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -124,7 +124,7 @@ def test_large_amplitude_allocates_no_root_list():
 
 def test_overlaps_bounded_by_one():
     for alpha in MP_ALPHAS:
-        v, w = overlaps_VW(cat_pair(alpha))
+        v, w = overlaps_VW(alpha)
         assert 0.0 < v <= 1.0 and 0.0 < w <= 1.0
 
 
@@ -166,7 +166,7 @@ def test_subnormal_square_takes_the_limit(alpha):
     sqrt(2/pi), the 1e-9 golden row's digits, all the way down."""
     with mpmath.workdps(40):
         assert rel(cat_norms(alpha)[1], mp_cat_norms(alpha)[1]) <= 2 * EPS
-    v, w = overlaps_VW(cat_pair(alpha))
+    v, w = overlaps_VW(alpha)
     v_ref, w_ref = mp_overlaps(alpha)
     assert rel(v, v_ref) <= 4 * EPS and rel(w, w_ref) <= 4 * EPS
     assert format(v, ".12g") == format(w, ".12g") == "0.797884560803"

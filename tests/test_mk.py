@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellscope.mk import expand_mk, quantum_bound
-from oracles import bell_factor, coefficients_by_primed_count, primed_twin
+from bellscope.mk import expand_mk, mk_class_sum, mk_coefficient, quantum_bound
+from oracles import bell_factor, coefficients_by_primed_count, mk_sum_tuple_by_tuple, primed_twin
 from physics import classical_bound_exhaustive
 
 U, P = False, True
@@ -188,3 +190,60 @@ def test_cosine_correlators_respect_quantum_bound():
                 )
 
             assert bell_factor(e, correlator) <= bound + 1e-9
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+# Signed zeros, subnormals, the least normal float, values near 1e300 and
+# thirds, which round on every multiplication by 3.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+           1e300, -1e300, 1.7e300, 1.0 / 3.0, -1.0 / 3.0)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+
+
+@st.composite
+def three_party_classes(draw):
+    """E_0..E_3 as arrays; E_3 sometimes cancels 3 E_1 to the last bit or to one ulp."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [np.array(draw(st.lists(finite, min_size=n, max_size=n))) for _ in range(4)]
+    if draw(st.booleans()):
+        rows[3] = np.nextafter(3.0 * rows[1], draw(st.sampled_from((0.0, math.inf, -math.inf))))
+    return rows
+
+
+@PROPERTY
+@given(three_party_classes())
+def test_class_sum_rounds_as_the_tuple_loop_at_three_parties(rows):
+    """At m = 3 the class sum RN(RN(3 E_1) - E_3) is the sum over the setting
+    tuples in ``expand_mk``'s order bit for bit, as arrays and one by one;
+    past the float range both reach the same inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert mk_class_sum(rows).tobytes() == mk_sum_tuple_by_tuple(rows).tobytes()
+        for column in zip(*(row.tolist() for row in rows)):
+            got, expected = mk_class_sum(column), mk_sum_tuple_by_tuple(column)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+EXPANSIONS = {m: expand_mk(m) for m in range(1, 9)}
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda m: st.lists(st.floats(-1e300, 1e300) | st.sampled_from(SPECIAL[:6]), min_size=m + 1, max_size=m + 1)
+))
+def test_class_sum_is_within_a_few_ulps_of_the_exact_sum(values):
+    """Against the exact rational sum over every setting tuple: at most
+    m + 2 ulps of sum_t |c_t E(k(t))|, the scale its m + 1 roundings are
+    relative to."""
+    m = len(values) - 1
+    terms = EXPANSIONS[m].terms.items()
+    exact = sum(c * Fraction(values[sum(t)]) for t, c in terms)
+    scale = sum(abs(float(c) * values[sum(t)]) for t, c in terms)
+    assert abs(Fraction(mk_class_sum(values)) - exact) <= (m + 2) * Fraction(math.ulp(scale))
+
+
+def test_class_weights_are_exact_up_to_56_parties():
+    """C(m, k) c_k is a float without rounding while C(m, k) < 2^53."""
+    for m in range(1, 57):
+        for k in range(m + 1):
+            c = mk_coefficient(m, k)
+            assert Fraction(math.comb(m, k) * c) == math.comb(m, k) * Fraction(c)

@@ -34,7 +34,7 @@ from bellscope.numerics import (
     integrate_batch,
     integrate_segments,
 )
-from bellscope.rootbin import binned_product_probabilities, cat_pair, psi3_bell_report
+from bellscope.rootbin import binned_product_probabilities, psi3_bell_report
 from oracles import (
     binned_probabilities_every_entry,
     cat_state_terms,
@@ -519,10 +519,9 @@ def test_psi3_memory_stays_bounded(alphas):
 )
 def test_binned_probabilities_equal_every_entry_integrated(alpha, theta, settings_):
     terms = cat_state_terms(alpha, len(settings_), theta)
-    pair = cat_pair(alpha)
     assert binned_product_probabilities(
-        terms, settings_, pair
-    ) == binned_probabilities_every_entry(terms, settings_, pair)
+        terms, settings_, alpha
+    ) == binned_probabilities_every_entry(terms, settings_, alpha)
 
 
 amplitude = st.floats(min_value=-3.0, max_value=3.0)

@@ -11,7 +11,7 @@ import pytest
 
 from bellscope.catprep import CoherentSuperposition
 from bellscope.mk import MKExpansion, expand_mk
-from bellscope.rootbin import CatPair, Psi3Report, RootBinningSpec, cat_pair, psi3_bell_report
+from bellscope.rootbin import Psi3Report, RootBinningSpec, psi3_bell_report
 from bellscope.signbin import AngleSettings, FockCorrelatedState
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # ``result.terms`` of expand_mk's result.
 FIELDS = (
     (MKExpansion, ("m", "terms")),
-    (CatPair, ("alpha",)),
     (
         Psi3Report,
         ("alpha", "bell_x_unprimed", "bell_p_unprimed", "correlators",
@@ -42,10 +41,8 @@ def test_field_names_and_keyword_construction(record, names):
 def test_records_from_the_package_unpack():
     m, terms = expand_mk(2)
     assert m == 2 and len(terms) == 4
-    (alpha,) = pair = cat_pair(1.5)
-    assert alpha == 1.5 and pair == CatPair(alpha=1.5)
-    assert pair.mu == pytest.approx(1.5 * 2**0.5)
     report = psi3_bell_report([1.0])[0]
+    assert report.alpha == 1.0
     assert report.bell_best == max(report.bell_x_unprimed, report.bell_p_unprimed)
     assert report == Psi3Report(*report)
 

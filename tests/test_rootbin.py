@@ -11,7 +11,6 @@ from bellscope.rootbin import (
     _pieces,
     bell_factor_root,
     binned_product_probabilities,
-    cat_pair,
     optimal_phase,
     overlaps_VW,
     psi3_bell_report,
@@ -179,6 +178,11 @@ class TestOptimalPhase:
                 assert bell_factor_root(spec, "x-unprimed") <= best + 1e-9
 
 
+def segments(alpha, on_p):
+    """The package's pieces of the cat pair at one amplitude: a batch of one."""
+    return _pieces(np.array([alpha]), np.array([on_p]))[0]
+
+
 class TestCatPair:
     def test_normalization(self):
         for alpha in (0.7, 2.0):
@@ -213,15 +217,15 @@ class TestCatPair:
         two pairs is equal."""
         for alpha in (7.0, 9.0, 12.0):
             mu = math.sqrt(2.0) * alpha
-            for a, b, sign in cat_pair(alpha).p_segments():
+            for a, b, sign in segments(alpha, True):
                 assert sign == (1 if -math.sin(mu * (a + b)) >= 0.0 else -1)
         for alpha in (0.5, 3.0, 6.85, 12.0):
-            pair, oracle = cat_pair(alpha), callable_cat_pair(alpha)
+            oracle = callable_cat_pair(alpha)
             for on_p in (False, True):
                 tables = [
                     _mode_tables(rows, np.zeros(len(rows), dtype=int), np.array([on_p]),
                                  np.array([-alpha, alpha]), np.array([2]), 1e-9).tolist()
-                    for rows in ((p.p_segments() if on_p else p.x_segments()) for p in (pair, oracle))
+                    for rows in (segments(alpha, on_p), oracle.p_segments() if on_p else oracle.x_segments())
                 ]
                 assert tables[0] == tables[1]
 
@@ -231,31 +235,33 @@ class TestCatPair:
     def test_batched_pieces_equal_each_amplitude_alone(self, grid):
         """One ``_pieces`` pass over a golden grid, x and p requests
         interleaved, equals bit for bit the amplitude-by-amplitude partitions:
-        ``CatPair``'s one-amplitude case and the scalar build it replaced."""
+        ``_pieces`` on that amplitude alone and the scalar build it replaced."""
         alphas = np.repeat(cli.parse_range(grid), 2)
         on_p = np.arange(alphas.size) % 2 == 1
         rows, owner = _pieces(alphas, on_p)
         assert np.all(owner[1:] >= owner[:-1])
         for r, (alpha, p) in enumerate(zip(alphas.tolist(), on_p.tolist())):
-            pair = cat_pair(alpha)
-            alone = pair.p_segments() if p else pair.x_segments()
-            assert rows[owner == r].tolist() == alone.tolist() == cat_segments_alone(alpha, p).tolist()
+            alone = segments(alpha, p).tolist()
+            assert rows[owner == r].tolist() == alone == cat_segments_alone(alpha, p).tolist()
 
     def test_rejects_nonpositive_amplitude(self):
-        with pytest.raises(ValueError):
-            cat_pair(0.0)
-        with pytest.raises(ValueError):
-            cat_pair(-1.0)
+        """0, -1, inf and nan are refused before any work, by the closed form
+        and by every amplitude of a psi3 grid."""
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^amplitude must be finite and > 0$"):
+                overlaps_VW(bad)
+            with pytest.raises(ValueError, match="^amplitude must be finite and > 0$"):
+                psi3_bell_report([1.0, bad, 2.0])
 
     def test_large_amplitude_overlaps(self):
-        v, w = overlaps_VW(cat_pair(6.0))
+        v, w = overlaps_VW(6.0)
         assert v >= 0.999
         assert w == pytest.approx(2 / math.pi, abs=5e-3)
 
     def test_closed_form_v(self):
         # V = erf(sqrt(2) alpha) / sqrt(1 - e^{-4 alpha^2}) for this pair
         for alpha in (0.5, 1.0, 2.5):
-            v, w = overlaps_VW(cat_pair(alpha))
+            v, w = overlaps_VW(alpha)
             expected = math.erf(math.sqrt(2) * alpha) / math.sqrt(
                 1 - math.exp(-4 * alpha * alpha)
             )
@@ -296,7 +302,7 @@ class TestCatPair:
             tol=1e-12,
             max_intervals=20000,
         )
-        v, w = overlaps_VW(cat_pair(1.0))
+        v, w = overlaps_VW(1.0)
         assert v == pytest.approx(v_brute, abs=1e-9)
         assert w == pytest.approx(w_brute, abs=1e-9)
 
@@ -306,23 +312,21 @@ class TestDirectIntegrationEngine:
     def test_class_collapse_three_party(self, alpha):
         """Direct domain integration for the cat-pair product state matches
         the closed-form class correlator."""
-        pair = cat_pair(alpha)
-        v, w = overlaps_VW(pair)
+        v, w = overlaps_VW(alpha)
         terms = cat_state_terms(alpha, 3, theta=0.0)
         for k in range(4):
             settings = "x" * k + "p" * (3 - k)
-            direct = binned_product_correlator(terms, settings, pair)
+            direct = binned_product_correlator(terms, settings, alpha)
             closed = class_correlator(RootBinningSpec(v, w, 0.0, 3), k)
             assert direct == pytest.approx(closed, abs=1e-6)
 
     def test_class_collapse_two_party_nonzero_phase(self):
         alpha, theta = 1.5, 0.9
-        pair = cat_pair(alpha)
-        v, w = overlaps_VW(pair)
+        v, w = overlaps_VW(alpha)
         terms = cat_state_terms(alpha, 2, theta=theta)
         for k in range(3):
             settings = "x" * k + "p" * (2 - k)
-            direct = binned_product_correlator(terms, settings, pair)
+            direct = binned_product_correlator(terms, settings, alpha)
             closed = class_correlator(RootBinningSpec(v, w, theta, 2), k)
             assert direct == pytest.approx(closed, abs=1e-6)
 
@@ -330,7 +334,6 @@ class TestDirectIntegrationEngine:
         """The diagonal |f><f| and |g><g| parts alone carry no correlations
         under root binning."""
         alpha = 1.2
-        pair = cat_pair(alpha)
         a2 = alpha * alpha
         c_plus = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * a2)))
         c_minus = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * a2)))
@@ -344,16 +347,15 @@ class TestDirectIntegrationEngine:
         )
         for terms in (even_terms, odd_terms):
             for settings in ("xxp", "ppp", "xpp"):
-                corr = binned_product_correlator(terms, settings, pair)
+                corr = binned_product_correlator(terms, settings, alpha)
                 assert abs(corr) < 1e-8
 
     def test_settings_validation(self):
-        pair = cat_pair(1.0)
         terms = psi3_prime_terms(1.0)
         with pytest.raises(ValueError):
-            binned_product_probabilities(terms, "xy z", pair)
+            binned_product_probabilities(terms, "xy z", 1.0)
         with pytest.raises(ValueError):
-            binned_product_probabilities(terms, "xx", pair)
+            binned_product_probabilities(terms, "xx", 1.0)
 
     def test_cat_state_terms_normalized(self):
         for alpha, m, theta in ((0.8, 2, 0.0), (1.5, 3, 0.9)):
@@ -418,7 +420,7 @@ class TestPsi3:
         indistinguishable, so direct integration must match the closed-form
         correlator route."""
         alpha = 6.0
-        v, w = overlaps_VW(cat_pair(alpha))
+        v, w = overlaps_VW(alpha)
         closed = bell_factor_root(RootBinningSpec(v, w, 0.0, 3), "best")
         assert direct_bell_psi3(alpha) == pytest.approx(closed, abs=1e-6)
 
@@ -426,12 +428,11 @@ class TestPsi3:
         """One full 3-d tensor quadrature of the joint density at a small
         amplitude, with no per-mode factorization of the state."""
         alpha = 0.5
-        pair = cat_pair(alpha)
         terms = psi3_prime_terms(alpha)
         settings = "xxp"
 
         def axis_quadrature(setting):
-            segs = pair.x_segments() if setting == "x" else pair.p_segments()
+            segs = cat_segments_alone(alpha, setting == "p")
             nodes, weights, signs = [], [], []
             glx, glw = np.polynomial.legendre.leggauss(48)
             for a, b, sign in segs:
@@ -467,7 +468,7 @@ class TestPsi3:
 
         w1, w2, w3 = (ax[1] for ax in axes)
         s1, s2, s3 = (ax[2] for ax in axes)
-        probs = binned_product_probabilities(terms, settings, pair)
+        probs = binned_product_probabilities(terms, settings, alpha)
         for outcome in itertools.product((1, -1), repeat=3):
             masks = [
                 w * (s == d) for w, s, d in zip((w1, w2, w3), (s1, s2, s3), outcome)
