@@ -1,6 +1,7 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature of many
 integrals in lockstep, fed flat segment rows, on array state (one row of
-panels per integral), and even/odd bipartite eigenproblems, from their block.
+panels per integral), integrands on blocks of panel rows, and even/odd
+bipartite eigenproblems, from their block.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -49,6 +50,9 @@ _GK_NODES, _GK_WK, _GK_WG = np.concatenate(
 
 # Relative accuracy below which a running sum of panels cannot be resolved.
 _SUM_FLOOR = 64.0 * np.finfo(float).eps
+# Panels per integrand call: complex (k, 15) temporaries of 123 kB stay in cache
+# and under glibc's 128 KiB mmap threshold; psi3-curve ran fastest of 256..1024.
+_PANELS_PER_CALL = 512
 
 
 def _abs(z):
@@ -58,21 +62,21 @@ def _abs(z):
 
 
 def _panels(f, a, b, owner):
-    """Gauss-Kronrod panels over (a[i], b[i]) with one call ``f(x, owner)``
-    on all their nodes, panel i's nodes owned by owner[i].  Returns arrays
-    of kronrod values and |K - G| error guesses."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid[:, None] + half[:, None] * _GK_NODES
-    ys = np.asarray(f(xs.ravel(), np.repeat(owner, _GK_NODES.size))).reshape(xs.shape)
-    if not np.all(np.isfinite(ys)):
-        raise IntegrationError("integrand returned a non-finite value")
-    # The weights go first: vecdot then rounds each panel exactly as the
-    # single-panel dot product ``_GK_WK @ ys`` does.  numpy does not promise
-    # that; it holds for the numpy/BLAS builds checked and is tested in
-    # tests/test_quadrature_batching.py, as is _abs.
-    k = half * np.vecdot(_GK_WK, ys)
-    return k, _abs(k - half * np.vecdot(_GK_WG, ys))
+    """Gauss-Kronrod panels over (a[i], b[i]), panel i owned by owner[i], with
+    a call ``f(x, owner)`` per block of at most _PANELS_PER_CALL: x the (k, 15)
+    nodes, owner the (k, 1) owners.  Returns kronrod values and |K - G| errors."""
+    mid, half, out = 0.5 * (a + b), 0.5 * (b - a), []
+    for rows in (slice(i, i + _PANELS_PER_CALL) for i in range(0, a.size, _PANELS_PER_CALL)):
+        ys = np.asarray(f(mid[rows, None] + half[rows, None] * _GK_NODES, owner[rows, None]))
+        if not np.all(np.isfinite(ys)):
+            raise IntegrationError("integrand returned a non-finite value")
+        # The weights go first: vecdot then rounds each panel exactly as the
+        # single-panel dot product ``_GK_WK @ ys`` does.  numpy does not promise
+        # that; it holds for the numpy/BLAS builds checked and is tested in
+        # tests/test_quadrature_batching.py, as is _abs.
+        k = half[rows] * np.vecdot(_GK_WK, ys)
+        out.append((k, _abs(k - half[rows] * np.vecdot(_GK_WG, ys))))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def _compact(rows, keep):
@@ -86,16 +90,17 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
 
     ``families`` holds (f, segments, owner, n): finite segments (a, b) as
     rows, each owned by one of n integrals, owners grouped in order (else
-    ValueError); ``f(x, owner)`` gets a flat array of abscissas and the index
-    of each one's integral (complex results are fine).  Each integral keeps
+    ValueError); ``f(x, owner)`` gets the (k, 15) nodes of k <= 512 panels
+    (``_PANELS_PER_CALL``), a row each, with the (k, 1) column of their
+    integrals, and returns x's shape (complex is fine).  Each integral keeps
     its own panels, running sums and stopping rule (QUADPACK's greedy
     scheme): its worst panel, the first inserted among equals, is bisected
     until the summed error estimate is below ``tol`` or below the
     machine-precision floor of the running sum.  A family's state is arrays
     with one row per unconverged integral, its panels in insertion order, so
     that ``argmax`` picks every row's worst panel at once; a round pops
-    those, updates the sums elementwise, calls the integrand once for both
-    halves of each and appends them to the rows.  Returns one list of
+    those, updates the sums elementwise, calls the integrand on blocks of
+    both halves of each and appends them to the rows.  Returns one list of
     results per family.  The first integral (by round, then position) to run
     out of subdivisions raises ``IntegrationError`` with its error estimate.
     """
@@ -173,10 +178,10 @@ def integrate_batch(families, tol=1e-10, max_intervals=4096):
 def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
     """Adaptive quadrature over a union of finite segments, a batch of one
     for ``integrate_batch``: ``f`` takes a flat array of abscissas and is
-    called once for all segments, then once per bisection of the worst
-    panel, until the summed error estimate is below ``tol`` or the
+    called on all segments (512 panels a call), then once per bisection of
+    the worst panel, until the summed error estimate is below ``tol`` or the
     machine-precision floor of the running sum, whichever is larger."""
-    family = (lambda x, _owner: f(x), segments, [0] * len(segments), 1)
+    family = (lambda x, _owner: np.reshape(f(x.ravel()), x.shape), segments, [0] * len(segments), 1)
     return integrate_batch([family], tol, max_intervals)[0][0]
 
 

@@ -36,10 +36,11 @@ finite superpositions of products of coherent states, which covers the
 three-mode coherent-superposition candidate state.  One array pass cuts the
 x and p pieces of a run of consecutive amplitudes (capped in padded p
 pieces), and every per-mode integral of the run is a member of one lockstep
-quadrature (``numerics.integrate_batch``) fed those flat rows; one array
-kernel forms the joint probabilities of every (amplitude, setting pattern,
-term pair, outcome), looping only over modes.  Both round every value as
-the one-amplitude, one-outcome scalar loops did.
+quadrature (``numerics.integrate_batch``) fed those flat rows, its
+integrands blocks of panel rows (on p, the phase only where it is not 1);
+one array kernel forms the joint probabilities of every (amplitude, setting
+pattern, term pair, outcome), looping only over modes.  Both round every
+value as the one-amplitude, one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -252,6 +253,15 @@ def _psi3_weight(alpha):
     return 1.0 / (2.0 * math.sqrt(1.0 + 3.0 * math.exp(-4.0 * alpha * alpha)))
 
 
+def _p_integrand(p, delta):
+    """<p|a><p|b>* on (k, 15) nodes p with a (k, 1) column delta = sqrt(2) |a - b|: g = pi^{-1/2}
+    e^{-p^2}, times e^{-i delta p} on rows with delta != 0; elsewhere g + 0j, the bits of g (1 + 0j)."""
+    g = (math.pi ** -0.5) * np.exp(-p * p)
+    out, turn = g.astype(complex), delta[:, 0] != 0.0
+    out[turn] = g[turn] * np.exp(-1j * (delta[turn] * p[turn]))
+    return out
+
+
 def _mode_tables(pieces, owner, on_p, amplitudes, sizes, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
     domains, one lockstep batch: complex T[i, j, side] (side 0 for plus) of
@@ -282,7 +292,7 @@ def _mode_tables(pieces, owner, on_p, amplitudes, sizes, tol):
     values = integrate_batch([
         (lambda x, i: (math.pi ** -0.5) * np.exp(-0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2),
          *families[0]),
-        (lambda p, i: (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta[i, 0] * p), *families[1]),
+        (lambda p, i: _p_integrand(p, delta[i, 0]), *families[1]),
     ], tol=max(tol / 2.0, 1e-14))
     flat = np.array(values[0] + values[1], dtype=complex)
     table = flat[(2 * index[seen] + cell_p * len(values[0]))[:, None] + [0, 1]]

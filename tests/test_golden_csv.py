@@ -7,7 +7,9 @@ checked against either the committed benchmark reference under
 ``tests/golden/``.  The sign-optimize golden files hold the bytes the code
 wrote before the support finish and the sign skip; the psi3-curve ones, the
 bytes it wrote before the grid was integrated in one lockstep batch (one
-amplitude at a time, down to 1e-9 and up to 30, and at ``--tol 1e-6``); the
+amplitude at a time, down to 1e-9 and up to 30, and at ``--tol 1e-6``)
+or, for ``0.5:3.0:0.05`` and ``0.05:12:0.05`` at the default tol, before
+the quadrature called its integrands on blocks of panel rows; the
 prep-fidelity ones, the bytes it wrote with one pipeline call per x0, and
 ``<stem>.headline.json`` beside each the JSON headline of that run (its best
 x0 breaks a tie at the top fidelity by the larger density); the README
@@ -71,6 +73,10 @@ PINNED = (
     (GOLDEN / "psi3-curve-a5e-324.csv", ("psi3-curve", "--alpha", "5e-324")),
     (GOLDEN / "psi3-curve-a30.csv", ("psi3-curve", "--alpha", "30")),
     (GOLDEN / "psi3-curve-a0.5-3-tol1e-6.csv", ("psi3-curve", "--alpha", "0.5:3.0:0.05", "--tol", "1e-6")),
+    # the benchmark grid (its reference above can be rewritten with the
+    # benchmark) and the wide grid, at the default tol
+    (GOLDEN / "psi3-curve-a0.5-3-0.05.csv", ("psi3-curve", "--alpha", "0.5:3.0:0.05")),
+    (GOLDEN / "psi3-curve-a0.05-12-0.05.csv", ("psi3-curve", "--alpha", "0.05:12:0.05")),
     (REFERENCE / "prep-fidelity-a1-4.csv", ("prep-fidelity", "--alpha", "1:4:1")),
     (GOLDEN / "prep-fidelity-a0.3-2-x0-3-3.csv", ("prep-fidelity", "--alpha", "0.3:2:0.1", "--x0=-3:3:0.25")),
     (GOLDEN / "prep-fidelity-a1e-9.csv", ("prep-fidelity", "--alpha", "1e-9")),

@@ -5,7 +5,9 @@ one-at-a-time form it replaced (``tests/oracles.py``).
 Batching changes how often an integrand is called, never a result: values,
 and the error estimate an ``IntegrationError`` carries, must be equal with
 ``==``.  That is what keeps the psi3 curve's rounding-noise column, which
-the benchmark pins at relative 1e-9, where it is.
+the benchmark pins at relative 1e-9, where it is.  Nor do the blocks of at
+most ``numerics._PANELS_PER_CALL`` panel rows an integrand gets per call,
+or the p integrand's phase taken only on rows where it is not 1.
 
 The oracle integrator shares the program's ``np.vecdot`` panel sums, so
 those comparisons do not depend on the numpy build.  That ``np.vecdot``
@@ -18,6 +20,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from oracles import (
     homodyne_project,
     inner_product_loop,
     integrate_segments_one_panel_at_a_time,
+    panel_one_at_a_time,
     psi3_report_every_entry,
 )
 
@@ -194,13 +198,15 @@ DEEP = {
 
 
 def owner_dispatch(integrands):
-    """f(x, owner) of a family: integral i's nodes go to integrands[i]."""
+    """f(x, owner) of a family on panel rows: integral i's nodes go to
+    integrands[i] as a flat array, in row order."""
     def f(x, owner):
+        shape, (x, owner) = x.shape, (x.ravel(), np.broadcast_to(owner, x.shape).ravel())
         parts = [np.asarray(g(x[owner == i])) for i, g in enumerate(integrands)]
         out = np.zeros(x.shape, dtype=np.result_type(*parts))
         for i, part in enumerate(parts):
             out[owner == i] = part
-        return out
+        return out.reshape(shape)
     return f
 
 
@@ -388,8 +394,12 @@ def test_vecdot_rounds_like_matmul(dtype):
     if dtype is complex:
         ys = ys + 1j * rng.standard_normal((2000, 15))
     for weights in (_GK_WK, _GK_WG):
-        batched = np.vecdot(weights, ys).tolist()
-        assert batched == [weights @ row for row in ys]
+        single = [weights @ row for row in ys]
+        assert np.vecdot(weights, ys).tolist() == single
+        # the blocks of at most _PANELS_PER_CALL rows that _panels sums
+        for k in (1, 7, numerics._PANELS_PER_CALL):
+            blocks = [np.vecdot(weights, ys[i:i + k]) for i in range(0, len(ys), k)]
+            assert np.concatenate(blocks).tolist() == single
 
 
 def test_non_finite_integrand_rejected_in_a_batch():
@@ -413,6 +423,154 @@ def test_one_integrand_call_per_batch():
     integrate_segments(f, [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)], tol=1e-12)
     assert sizes[0] == 3 * 15
     assert len(sizes) > 1 and set(sizes[1:]) == {2 * 15}
+
+
+panel_edges = st.lists(st.tuples(edge, edge).filter(lambda s: s[0] != s[1]), min_size=1, max_size=40)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(sorted(INTEGRANDS)),
+    members=st.lists(st.tuples(location, scale), min_size=1, max_size=5),
+    edges=panel_edges,
+    data=st.data(),
+)
+def test_panels_are_equal_in_blocks_of_any_size(kind, members, edges, data):
+    """``_panels`` gives the same values and error guesses, bit for bit,
+    with one panel per call, 7, or all of them in one block, and each equals
+    the panel integrated alone.  A non-finite value in any block raises the
+    same IntegrationError."""
+    a, b = np.array(edges).T
+    owner = np.array(sorted(data.draw(st.lists(
+        st.integers(0, len(members) - 1), min_size=a.size, max_size=a.size))))
+    f = family_integrand(kind, members)
+    arrays = []
+    for n in (1, 7, a.size + 1):
+        with mock.patch.object(numerics, "_PANELS_PER_CALL", n):
+            arrays.append(tuple(x.tobytes() for x in numerics._panels(f, a, b, owner)))
+    assert arrays[0] == arrays[1] == arrays[2]
+    values, errors = numerics._panels(f, a, b, owner)
+    alone = [panel_one_at_a_time(INTEGRANDS[kind](*members[i]), *s) for i, s in zip(owner, edges)]
+    assert (values.tolist(), errors.tolist()) == ([v for v, _ in alone], [e for _, e in alone])
+
+    bad = data.draw(st.integers(0, a.size - 1))
+    poisoned = nodes(a[bad], b[bad])[data.draw(st.integers(0, 14))]
+    value = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+
+    def g(x, owner):
+        return np.where(x == poisoned, value, f(x, owner))
+
+    for n in (1, 7, a.size + 1):
+        with mock.patch.object(numerics, "_PANELS_PER_CALL", n):
+            with pytest.raises(IntegrationError, match="^integrand returned a non-finite value$"):
+                numerics._panels(g, a, b, owner)
+
+
+@PROPERTY
+@given(
+    families=st.lists(family, min_size=1, max_size=3),
+    tol=st.sampled_from((1e-4, 1e-12)),
+    n=st.sampled_from((1, 3, 512)),
+)
+def test_integrands_get_panel_rows(families, tol, n):
+    """``integrate_batch`` calls each integrand with (k, 15) nodes and the
+    (k, 1) column of their integrals, 0 < k <= _PANELS_PER_CALL, and the
+    result does not depend on the block size."""
+    shapes = []
+
+    def recording(f):
+        def g(x, owner):
+            shapes.append((x.shape, x.dtype, owner.shape, owner.dtype.kind))
+            return f(x, owner)
+        return g
+
+    batch = [(family_integrand(kind, members), *flat([m[2] for m in members])) for kind, members in families]
+
+    def run(families):
+        try:
+            return integrate_batch(families, tol=tol, max_intervals=64)
+        except IntegrationError as exc:
+            return str(exc), exc.achieved_error
+
+    with mock.patch.object(numerics, "_PANELS_PER_CALL", n):
+        blocked = run([(recording(f), *rest) for f, *rest in batch])
+    assert blocked == run(batch)
+    for (k, nodes_per_panel), dtype, owner_shape, owner_kind in shapes:
+        assert 0 < k <= n and nodes_per_panel == 15 and dtype == float
+        assert owner_shape == (k, 1) and owner_kind == "i"
+
+
+def test_psi3_integrands_get_panel_rows(monkeypatch):
+    """Both psi3 families get blocks of at most _PANELS_PER_CALL panel rows."""
+    shapes = []
+
+    def batch(families, **kwargs):
+        def recording(f):
+            def g(x, owner):
+                shapes.append((x.shape, owner.shape))
+                return f(x, owner)
+            return g
+        return integrate_batch([(recording(f), *rest) for f, *rest in families], **kwargs)
+
+    monkeypatch.setattr(rootbin, "integrate_batch", batch)
+    psi3_bell_report(cli.parse_range("0.5:3.0:0.05"))
+    n = numerics._PANELS_PER_CALL
+    for (k, nodes_per_panel), owner_shape in shapes:
+        assert 0 < k <= n and nodes_per_panel == 15 and owner_shape == (k, 1)
+    assert max(k for (k, _), _ in shapes) == n
+
+
+def old_p_integrand(p, delta):
+    """The p-side integrand before rows with delta = 0 skipped the phase."""
+    return (math.pi ** -0.5) * np.exp(-p * p) * np.exp(-1j * delta * p)
+
+
+def assert_same_bits(new, old):
+    """Equal real and imaginary parts, the sign bits of zeros included."""
+    assert new.dtype == old.dtype == complex
+    assert new.real.tobytes() == old.real.tobytes() and new.imag.tobytes() == old.imag.tobytes()
+
+
+@pytest.mark.parametrize("alphas", ("0.5:3.0:0.05", "1e-300", "5e-324", "30"))
+def test_p_integrand_keeps_the_bits_of_the_phase_on_every_row(monkeypatch, alphas):
+    """On every block of p nodes the psi3 quadrature evaluates (delta = 0
+    and delta = 2 mu rows), ``_p_integrand`` equals the integrand that took
+    e^{-i delta p} on every row, bit for bit; so does each block with every
+    row's delta set to 0 or to 2 mu of the amplitude."""
+    calls, original = [], rootbin._p_integrand
+
+    def recording(p, delta):
+        calls.append((p, delta))
+        return original(p, delta)
+
+    grid = cli.parse_range(alphas)
+    whole = psi3_bell_report(grid)
+    monkeypatch.setattr(rootbin, "_p_integrand", recording)
+    assert psi3_bell_report(grid) == whole
+    deltas = {float(d) for _, delta in calls for d in delta.ravel()}
+    assert 0.0 in deltas and len(deltas) > 1
+    for p, delta in calls:
+        assert_same_bits(original(p, delta), old_p_integrand(p, delta))
+        for alpha in grid[:1] + grid[-1:]:
+            for d in (0.0, 2.0 * math.sqrt(2.0) * alpha):
+                column = np.full(delta.shape, d)
+                assert_same_bits(original(p, column), old_p_integrand(p, column))
+
+
+@PROPERTY
+@given(
+    p=st.lists(st.floats(min_value=-70.0, max_value=70.0), min_size=15, max_size=60),
+    mu=st.floats(min_value=5e-324, max_value=43.0),
+    rows=st.lists(st.booleans(), min_size=1, max_size=4),
+)
+@example(p=[0.0, -0.0] * 8, mu=5e-324, rows=[True, False])
+@example(p=[-27.0, 27.0] * 8, mu=42.42640687119285, rows=[False, True])
+def test_p_integrand_keeps_the_bits_of_the_phase(p, mu, rows):
+    """Rows of delta = 0 and delta = 2 mu mixed, on any nodes: the same
+    bits as e^{-i delta p} taken on every row."""
+    p = np.resize(np.array(p), (len(rows), 15))
+    delta = np.where(np.array(rows)[:, None], 2.0 * mu, 0.0)
+    assert_same_bits(rootbin._p_integrand(p, delta), old_p_integrand(p, delta))
 
 
 @SLOW_PROPERTY
@@ -496,10 +654,11 @@ def test_tiny_amplitudes_and_a_wide_one_share_no_run():
 @pytest.mark.parametrize("alphas", ("30", "0.05:12:0.25"))
 def test_psi3_memory_stays_bounded(alphas):
     """alpha = 30 alone is the widest batch the curve runs (5,016 p pieces)
-    and 0.05:12:0.25 a grid of two runs (traced peaks of about 10 and
-    15 MB).  The quadrature pads each integral's row of panels to the
-    longest of its family; the bound keeps that padding from undoing the
-    cap on a run's p pieces."""
+    and 0.05:12:0.25 a grid of two runs (traced peaks of about 2.0 and
+    2.8 MB, since the integrands take blocks of panel rows).  The
+    quadrature pads each integral's row of panels to the longest of its
+    family; the bound keeps that padding from undoing the cap on a run's p
+    pieces."""
     grid = cli.parse_range(alphas)
     psi3_bell_report(grid)  # warm: the peak below is the batch's own
     tracemalloc.start()
