@@ -1,7 +1,7 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature of many
-integrals in lockstep, fed flat segment rows, on array state (one row of
-panels per integral), integrands on blocks of panel rows, and even/odd
-bipartite eigenproblems, from their block.
+integrals of one integrand in lockstep, fed flat segment rows, on array
+state (one row of panels per integral), the integrand on blocks of panel
+rows, and even/odd bipartite eigenproblems, from their block.
 
 Everything in this module is a pure function of its inputs; nothing keeps
 mutable state.
@@ -85,94 +85,88 @@ def _compact(rows, keep):
         rows.update({key: x[keep] for key, x in rows.items()})
 
 
-def integrate_batch(families, tol=1e-10, max_intervals=4096):
-    """Adaptive Gauss-Kronrod quadrature of many integrals in lockstep.
+def integrate_batch(f, segments, owner, n, tol=1e-10, max_intervals=4096):
+    """Adaptive Gauss-Kronrod quadrature of n integrals of f in lockstep.
 
-    ``families`` holds (f, segments, owner, n): finite segments (a, b) as
-    rows, each owned by one of n integrals, owners grouped in order (else
-    ValueError); ``f(x, owner)`` gets the (k, 15) nodes of k <= 512 panels
+    ``segments`` holds finite (a, b) rows, row k owned by integral
+    ``owner[k]`` of the n, owners grouped in order (else ValueError);
+    ``f(x, owner)`` gets the (k, 15) nodes of k <= 512 panels
     (``_PANELS_PER_CALL``), a row each, with the (k, 1) column of their
     integrals, and returns x's shape (complex is fine).  Each integral keeps
     its own panels, running sums and stopping rule (QUADPACK's greedy
     scheme): its worst panel, the first inserted among equals, is bisected
     until the summed error estimate is below ``tol`` or below the
-    machine-precision floor of the running sum.  A family's state is arrays
-    with one row per unconverged integral, its panels in insertion order, so
+    machine-precision floor of the running sum.  The state is arrays with
+    one row per unconverged integral, its panels in insertion order, so
     that ``argmax`` picks every row's worst panel at once; a round pops
     those, updates the sums elementwise, calls the integrand on blocks of
-    both halves of each and appends them to the rows.  Returns one list of
-    results per family.  The first integral (by round, then position) to run
-    out of subdivisions raises ``IntegrationError`` with its error estimate.
+    both halves of each and appends them to the rows.  Returns the n
+    results.  The first integral (by round, then position) to run out of
+    subdivisions raises ``IntegrationError`` with its error estimate.
     """
-    results, states = [], []
-    for f, segments, owner, n in families:
-        (a, b), owner = np.asarray(segments, dtype=float).reshape(-1, 2).T, np.asarray(owner, dtype=int)
-        if owner.size and not (0 <= owner[0] and owner[-1] < n and np.all(owner[1:] >= owner[:-1])):
-            raise ValueError("segment owners must be grouped by integral, in order")
-        a, b, owner = a[b != a], b[b != a], owner[b != a]
-        counts = np.bincount(owner, minlength=n)
-        results.append((np.zeros(counts.size), counts))
-        if not owner.size:
-            continue
-        values, errors = _panels(f, a, b, owner)
-        # each integral's panels (a, b, error) and values in a row, in insertion
-        # order after a placeholder; a slot not in use reads as popped (error
-        # -1) and adds 0.0 to the sums, left to right as np.add.accumulate adds
-        slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
-        panels = np.full((counts.size, counts.max() + 1, 3), -1.0)
-        panels[owner, slot] = np.array([a, b, errors]).T
-        row_values = np.zeros(panels.shape[:2], dtype=values.dtype)
-        row_values[owner, slot] = values
-        total, err, size = (
-            np.add.accumulate(x, axis=1)[:, -1].copy()  # not a view of the whole
-            for x in (row_values, np.maximum(panels[..., 2], 0.0), _abs(row_values))
-        )
-        results[-1] = total, counts
-        states.append((f, total, {
-            "idx": np.arange(counts.size), "limit": max_intervals - counts, "total": total,
-            "err": err, "abs": size, "panels": panels, "values": row_values,
-        }))
+    (a, b), owner = np.asarray(segments, dtype=float).reshape(-1, 2).T, np.asarray(owner, dtype=int)
+    if owner.size and not (0 <= owner[0] and owner[-1] < n and np.all(owner[1:] >= owner[:-1])):
+        raise ValueError("segment owners must be grouped by integral, in order")
+    a, b, owner = a[b != a], b[b != a], owner[b != a]
+    counts = np.bincount(owner, minlength=n)
+    if not owner.size:
+        return [0.0] * counts.size
+    values, errors = _panels(f, a, b, owner)
+    # each integral's panels (a, b, error) and values in a row, in insertion
+    # order after a placeholder; a slot not in use reads as popped (error
+    # -1) and adds 0.0 to the sums, left to right as np.add.accumulate adds
+    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner] + 1
+    panels = np.full((counts.size, counts.max() + 1, 3), -1.0)
+    panels[owner, slot] = np.array([a, b, errors]).T
+    row_values = np.zeros(panels.shape[:2], dtype=values.dtype)
+    row_values[owner, slot] = values
+    total, err, size = (
+        np.add.accumulate(x, axis=1)[:, -1].copy()  # not a view of the whole
+        for x in (row_values, np.maximum(panels[..., 2], 0.0), _abs(row_values))
+    )
+    rows = {
+        "idx": np.arange(counts.size), "limit": max_intervals - counts, "total": total,
+        "err": err, "abs": size, "panels": panels, "values": row_values,
+    }
 
     for bisections in itertools.count():
-        for *_, rows in states:
-            _compact(rows, (rows["err"] > tol) & (rows["err"] > _SUM_FLOOR * rows["abs"]))
-            spent = rows["limit"] <= bisections
-            if spent.any():
-                total_err = rows["err"][spent.argmax()].item()
-                raise IntegrationError(
-                    f"no convergence after {max_intervals} intervals "
-                    f"(error estimate {total_err:.3e}, tol {tol:.3e})",
-                    achieved_error=total_err,
-                )
-        if not any(rows["idx"].size for *_, rows in states):
-            break
-        for f, total, rows in states:
-            # argmax takes the first of equal errors: the first inserted
-            line, col = np.arange(len(rows["idx"])), rows["panels"][..., 2].argmax(axis=1)
-            (a, b, err), val = rows["panels"][line, col].T, rows["values"][line, col]
-            rows["panels"][line, col, 2] = -1.0
-            # a popped panel without error ends its integral unchanged
-            go = err != 0.0
-            _compact(rows, go)
-            if not go.any():
-                continue
-            a, b, val = a[go], b[go], val[go]
-            rows["total"], rows["err"], rows["abs"] = (
-                rows["total"] - val, rows["err"] - err[go], rows["abs"] - _abs(val)
+        _compact(rows, (rows["err"] > tol) & (rows["err"] > _SUM_FLOOR * rows["abs"]))
+        spent = rows["limit"] <= bisections
+        if spent.any():
+            total_err = rows["err"][spent.argmax()].item()
+            raise IntegrationError(
+                f"no convergence after {max_intervals} intervals "
+                f"(error estimate {total_err:.3e}, tol {tol:.3e})",
+                achieved_error=total_err,
             )
-            edges = np.array([a, 0.5 * (a + b), b]).T
-            lo, hi = edges[:, :2], edges[:, 1:]
-            owner = np.repeat(rows["idx"], 2)
-            values, errors = (x.reshape(-1, 2) for x in _panels(f, lo.ravel(), hi.ravel(), owner))
-            for val, err in zip(values.T, errors.T):  # the left half, then the right
-                rows["total"], rows["err"], rows["abs"] = (
-                    rows["total"] + val, rows["err"] + err, rows["abs"] + _abs(val)
-                )
-            new = np.array([lo, hi, errors]).transpose(1, 2, 0)
-            rows["panels"] = np.concatenate([rows["panels"], new], axis=1)
-            rows["values"] = np.concatenate([rows["values"], values], axis=1)
-            total[rows["idx"]] = rows["total"]
-    return [[t if n else 0.0 for t, n in zip(s.tolist(), n.tolist())] for s, n in results]
+        if not rows["idx"].size:
+            break
+        # argmax takes the first of equal errors: the first inserted
+        line, col = np.arange(len(rows["idx"])), rows["panels"][..., 2].argmax(axis=1)
+        (a, b, err), val = rows["panels"][line, col].T, rows["values"][line, col]
+        rows["panels"][line, col, 2] = -1.0
+        # a popped panel without error ends its integral unchanged
+        go = err != 0.0
+        _compact(rows, go)
+        if not go.any():
+            continue
+        a, b, val = a[go], b[go], val[go]
+        rows["total"], rows["err"], rows["abs"] = (
+            rows["total"] - val, rows["err"] - err[go], rows["abs"] - _abs(val)
+        )
+        edges = np.array([a, 0.5 * (a + b), b]).T
+        lo, hi = edges[:, :2], edges[:, 1:]
+        owner = np.repeat(rows["idx"], 2)
+        values, errors = (x.reshape(-1, 2) for x in _panels(f, lo.ravel(), hi.ravel(), owner))
+        for val, err in zip(values.T, errors.T):  # the left half, then the right
+            rows["total"], rows["err"], rows["abs"] = (
+                rows["total"] + val, rows["err"] + err, rows["abs"] + _abs(val)
+            )
+        new = np.array([lo, hi, errors]).transpose(1, 2, 0)
+        rows["panels"] = np.concatenate([rows["panels"], new], axis=1)
+        rows["values"] = np.concatenate([rows["values"], values], axis=1)
+        total[rows["idx"]] = rows["total"]
+    return [t if c else 0.0 for t, c in zip(total.tolist(), counts.tolist())]
 
 
 def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
@@ -181,8 +175,8 @@ def integrate_segments(f, segments, tol=1e-10, max_intervals=4096):
     called on all segments (512 panels a call), then once per bisection of
     the worst panel, until the summed error estimate is below ``tol`` or the
     machine-precision floor of the running sum, whichever is larger."""
-    family = (lambda x, _owner: np.reshape(f(x.ravel()), x.shape), segments, [0] * len(segments), 1)
-    return integrate_batch([family], tol, max_intervals)[0][0]
+    return integrate_batch(lambda x, _owner: np.reshape(f(x.ravel()), x.shape), segments,
+                           [0] * len(segments), 1, tol, max_intervals)[0]
 
 
 def _check_bipartite(matrix) -> np.ndarray:

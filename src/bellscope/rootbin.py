@@ -33,14 +33,15 @@ the first sign change at pi/(2 mu) add less than e^{-(pi/(2 mu))^2}.
 
 The module also evaluates Bell factors by direct domain integration for
 finite superpositions of products of coherent states, which covers the
-three-mode coherent-superposition candidate state.  One array pass cuts the
-x and p pieces of a run of consecutive amplitudes (capped in padded p
-pieces), and every per-mode integral of the run is a member of one lockstep
-quadrature (``numerics.integrate_batch``) fed those flat rows, its
-integrands blocks of panel rows (on p, the phase only where it is not 1);
-one array kernel forms the joint probabilities of every (amplitude, setting
-pattern, term pair, outcome), looping only over modes.  Both round every
-value as the one-amplitude, one-outcome scalar loops did.
+three-mode coherent-superposition candidate state.  A grid goes in runs of
+consecutive amplitudes (capped in padded p pieces).  For each run and
+setting, p first, one array pass cuts the pieces, and every per-mode
+integral is a member of one lockstep quadrature (``numerics.integrate_batch``)
+fed those flat rows, its integrand given blocks of panel rows (on p, the
+phase only where it is not 1); one array kernel forms the joint
+probabilities of every (amplitude, setting pattern, term pair, outcome),
+looping only over modes.  Both round every value as the one-amplitude,
+one-outcome scalar loops did.
 
 Wavefunction convention: <x|n> ~ H_n(x) e^{-x^2/2}, so a coherent state of
 real amplitude a is a unit-width Gaussian centred at sqrt(2)*a, and the
@@ -207,7 +208,7 @@ def _p_partition(alphas, on_p=True):
 
 
 def _pieces(alphas, on_p):
-    """Rows (a, b, sign) of the p (where ``on_p``) or x pieces of the cat pair
+    """Rows (a, b, sign) of the p (if ``on_p``) or x pieces of the cat pair
     at each of ``alphas``, and each row's index into them, in one array pass:
     the roots k pi/(2 mu) cut p and 0 cuts x; signs follow -sin(2 mu p) or x."""
     mu, window, spacing, k_max = _p_partition(alphas, on_p)
@@ -222,7 +223,7 @@ def _pieces(alphas, on_p):
     inner = owner[1:] == owner[:-1]  # the edges of one amplitude bound its pieces
     a, b, owner = edges[:-1][inner], edges[1:][inner], owner[1:][inner]
     mid = 0.5 * (a + b)
-    product = np.where(on_p[owner], -np.sin(2.0 * mu[owner] * mid), mid)
+    product = -np.sin(2.0 * mu[owner] * mid) if on_p else mid
     return np.array([a, b, np.where(product >= 0.0, 1.0, -1.0)]).T, owner
 
 
@@ -262,41 +263,34 @@ def _p_integrand(p, delta):
     return out
 
 
-def _mode_tables(pieces, owner, on_p, amplitudes, sizes, tol):
+def _mode_tables(pieces, owner, amplitudes, sizes, on_p, tol):
     """Per-mode integrals of the coherent cross terms over the two binning
-    domains, one lockstep batch: complex T[i, j, side] (side 0 for plus) of
-    each request r, on p if on_p[r], over its sizes[r] sorted ``amplitudes``
-    and the rows (a, b, sign) of ``pieces`` owned by r, as (cells, 2), r by r,
-    (i, j) row-major.  <x|a><x|b> = pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2}
-    is symmetric in (a, b), mu = sqrt(2) a; <p|a><p|b>* = pi^{-1/2} e^{-p^2}
-    e^{-i sqrt(2) (a-b) p} is conjugated by a swap, bit for bit, so each
-    distinct integral is computed once, in order of first use."""
+    domains of one setting, p if ``on_p`` else x, one lockstep batch:
+    complex T[i, j, side] (side 0 for plus) of each request r over its
+    sizes[r] sorted ``amplitudes`` and the rows (a, b, sign) of ``pieces``
+    owned by r, as (cells, 2), r by r, (i, j) row-major.  <x|a><x|b> =
+    pi^{-1/2} e^{-(x-mu_a)^2/2 - (x-mu_b)^2/2} is symmetric in (a, b), mu =
+    sqrt(2) a; <p|a><p|b>* = pi^{-1/2} e^{-p^2} e^{-i sqrt(2) (a-b) p} is
+    conjugated by a swap, bit for bit, so each distinct integral is computed
+    once, in order of first use."""
     cell_r, cell = _ragged(sizes * sizes)  # cell = i n + j
     a, b = amplitudes[(np.cumsum(sizes) - sizes)[cell_r] + np.divmod(cell, sizes[cell_r])]
-    cell_p = on_p[cell_r]
-    # each cell's integral: (r, min(a, b), max(a, b)) on x, (r, |a - b|, |a - b|) on p
-    key = np.column_stack([cell_r, np.where(cell_p, np.abs(a - b), [np.minimum(a, b), np.maximum(a, b)]).T])
+    # each cell's integral: (r, |a - b|) on p, (r, min(a, b), max(a, b)) on x
+    key = np.column_stack([cell_r, *([np.abs(a - b)] if on_p else [np.minimum(a, b), np.maximum(a, b)])])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     first, seen = np.sort(first), np.argsort(np.argsort(first))[inverse.ravel()]
-    on = cell_p[first]
-    index = np.where(on, np.cumsum(on), np.cumsum(~on)) - 1  # in its family
     group = 2 * owner + (pieces[:, 2] < 0)  # r's plus pieces, then its minus
     rows = pieces[np.argsort(group, kind="stable"), :2]
     count = np.bincount(group, minlength=2 * sizes.size)
-    families = []
-    for family in (~on, on):
-        lists = (2 * cell_r[first[family]][:, None] + [0, 1]).ravel()
-        integral, place = _ragged(count[lists])
-        families.append((rows[(np.cumsum(count) - count)[lists][integral] + place], integral, lists.size))
-    mu, delta = (math.sqrt(2.0) * np.repeat(key[first[family], 1:], 2, axis=0) for family in (~on, on))
-    values = integrate_batch([
-        (lambda x, i: (math.pi ** -0.5) * np.exp(-0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2),
-         *families[0]),
-        (lambda p, i: _p_integrand(p, delta[i, 0]), *families[1]),
-    ], tol=max(tol / 2.0, 1e-14))
-    flat = np.array(values[0] + values[1], dtype=complex)
-    table = flat[(2 * index[seen] + cell_p * len(values[0]))[:, None] + [0, 1]]
-    return np.where((cell_p & (a < b))[:, None], table.conj(), table)
+    lists = (2 * cell_r[first][:, None] + [0, 1]).ravel()
+    integral, place = _ragged(count[lists])
+    mu = math.sqrt(2.0) * np.repeat(key[first, 1:], 2, axis=0)  # both centres on x, delta on p
+    f = (lambda p, i: _p_integrand(p, mu[i, 0])) if on_p else (
+        lambda x, i: (math.pi ** -0.5) * np.exp(-0.5 * (x - mu[i, 0]) ** 2 - 0.5 * (x - mu[i, 1]) ** 2))
+    values = integrate_batch(f, rows[(np.cumsum(count) - count)[lists][integral] + place], integral,
+                             lists.size, tol=max(tol / 2.0, 1e-14))
+    table = np.array(values, dtype=complex)[(2 * seen)[:, None] + [0, 1]]
+    return np.where((a < b)[:, None], table.conj(), table) if on_p else table
 
 
 def _outcome_probabilities(factors, amplitude_index, tables):
@@ -342,10 +336,8 @@ def binned_product_probabilities(terms, settings, alpha, tol=1e-9):
     if not set(settings) <= {"x", "p"}:
         raise ValueError(f"each setting must be 'x' or 'p', got {settings!r}")
     amplitudes = [sorted(set([amps[t] for _w, amps in terms])) for t in range(m)]
-    on_p, sizes = np.array([s == "p" for s in settings]), np.array([len(a) for a in amplitudes])
-    flat = _mode_tables(*_pieces(np.full(m, alpha), on_p), on_p,
-                        np.array(sum(amplitudes, []), dtype=float), sizes, tol)
-    tables = [flat[end - n * n:end].reshape(n, n, 2) for end, n in zip(np.cumsum(sizes * sizes), sizes)]
+    tables = [_mode_tables(*_pieces(np.array([alpha]), s == "p"), np.array(a, dtype=float), np.array([len(a)]),
+                           s == "p", tol).reshape(len(a), len(a), 2) for s, a in zip(settings, amplitudes)]
     factors = np.array([w_i * complex(w_j).conjugate() for w_i, _ in terms for w_j, _ in terms])
     factors = (factors.real[:, None], factors.imag[:, None])
     index = [[amplitudes[t].index(a) for t, a in enumerate(amps)] for _w, amps in terms]
@@ -368,7 +360,7 @@ class Psi3Report(NamedTuple):
         return max(self.bell_x_unprimed, self.bell_p_unprimed)
 
 
-# A batch pads each integral's panels to its family's widest; p pieces grow as alpha^2 (5,016 at 30).
+# A batch pads each integral's panels to the batch's widest; p pieces grow as alpha^2 (5,016 at 30).
 _P_PIECES_PER_BATCH = 8192
 
 
@@ -404,11 +396,14 @@ def psi3_bell_report(alphas, tol: float = 1e-9) -> list:
     if not alphas:
         return []
     grid, tables = np.array(alphas), []
-    for start, stop in _runs(grid):  # an x and a p table per amplitude, over (-alpha, alpha)
-        run, on_p = np.repeat(grid[start:stop], 2), np.arange(2 * (stop - start)) % 2 == 1
-        amplitudes = np.array([-run, run]).T.ravel()
-        tables.append(_mode_tables(*_pieces(run, on_p), on_p, amplitudes, np.full(run.size, 2), tol))
-    tables = np.concatenate(tables).reshape(len(alphas), 2, 2, 2, 2)  # (alpha, x/p, a_i, a_j, side)
+    for start, stop in _runs(grid):  # a p and an x table per amplitude, over (-alpha, alpha)
+        run = grid[start:stop]
+        amplitudes, sizes = np.array([-run, run]).T.ravel(), np.full(run.size, 2)
+        # p first: a batch that runs out reports p's integral before x is integrated
+        p, x = (_mode_tables(*_pieces(run, on_p), amplitudes, sizes, on_p, tol).reshape(-1, 2, 2, 2)
+                for on_p in (True, False))
+        tables.append(np.stack([x, p], axis=1))
+    tables = np.concatenate(tables)  # (alpha, x/p, a_i, a_j, side)
     # mode t of setting pattern n_x (= how many parties measure X) is X for t < n_x
     per_mode = [tables[:, [int(t >= n_x) for n_x in range(4)]] for t in range(3)]
     weights = np.array([_psi3_weight(alpha) for alpha in alphas])

@@ -151,11 +151,12 @@ def family_integrand(kind, members):
     max_intervals=8,
 )
 def test_batch_matches_each_integral_one_panel_at_a_time(families, tol, max_intervals):
-    """Member by member ``==`` with the one-at-a-time integrator.  The batch
-    raises exactly when some member does alone; the member that raises is
-    the first by (round, position), and the error carries its estimate."""
-    singles, first_failure = [], None
+    """Each family is one batch, member by member ``==`` with the
+    one-at-a-time integrator.  The batch raises exactly when some member
+    does alone; the member that raises is the first by (round, position),
+    and the error carries its estimate."""
     for kind, members in families:
+        singles, first_failure = [], None
         for p, q, segments in members:
             single = outcome(
                 integrate_segments_one_panel_at_a_time,
@@ -168,19 +169,18 @@ def test_batch_matches_each_integral_one_panel_at_a_time(families, tol, max_inte
                 n = sum(b != a for a, b in segments)
                 key = (max(max_intervals - n, 0), len(singles))
                 first_failure = min(first_failure or (key, single), (key, single))
-    try:
-        results = integrate_batch(
-            [(family_integrand(kind, members), *flat([m[2] for m in members]))
-             for kind, members in families],
-            tol=tol, max_intervals=max_intervals,
-        )
-    except IntegrationError as exc:
-        assert first_failure is not None
-        assert ("error", str(exc), exc.achieved_error) == first_failure[1]
-        return
-    assert first_failure is None
-    batched = [("value", v, type(v)) for values in results for v in values]
-    assert batched == singles
+        try:
+            results = integrate_batch(
+                family_integrand(kind, members), *flat([m[2] for m in members]),
+                tol=tol, max_intervals=max_intervals,
+            )
+        except IntegrationError as exc:
+            assert first_failure is not None
+            assert ("error", str(exc), exc.achieved_error) == first_failure[1]
+            continue
+        assert first_failure is None
+        batched = [("value", v, type(v)) for v in results]
+        assert batched == singles
 
 
 # Integrands that bisect hundreds of times at tol = 1e-12 (a comb of narrow
@@ -211,13 +211,15 @@ def owner_dispatch(integrands):
 
 
 def assert_batch_matches_alone(families, tol, max_intervals):
-    """``integrate_batch`` over families of (integrand, segments) members
-    against each member integrated alone by the one-panel-at-a-time oracle:
-    values, their types, and the error text and estimate of the first
-    member (by round, then position) to run out of subdivisions, all with
-    ``==``.  Returns the oracle's stopping rule of each member."""
-    alone, stops, first_failure = [], [], None
+    """``integrate_batch`` over each family of (integrand, segments) members,
+    one batch per family, against each member integrated alone by the
+    one-panel-at-a-time oracle: values, their types, and the error text and
+    estimate of the family's first member (by round, then position) to run
+    out of subdivisions, all with ``==``.  Returns the oracle's stopping
+    rule of each member."""
+    stops = []
     for members in families:
+        alone, first_failure = [], None
         for f, segments in members:
             single = outcome(
                 functools.partial(integrate_segments_one_panel_at_a_time, stops=stops),
@@ -227,18 +229,17 @@ def assert_batch_matches_alone(families, tol, max_intervals):
             if single[0] == "error":
                 key = (max(max_intervals - sum(b != a for a, b in segments), 0), len(alone))
                 first_failure = min(first_failure or (key, single), (key, single))
-    try:
-        results = integrate_batch(
-            [(owner_dispatch([f for f, _ in members]), *flat([s for _, s in members]))
-             for members in families],
-            tol=tol, max_intervals=max_intervals,
-        )
-    except IntegrationError as exc:
-        assert first_failure is not None and type(exc.achieved_error) is float
-        assert ("error", str(exc), exc.achieved_error) == first_failure[1]
-        return stops
-    assert first_failure is None
-    assert [("value", v, type(v)) for values in results for v in values] == alone
+        try:
+            results = integrate_batch(
+                owner_dispatch([f for f, _ in members]), *flat([s for _, s in members]),
+                tol=tol, max_intervals=max_intervals,
+            )
+        except IntegrationError as exc:
+            assert first_failure is not None and type(exc.achieved_error) is float
+            assert ("error", str(exc), exc.achieved_error) == first_failure[1]
+            continue
+        assert first_failure is None
+        assert [("value", v, type(v)) for v in results] == alone
     return stops
 
 
@@ -297,8 +298,8 @@ STOPPING_RULES = {
            ZERO_ERROR_SEGMENTS)]],
         0.0, 4096, ["zero-error panel"],
     ),
-    # one member of each of two families runs out in round 39; the first
-    # family's raises
+    # one member of each of two families runs out in round 39; each
+    # family's batch raises its own
     "same-round exhaustion": (
         [[(DEEP["comb"](0.1, 2.0), [(-6.0, 6.0)])], [(DEEP["wave"](0.2, 1.0), [(-6.0, 6.0)])]],
         1e-12, 40, ["exhausted", "exhausted"],
@@ -334,8 +335,8 @@ def test_hypot_rounds_like_complex_abs():
 
 
 def test_psi3_curve_exits_3_when_the_batch_fails(tmp_path, monkeypatch, capsys):
-    """Two intervals per integral are too few at alpha = 0.5: the batch that
-    ``_mode_tables`` runs raises IntegrationError with the error estimate of
+    """Two intervals per integral are too few at alpha = 0.5: the p batch,
+    integrated first, raises IntegrationError with the error estimate of
     its first failing integral, as before the tables came from flat arrays,
     and the CLI reports a numerical failure."""
     errors = []
@@ -354,6 +355,31 @@ def test_psi3_curve_exits_3_when_the_batch_fails(tmp_path, monkeypatch, capsys):
         "(error estimate 2.789e-08, tol 5.000e-10)\n"
     )
     assert errors == [2.7889423134211608e-08]
+    assert not (tmp_path / "psi3-curve.csv").exists()
+
+
+def test_psi3_curve_reports_the_x_batch_when_p_converges(tmp_path, monkeypatch, capsys):
+    """Each run integrates its p tables, then its x tables, one batch each.
+    With two intervals for the x batch only (its integrand is real, p's is
+    complex), p converges and x runs out: the CLI exits 3 with x's error
+    estimate."""
+    errors = []
+
+    def batch(f, *args, **kwargs):
+        on_x = not np.iscomplexobj(f(np.zeros((1, 15)), np.zeros((1, 1), dtype=int)))
+        try:
+            return numerics.integrate_batch(f, *args, **kwargs, **({"max_intervals": 2} if on_x else {}))
+        except IntegrationError as exc:
+            errors.append((on_x, exc.achieved_error))
+            raise
+
+    monkeypatch.setattr(rootbin, "integrate_batch", batch)
+    assert cli.main(["psi3-curve", "--alpha", "0.5", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "bellscope: numerical failure: no convergence after 2 intervals "
+        "(error estimate 1.744e-05, tol 5.000e-10)\n"
+    )
+    assert errors == [(True, 1.744325289428429e-05)]
     assert not (tmp_path / "psi3-curve.csv").exists()
 
 
@@ -378,8 +404,8 @@ def test_ungrouped_owner_raises():
     rows = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
     for owner, n in (([0, 1, 0], 2), ([1, 1, 0], 2), ([0, 0, 2], 2), ([-1, 0, 0], 2)):
         with pytest.raises(ValueError, match="grouped by integral"):
-            integrate_batch([(f, rows, owner, n)])
-    assert integrate_batch([(lambda x, owner: x, rows, [0, 0, 2], 4)])[0] == pytest.approx([2.0, 0.0, 2.5, 0.0])
+            integrate_batch(f, rows, owner, n)
+    assert integrate_batch(lambda x, owner: x, rows, [0, 0, 2], 4) == pytest.approx([2.0, 0.0, 2.5, 0.0])
 
 
 @pytest.mark.parametrize("dtype", (float, complex))
@@ -473,9 +499,9 @@ def test_panels_are_equal_in_blocks_of_any_size(kind, members, edges, data):
     n=st.sampled_from((1, 3, 512)),
 )
 def test_integrands_get_panel_rows(families, tol, n):
-    """``integrate_batch`` calls each integrand with (k, 15) nodes and the
-    (k, 1) column of their integrals, 0 < k <= _PANELS_PER_CALL, and the
-    result does not depend on the block size."""
+    """``integrate_batch`` calls the integrand of each family with (k, 15)
+    nodes and the (k, 1) column of their integrals, 0 < k <= _PANELS_PER_CALL,
+    and the result does not depend on the block size."""
     shapes = []
 
     def recording(f):
@@ -484,33 +510,32 @@ def test_integrands_get_panel_rows(families, tol, n):
             return f(x, owner)
         return g
 
-    batch = [(family_integrand(kind, members), *flat([m[2] for m in members])) for kind, members in families]
-
-    def run(families):
+    def run(f, rest):
         try:
-            return integrate_batch(families, tol=tol, max_intervals=64)
+            return integrate_batch(f, *rest, tol=tol, max_intervals=64)
         except IntegrationError as exc:
             return str(exc), exc.achieved_error
 
-    with mock.patch.object(numerics, "_PANELS_PER_CALL", n):
-        blocked = run([(recording(f), *rest) for f, *rest in batch])
-    assert blocked == run(batch)
+    for kind, members in families:
+        f, rest = family_integrand(kind, members), flat([m[2] for m in members])
+        with mock.patch.object(numerics, "_PANELS_PER_CALL", n):
+            blocked = run(recording(f), rest)
+        assert blocked == run(f, rest)
     for (k, nodes_per_panel), dtype, owner_shape, owner_kind in shapes:
         assert 0 < k <= n and nodes_per_panel == 15 and dtype == float
         assert owner_shape == (k, 1) and owner_kind == "i"
 
 
 def test_psi3_integrands_get_panel_rows(monkeypatch):
-    """Both psi3 families get blocks of at most _PANELS_PER_CALL panel rows."""
+    """The psi3 batches, p and x, get blocks of at most _PANELS_PER_CALL
+    panel rows."""
     shapes = []
 
-    def batch(families, **kwargs):
-        def recording(f):
-            def g(x, owner):
-                shapes.append((x.shape, owner.shape))
-                return f(x, owner)
-            return g
-        return integrate_batch([(recording(f), *rest) for f, *rest in families], **kwargs)
+    def batch(f, *args, **kwargs):
+        def recording(x, owner):
+            shapes.append((x.shape, owner.shape))
+            return f(x, owner)
+        return integrate_batch(recording, *args, **kwargs)
 
     monkeypatch.setattr(rootbin, "integrate_batch", batch)
     psi3_bell_report(cli.parse_range("0.5:3.0:0.05"))
@@ -608,7 +633,7 @@ def test_psi3_grid_equals_every_entry_integrated():
 
 def p_widths(alphas):
     """Each amplitude's p pieces, as ``_pieces`` cuts them."""
-    return np.bincount(rootbin._pieces(alphas, np.ones(alphas.size, dtype=bool))[1], minlength=alphas.size)
+    return np.bincount(rootbin._pieces(alphas, True)[1], minlength=alphas.size)
 
 
 def assert_runs_bound_the_padding(alphas):
@@ -654,11 +679,11 @@ def test_tiny_amplitudes_and_a_wide_one_share_no_run():
 @pytest.mark.parametrize("alphas", ("30", "0.05:12:0.25"))
 def test_psi3_memory_stays_bounded(alphas):
     """alpha = 30 alone is the widest batch the curve runs (5,016 p pieces)
-    and 0.05:12:0.25 a grid of two runs (traced peaks of about 2.0 and
-    2.8 MB, since the integrands take blocks of panel rows).  The
-    quadrature pads each integral's row of panels to the longest of its
-    family; the bound keeps that padding from undoing the cap on a run's p
-    pieces."""
+    and 0.05:12:0.25 a grid of two runs: traced peaks of 2.04 and 2.75 MB,
+    with a batch per setting and the integrands on blocks of panel rows.
+    The quadrature pads each integral's row of panels to the longest of its
+    batch; the bound, about 2.2 times the larger peak, keeps that padding
+    from undoing the cap on a run's p pieces."""
     grid = cli.parse_range(alphas)
     psi3_bell_report(grid)  # warm: the peak below is the batch's own
     tracemalloc.start()
@@ -667,7 +692,7 @@ def test_psi3_memory_stays_bounded(alphas):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32_000_000
+    assert peak < 6_000_000
 
 
 @SLOW_PROPERTY

@@ -180,7 +180,7 @@ class TestOptimalPhase:
 
 def segments(alpha, on_p):
     """The package's pieces of the cat pair at one amplitude: a batch of one."""
-    return _pieces(np.array([alpha]), np.array([on_p]))[0]
+    return _pieces(np.array([alpha]), on_p)[0]
 
 
 class TestCatPair:
@@ -223,8 +223,8 @@ class TestCatPair:
             oracle = callable_cat_pair(alpha)
             for on_p in (False, True):
                 tables = [
-                    _mode_tables(rows, np.zeros(len(rows), dtype=int), np.array([on_p]),
-                                 np.array([-alpha, alpha]), np.array([2]), 1e-9).tolist()
+                    _mode_tables(rows, np.zeros(len(rows), dtype=int), np.array([-alpha, alpha]),
+                                 np.array([2]), on_p, 1e-9).tolist()
                     for rows in (segments(alpha, on_p), oracle.p_segments() if on_p else oracle.x_segments())
                 ]
                 assert tables[0] == tables[1]
@@ -233,16 +233,16 @@ class TestCatPair:
         "0.5:3.0:0.05", "0.05:12:0.25", "1e-9", "30", "5e-324", "24.4", "0.05:12:0.05",
     ))
     def test_batched_pieces_equal_each_amplitude_alone(self, grid):
-        """One ``_pieces`` pass over a golden grid, x and p requests
-        interleaved, equals bit for bit the amplitude-by-amplitude partitions:
-        ``_pieces`` on that amplitude alone and the scalar build it replaced."""
-        alphas = np.repeat(cli.parse_range(grid), 2)
-        on_p = np.arange(alphas.size) % 2 == 1
-        rows, owner = _pieces(alphas, on_p)
-        assert np.all(owner[1:] >= owner[:-1])
-        for r, (alpha, p) in enumerate(zip(alphas.tolist(), on_p.tolist())):
-            alone = segments(alpha, p).tolist()
-            assert rows[owner == r].tolist() == alone == cat_segments_alone(alpha, p).tolist()
+        """One ``_pieces`` pass per setting over a golden grid equals bit for
+        bit the amplitude-by-amplitude partitions: ``_pieces`` on that
+        amplitude alone and the scalar build it replaced."""
+        alphas = cli.parse_range(grid)
+        for on_p in (False, True):
+            rows, owner = _pieces(np.array(alphas), on_p)
+            assert np.all(owner[1:] >= owner[:-1])
+            for r, alpha in enumerate(alphas):
+                alone = segments(alpha, on_p).tolist()
+                assert rows[owner == r].tolist() == alone == cat_segments_alone(alpha, on_p).tolist()
 
     def test_rejects_nonpositive_amplitude(self):
         """0, -1, inf and nan are refused before any work, by the closed form
@@ -404,6 +404,20 @@ class TestPsi3:
         ratios = [r.bell_p_unprimed / r.alpha ** 3 for r in reports]
         assert max(ratios) / min(ratios) - 1.0 < 1e-6
         assert max(r.bell_x_unprimed for r in reports) < 1e-15
+
+    @pytest.mark.parametrize("alphas", ("0.5:3:0.05", "0.05:12:0.25", "1e-9", "30"))
+    @pytest.mark.parametrize("tol", (1e-9, 1e-6))
+    def test_odd_p_correlators_vanish(self, alphas, tol):
+        """Flipping every P outcome conjugates the real-amplitude
+        wavefunction, and the P bins follow the odd sign of -sin(2 mu p), so
+        every correlator with an odd number of P settings is 0: one P
+        (correlators[2]) and three (correlators[0]), keyed by X count.  These
+        are the only two MK classes of bell_x_unprimed at m = 3.  What is left
+        is rounding noise of O(1) probabilities, at most 1.4e-16 measured;
+        the bound is 8 eps."""
+        for report in psi3_bell_report(cli.parse_range(alphas), tol):
+            assert abs(report.correlators[2]) <= 8 * np.finfo(float).eps
+            assert abs(report.correlators[0]) <= 8 * np.finfo(float).eps
 
     def test_small_amplitude_no_violation(self):
         assert direct_bell_psi3(0.5) < 2.0
